@@ -5,6 +5,7 @@ Z[t,t^-1]/(1-t^n) via shift-closed integer lattices.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -228,22 +229,8 @@ def _dense_sub(a, b):
     return _dense_trim(out)
 
 
-def _gcd_int(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _content(a):
-    g = 0
-    for x in a:
-        g = _gcd_int(g, x)
-    return g
-
-
 def _primitive(a):
-    g = _content(a)
+    g = math.gcd(*a)
     if g in (0, 1):
         return list(a), max(g, 1)
     return [x // g for x in a], g
@@ -265,9 +252,9 @@ def _dense_gcd(a, b):
         return b
     if not b:
         return a
-    ca = _content(a)
-    cb = _content(b)
-    cg = _gcd_int(ca, cb)
+    ca = math.gcd(*a)
+    cb = math.gcd(*b)
+    cg = math.gcd(ca, cb)
     a, _ = _primitive(a)
     b, _ = _primitive(b)
     if len(a) < len(b):
@@ -508,7 +495,7 @@ def snf(rows):
     for d in factors:
         for k, prev in enumerate(chained):
             if d % prev:
-                g = _gcd_int(d, prev)
+                g = math.gcd(d, prev)
                 lcm = d * prev // g
                 chained[k] = g
                 d = lcm

@@ -10,22 +10,29 @@ calibrated so that the closure of H_ij(a) has ordered linking numbers
 
 Arrow move catalog: AR1-AR6 involve only virtual crossings and twist pairs
 and act trivially on this data; AR7 exchanges adjacent tails (surgery image
-OC), AR8/AR10 delete an arrow whose ends are adjacent (R1 kink), AR9
-cancels an opposite-sign parallel pair (R2).  The heads-exchange move (and
-its H/H' avatars) swaps adjacent heads, whose surgery image is the
-forbidden UC.  A(n), A^n and the antiparallel Abar(n), Abar^n insert or
-delete the arrow blocks whose surgery images are the V(n)/V^n twist and
-parallel blocks.
+OC), AR8/AR10 insert or delete an arrow whose tail/head or head/tail are
+adjacent (R1 kink), AR9 inserts or cancels an opposite-sign parallel pair
+(R2).  The heads-exchange move (and its H/H' avatars) swaps adjacent heads,
+whose surgery image is the forbidden UC.  A(n), A^n and the antiparallel
+Abar(n), Abar^n insert or delete the arrow blocks whose surgery images are
+the V(n)/V^n twist and parallel blocks.
+
+These moves run on ``wld.moves`` through surgery: the sites of an arrow
+move are the sites of its surgery image, and applying it applies the image
+and reads the result back with ``to_arrows``.  The head-tail exchange, the
+ends exchange and the head-tail reversal have no Gauss-code counterpart and
+act on the presentation directly.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .diagram import (OVER, STRING_LINK, UNDER, Diagram, DiagramError,
                       ParseError, Passage)
-from .moves import EXPAND, MoveError
+from .moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
+                    _adjacent_pairs, find_sites)
+from .moves import apply as apply_move
 
 TAIL = "T"
 HEAD = "H"
@@ -71,6 +78,8 @@ class WArrowPresentation:
                 aid, role = tok
                 if role not in (TAIL, HEAD):
                     raise DiagramError(f"bad arrow token {tok!r}")
+                if aid < 1:  # arrow ids are the crossing ids of the surgery
+                    raise DiagramError(f"arrow ids must be positive, got {aid}")
                 roles = seen.setdefault(aid, set())
                 if role in roles:
                     raise DiagramError(f"arrow {aid} has two {role} ends")
@@ -266,7 +275,7 @@ def serialize_presentation(p):
 
 
 # ---------------------------------------------------------------------------
-# arrow moves
+# arrow moves (arrow ids are the crossing ids of the surgery image)
 
 @dataclass(frozen=True, order=True)
 class ArrowMoveKind:
@@ -289,414 +298,96 @@ def make_arrow_kind(name, n=None, direction=None):
     return ArrowMoveKind(name, n, direction or "")
 
 
-@dataclass(frozen=True, order=True)
-class ArrowSite:
-    data: tuple
+ArrowSite = MoveSite
+
+# arrow move -> Gauss-code move family of its surgery image
+_GAUSS_FAMILY = {
+    "ar7": "oc", "heads-exchange": "uc", "h": "uc", "hprime": "uc",
+    "ar8": "r1", "ar10": "r1", "ar9": "r2",
+    "a^n": "v^n", "abar^n": "vbar^n", "a(n)": "v(n)", "abar(n)": "vbar(n)",
+}
+# AR8 and AR10 are the R1 kinks whose first passage is the tail (over) or
+# the head (under); an expand site (ci, g, role, sign) names that role.
+_KINK_FIRST = {"ar8": OVER, "ar10": UNDER}
+_EXCHANGES = ("head-tail-exchange", "ends-exchange")
 
 
-def _strand_adjacent(p, ci):
-    strand = p.strands[ci]
-    n = len(strand)
-    if n < 2:
-        return []
-    if p.kind == STRING_LINK:
-        return [(q, q + 1) for q in range(n - 1)]
-    if n == 2:
-        return [(0, 1)]
-    return [(q, (q + 1) % n) for q in range(n)]
+def _gauss_kind(kind):
+    family = _GAUSS_FAMILY.get(kind.name)
+    if family is None:
+        raise MoveError(f"unknown arrow move {kind.name!r}")
+    if family not in ("oc", "uc") and kind.direction not in (EXPAND, REDUCE):
+        raise MoveError(f"move {kind.name} needs a direction")
+    return MoveKind(family, kind.n, kind.direction)
 
 
-def _strand_gaps(p, ci):
-    n = len(p.strands[ci])
-    if p.kind == STRING_LINK:
-        return list(range(n + 1))
-    return list(range(n)) if n else [0]
+def _kink_first(d, kind, site):
+    """Role of the first passage an AR8/AR10 site names."""
+    if kind.direction == EXPAND:
+        return site.data[2]
+    ci, q = site.data
+    return d.components[ci][q].role
 
 
 def find_arrow_sites(p, kind):
-    """Applicable sites of an arrow move, sorted."""
+    """Applicable sites of an arrow move, sorted: those of the Gauss-code
+    move of its surgery image, so an AR8/AR10 expand site reads
+    (component, gap, first role, sign)."""
     name = kind.name
     if name in _NOOP_MOVES:
         return [ArrowSite(())]
-    if name in ("heads-exchange", "h", "hprime"):
-        return sorted(_token_swap_sites(p, HEAD, HEAD))
-    if name == "ar7":
-        return sorted(_token_swap_sites(p, TAIL, TAIL))
-    if name == "head-tail-exchange":
-        return sorted(_token_swap_sites(p, TAIL, HEAD) + _token_swap_sites(p, HEAD, TAIL))
-    if name == "ends-exchange":
-        return sorted(set(_token_swap_sites(p, TAIL, TAIL))
-                      | set(_token_swap_sites(p, HEAD, HEAD))
-                      | set(_token_swap_sites(p, TAIL, HEAD))
-                      | set(_token_swap_sites(p, HEAD, TAIL)))
     if name == "head-tail-reversal":
         return [ArrowSite((aid,)) for aid in p.arrow_ids()]
-    if name in ("ar8", "ar10"):
-        order = (TAIL, HEAD) if name == "ar8" else (HEAD, TAIL)
-        if kind.direction == EXPAND:
-            return sorted(ArrowSite((ci, g, s))
-                          for ci in range(p.mu) for g in _strand_gaps(p, ci)
-                          for s in (1, -1))
-        out = []
-        for ci in range(p.mu):
-            strand = p.strands[ci]
-            for q, r in _strand_adjacent(p, ci):
-                if (strand[q][0] == strand[r][0]
-                        and (strand[q][1], strand[r][1]) == order):
-                    out.append(ArrowSite((ci, q)))
-        return sorted(out)
-    if name == "ar9":
-        if kind.direction == EXPAND:
-            return sorted(_pair_gap_sites(p, extra=[(1, True), (1, False),
-                                                    (-1, True), (-1, False)]))
-        return sorted(_ar9_reduce_sites(p))
-    if name in ("a^n", "abar^n"):
-        rev = name == "abar^n"
-        if kind.direction == EXPAND:
-            return sorted(_pair_gap_sites(p, extra=[(1,), (-1,)]))
-        return sorted(_block_reduce_sites(p, kind.n, rev))
-    if name in ("a(n)", "abar(n)"):
-        rev = name == "abar(n)"
-        if name == "a(n)" and kind.n % 2 == 0 and p.kind == STRING_LINK:
-            return []
-        if kind.direction == EXPAND:
-            return sorted(_pair_gap_sites(p, extra=[(1, 1), (1, 2), (-1, 1), (-1, 2)]))
-        return sorted(_twist_reduce_sites(p, kind.n, rev))
-    raise MoveError(f"move {name} needs a direction")
+    d = surgery(p)
+    if name in _EXCHANGES:
+        return _exchange_sites(d, name)
+    sites = find_sites(d, _gauss_kind(kind))
+    if name in _KINK_FIRST:
+        return [s for s in sites if _kink_first(d, kind, s) == _KINK_FIRST[name]]
+    return sites
 
 
-def _token_swap_sites(p, first, second):
+def _exchange_sites(d, name):
+    """Adjacent endpoints of two distinct arrows; the head-tail exchange
+    also needs one tail and one head."""
     out = []
-    for ci in range(p.mu):
-        strand = p.strands[ci]
-        for q, r in _strand_adjacent(p, ci):
-            if (strand[q][1] == first and strand[r][1] == second
-                    and strand[q][0] != strand[r][0]):
+    for ci, comp in enumerate(d.components):
+        for q, r in _adjacent_pairs(d, ci):
+            a, b = comp[q], comp[r]
+            if a.crossing != b.crossing and (name == "ends-exchange" or a.role != b.role):
                 out.append(ArrowSite((ci, q)))
     return out
-
-
-def _pair_gap_sites(p, extra):
-    out = []
-    gaps = [(ci, g) for ci in range(p.mu) for g in _strand_gaps(p, ci)]
-    for (c1, g1), (c2, g2) in itertools.product(gaps, repeat=2):
-        for variant in extra:
-            out.append(ArrowSite((c1, g1, c2, g2) + tuple(variant)))
-    return out
-
-
-def _ar9_reduce_sites(p):
-    out = []
-    sm = p.sign_map
-    heads = {}
-    for ci in range(p.mu):
-        strand = p.strands[ci]
-        for q, r in _strand_adjacent(p, ci):
-            if strand[q][1] == HEAD and strand[r][1] == HEAD:
-                heads.setdefault((strand[q][0], strand[r][0]), []).append((ci, q))
-    for ci in range(p.mu):
-        strand = p.strands[ci]
-        for q, r in _strand_adjacent(p, ci):
-            if strand[q][1] != TAIL or strand[r][1] != TAIL:
-                continue
-            a, b = strand[q][0], strand[r][0]
-            if a == b or sm[a] != -sm[b]:
-                continue
-            for parallel, key in ((True, (a, b)), (False, (b, a))):
-                for cj, s in heads.get(key, []):
-                    out.append(ArrowSite((ci, q, cj, s, parallel)))
-    return out
-
-
-def _block_reduce_sites(p, n, rev):
-    out = []
-    sm = p.sign_map
-    for ci in range(p.mu):
-        strand = p.strands[ci]
-        for q in range(len(strand)):
-            run = _token_run(p, ci, q, n, TAIL)
-            if not run:
-                continue
-            ids = run
-            want = list(reversed(ids)) if rev else ids
-            if len({sm[a] for a in ids}) != 1:
-                continue
-            for cj in range(p.mu):
-                for r in range(len(p.strands[cj])):
-                    hrun = _token_run(p, cj, r, n, HEAD)
-                    if hrun == want and not (ci == cj and _runs_overlap(p, ci, q, r, n)):
-                        out.append(ArrowSite((ci, q, cj, r)))
-    return out
-
-
-def _twist_reduce_sites(p, n, rev):
-    out = []
-    sm = p.sign_map
-    for ci in range(p.mu):
-        strand = p.strands[ci]
-        for q in range(len(strand)):
-            run = _alt_token_run(p, ci, q, n)
-            if not run or run[1][0] != TAIL:
-                continue
-            ids, roles = run
-            if len({sm[a] for a in ids}) != 1:
-                continue
-            want_ids = list(reversed(ids)) if rev else ids
-            expect = [HEAD if ro == TAIL else TAIL
-                      for ro in (reversed(roles) if rev else roles)]
-            for cj in range(p.mu):
-                for r in range(len(p.strands[cj])):
-                    other = _alt_token_run(p, cj, r, n)
-                    if (other and other[0] == want_ids and other[1] == expect
-                            and not (ci == cj and _runs_overlap(p, ci, q, r, n))):
-                        out.append(ArrowSite((ci, q, cj, r)))
-    return out
-
-
-def _token_run(p, ci, start, n, role):
-    strand = p.strands[ci]
-    ln = len(strand)
-    positions = _run_positions(p, ci, start, n)
-    if positions is None:
-        return None
-    ids = []
-    for pos in positions:
-        aid, r = strand[pos]
-        if r != role:
-            return None
-        ids.append(aid)
-    return ids
-
-
-def _alt_token_run(p, ci, start, n):
-    strand = p.strands[ci]
-    positions = _run_positions(p, ci, start, n)
-    if positions is None:
-        return None
-    first = strand[positions[0]][1]
-    ids, roles = [], []
-    for k, pos in enumerate(positions):
-        aid, r = strand[pos]
-        want = first if k % 2 == 0 else (HEAD if first == TAIL else TAIL)
-        if r != want:
-            return None
-        ids.append(aid)
-        roles.append(r)
-    return ids, roles
-
-
-def _run_positions(p, ci, start, n):
-    ln = len(p.strands[ci])
-    if p.kind == STRING_LINK:
-        if start + n > ln:
-            return None
-        return list(range(start, start + n))
-    if n > ln:
-        return None
-    out = [(start + i) % ln for i in range(n)]
-    return out if len(set(out)) == n else None
-
-
-def _runs_overlap(p, ci, q, r, n):
-    a = set(_run_positions(p, ci, q, n) or [])
-    b = set(_run_positions(p, ci, r, n) or [])
-    return bool(a & b)
 
 
 def apply_arrow_move(p, kind, site):
     """Apply an arrow move; surgery images stay welded-equivalent for
     AR1-AR10, and shift ordered linking data by the documented deltas for
-    the A-family."""
+    the A-family.  Raises MoveError at a site the move does not list."""
     name = kind.name
-    data = site.data
     if name in _NOOP_MOVES:
         return p
-    if name in ("heads-exchange", "h", "hprime", "ar7", "head-tail-exchange",
-                "ends-exchange"):
-        return _swap_tokens(p, data)
     if name == "head-tail-reversal":
-        (aid,) = data
+        (aid,) = site.data
+        if aid not in p.sign_map:
+            raise MoveError(f"no arrow {aid}")
         strands = tuple(tuple((a, (HEAD if ro == TAIL else TAIL) if a == aid else ro)
                               for a, ro in strand)
                         for strand in p.strands)
         return WArrowPresentation(strands, p.signs, p.kind)
-    if name in ("ar8", "ar10"):
-        if kind.direction == EXPAND:
-            ci, g, s = data
-            aid = p.fresh_arrow_id()
-            order = (TAIL, HEAD) if name == "ar8" else (HEAD, TAIL)
-            block = [(aid, order[0]), (aid, order[1])]
-            return _insert_tokens(p, [(ci, g, block)], {aid: s})
-        ci, q = data
-        strand = p.strands[ci]
-        r = _next(p, ci, q)
-        if strand[q][0] != strand[r][0]:
-            raise MoveError("site is not an isolated arrow")
-        return _delete_arrows(p, [strand[q][0]])
-    if name == "ar9":
-        if kind.direction == EXPAND:
-            c1, g1, c2, g2, sign, parallel = data
-            a = p.fresh_arrow_id()
-            tails = [(a, TAIL), (a + 1, TAIL)]
-            heads = [(a, HEAD), (a + 1, HEAD)] if parallel else [(a + 1, HEAD), (a, HEAD)]
-            return _insert_tokens(p, [(c1, g1, tails), (c2, g2, heads)],
-                                  {a: sign, a + 1: -sign})
-        ci, q, cj, s, parallel = data
-        ta, tb = p.strands[ci][q], p.strands[ci][_next(p, ci, q)]
-        ha, hb = p.strands[cj][s], p.strands[cj][_next(p, cj, s)]
-        a, b = ta[0], tb[0]
-        want = (a, b) if parallel else (b, a)
-        ok = (ta[1] == tb[1] == TAIL and ha[1] == hb[1] == HEAD
-              and (ha[0], hb[0]) == want and a != b
-              and p.sign_map[a] == -p.sign_map[b])
-        if not ok:
-            raise MoveError("site is not a cancelling arrow pair")
-        return _delete_arrows(p, [a, b])
-    if name in ("a^n", "abar^n"):
-        rev = name == "abar^n"
-        if kind.direction == EXPAND:
-            c1, g1, c2, g2, sign = data
-            base = p.fresh_arrow_id()
-            ids = list(range(base, base + kind.n))
-            tails = [(a, TAIL) for a in ids]
-            heads = [(a, HEAD) for a in (reversed(ids) if rev else ids)]
-            return _insert_tokens(p, [(c1, g1, tails), (c2, g2, heads)],
-                                  {a: sign for a in ids})
-        ci, q, cj, r = data
-        ids = _token_run(p, ci, q, kind.n, TAIL)
-        if not ids:
-            raise MoveError("no arrow block at site")
-        return _delete_arrows(p, ids)
-    if name in ("a(n)", "abar(n)"):
-        return _apply_a_twist(p, kind, site, rev=(name == "abar(n)"))
-    raise MoveError(f"cannot apply arrow move {name}")
-
-
-def _apply_a_twist(p, kind, site, rev):
-    n = kind.n
-    if kind.direction == EXPAND:
-        c1, g1, c2, g2, sign, first_tail = site.data
-        base = p.fresh_arrow_id()
-        ids = list(range(base, base + n))
-        b1, b2 = [], []
-        for k in range(n):
-            r1 = TAIL if (k % 2 == 0) == (first_tail == 1) else HEAD
-            b1.append((ids[k], r1))
-            b2.append((ids[k], HEAD if r1 == TAIL else TAIL))
-        if rev:
-            b2 = list(reversed(b2))
-        signs = {a: sign for a in ids}
-        if n % 2 == 1 or rev:
-            return _insert_tokens(p, [(c1, g1, b1), (c2, g2, b2)], signs)
-        if p.kind == STRING_LINK:
-            raise MoveError("even twist moves splice strands; links only")
-        return _splice_tokens(p, (c1, g1), (c2, g2), b1, b2, signs)
-    ci, q, cj, r = site.data
-    run = _alt_token_run(p, ci, q, n)
-    if not run:
-        raise MoveError("no twist block at site")
-    ids = run[0]
-    if n % 2 == 1 or rev:
-        return _delete_arrows(p, ids)
-    if p.kind == STRING_LINK:
-        raise MoveError("even twist moves splice strands; links only")
-    return _delete_arrows_and_splice(p, ids, (ci, q), (cj, r), n)
-
-
-def _next(p, ci, q):
-    strand = p.strands[ci]
-    if p.kind == STRING_LINK:
-        if q + 1 >= len(strand):
-            raise MoveError("adjacency runs off a strand end")
-        return q + 1
-    return (q + 1) % len(strand)
-
-
-def _swap_tokens(p, data):
-    ci, q = data
-    r = _next(p, ci, q)
-    strands = [list(s) for s in p.strands]
-    strands[ci][q], strands[ci][r] = strands[ci][r], strands[ci][q]
-    return WArrowPresentation(tuple(tuple(s) for s in strands), p.signs, p.kind)
-
-
-def _insert_tokens(p, inserts, new_signs):
-    strands = [list(s) for s in p.strands]
-    by_comp = {}
-    for ci, g, block in inserts:
-        by_comp.setdefault(ci, {}).setdefault(g, []).extend(block)
-    for ci, items in by_comp.items():
-        for g in sorted(items, reverse=True):
-            strands[ci][g:g] = items[g]
-    signs = dict(p.signs)
-    signs.update(new_signs)
-    return WArrowPresentation(tuple(tuple(s) for s in strands),
-                              tuple(sorted(signs.items())), p.kind)
-
-
-def _delete_arrows(p, ids):
-    drop = set(ids)
-    strands = tuple(tuple(tok for tok in strand if tok[0] not in drop)
-                    for strand in p.strands)
-    signs = tuple((a, s) for a, s in p.signs if a not in drop)
-    return WArrowPresentation(strands, signs, p.kind)
-
-
-def _splice_tokens(p, gap_a, gap_b, block_a, block_b, new_signs):
-    (ca, ga), (cb, gb) = gap_a, gap_b
-    strands = [list(s) for s in p.strands]
-    signs = dict(p.signs)
-    signs.update(new_signs)
-    if ca != cb:
-        sa, sb = strands[ca], strands[cb]
-        wa = sa[ga:] + sa[:ga]
-        wb = sb[gb:] + sb[:gb]
-        merged = list(block_a) + wb + list(block_b) + wa
-        lo, hi = min(ca, cb), max(ca, cb)
-        strands[lo] = merged
-        del strands[hi]
-    else:
-        s = strands[ca]
-        if ga <= gb:
-            x, y = s[ga:gb], s[gb:] + s[:ga]
-        else:
-            x, y = s[ga:] + s[:gb], s[gb:ga]
-        strands[ca] = y + list(block_a)
-        strands.insert(ca + 1, x + list(block_b))
-    return WArrowPresentation(tuple(tuple(s) for s in strands),
-                              tuple(sorted(signs.items())), p.kind)
-
-
-def _delete_arrows_and_splice(p, ids, run_a, run_b, n):
-    (ca, qa), (cb, qb) = run_a, run_b
-    drop = set(ids)
-    strands = [list(s) for s in p.strands]
-    signs = {a: s for a, s in p.signs if a not in drop}
-    if ca != cb:
-        la, lb = len(strands[ca]), len(strands[cb])
-        wa = [strands[ca][(qa + n + i) % la] for i in range(la - n)]
-        wb = [strands[cb][(qb + n + i) % lb] for i in range(lb - n)]
-        lo, hi = min(ca, cb), max(ca, cb)
-        strands[lo] = wb + wa
-        del strands[hi]
-    else:
-        s = strands[ca]
-        ln = len(s)
-        idx2 = {(qb + i) % ln for i in range(n)}
-        walk, b_index = [], None
-        pos = (qa + n) % ln
-        while pos != qa:
-            if pos == qb:
-                b_index = len(walk)
-            if pos not in idx2:
-                walk.append(s[pos])
-            pos = (pos + 1) % ln
-        if b_index is None:
-            b_index = len(walk)
-        strands[ca] = walk[b_index:]
-        strands.insert(ca + 1, walk[:b_index])
-    return WArrowPresentation(tuple(tuple(s) for s in strands),
-                              tuple(sorted(signs.items())), p.kind)
+    d = surgery(p)
+    if name in _EXCHANGES:
+        if site not in _exchange_sites(d, name):
+            raise MoveError(f"site is not a {name} pair")
+        ci, q = site.data
+        comps = [list(c) for c in d.components]
+        r = (q + 1) % len(comps[ci])
+        comps[ci][q], comps[ci][r] = comps[ci][r], comps[ci][q]
+        return to_arrows(d.with_components(comps))
+    out = apply_move(d, _gauss_kind(kind), site)
+    # the R1 move has checked the site, so the kink's first passage exists
+    if name in _KINK_FIRST and _kink_first(d, kind, site) != _KINK_FIRST[name]:
+        raise MoveError(f"site is not an {name} kink")
+    return to_arrows(out)
 
 
 # ---------------------------------------------------------------------------

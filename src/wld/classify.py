@@ -112,16 +112,9 @@ def decide_vn(left, right, n, any_order=False):
         return _best_over_orders(left, right, n, decide_vn)
     if left.mu != right.mu:
         return EquivalenceVerdict(RELATION_VN, n, False, ())
-    lam_l, lam_r = linking_matrix(left), linking_matrix(right)
-    residues = []
-    ok = True
-    for i in range(left.mu):
-        for j in range(i + 1, left.mu):
-            a = (lam_l[i][j] + lam_l[j][i]) % n
-            b = (lam_r[i][j] + lam_r[j][i]) % n
-            residues.append(((i + 1, j + 1), a, b))
-            ok = ok and a == b
-    return EquivalenceVerdict(RELATION_VN, n, ok, tuple(residues))
+    return _compare_residues(RELATION_VN, n, left, right,
+                             itertools.combinations(range(left.mu), 2),
+                             lambda lam, i, j: lam[i][j] + lam[j][i])
 
 
 def decide_vn_uc(left, right, n, any_order=False):
@@ -134,18 +127,18 @@ def decide_vn_uc(left, right, n, any_order=False):
         return _best_over_orders(left, right, n, decide_vn_uc)
     if left.mu != right.mu:
         return EquivalenceVerdict(RELATION_VN_UC, n, False, ())
+    return _compare_residues(RELATION_VN_UC, n, left, right,
+                             itertools.permutations(range(left.mu), 2),
+                             lambda lam, i, j: lam[i][j])
+
+
+def _compare_residues(relation, n, left, right, pairs, residue):
+    """Verdict comparing residue(lambda, i, j) mod n of both diagrams over
+    the 0-based component pairs."""
     lam_l, lam_r = linking_matrix(left), linking_matrix(right)
-    residues = []
-    ok = True
-    for i in range(left.mu):
-        for j in range(left.mu):
-            if i == j:
-                continue
-            a = lam_l[i][j] % n
-            b = lam_r[i][j] % n
-            residues.append(((i + 1, j + 1), a, b))
-            ok = ok and a == b
-    return EquivalenceVerdict(RELATION_VN_UC, n, ok, tuple(residues))
+    residues = tuple(((i + 1, j + 1), residue(lam_l, i, j) % n, residue(lam_r, i, j) % n)
+                     for i, j in pairs)
+    return EquivalenceVerdict(relation, n, all(a == b for _, a, b in residues), residues)
 
 
 def _best_over_orders(left, right, n, decide):

@@ -17,13 +17,16 @@ from .diagram import (DiagramError, STRING_LINK, closure, linking_matrix,
                       parse, serialize)
 
 
-def _read_diagram(path, close=True):
+def _read_text(path):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return fh.read()
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror}") from exc
-    d = parse(text)
+
+
+def _read_diagram(path, close=True):
+    d = parse(_read_text(path))
     if close and d.kind == STRING_LINK:
         d = closure(d)
     return d
@@ -98,10 +101,8 @@ def _cmd_obstruct(args):
 
 
 def _cmd_normal_form(args):
-    with open(args.file) as fh:
-        text = fh.read()
-    stripped = text.lstrip()
-    if stripped.startswith("arrows"):
+    text = _read_text(args.file)
+    if text.lstrip().startswith("arrows"):
         pres = arrows.parse_presentation(text)
     else:
         d = parse(text)
@@ -129,8 +130,11 @@ def _cmd_normal_form(args):
 def _write_diagram(args, d):
     text = serialize(d)
     if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DiagramError(f"cannot write {args.output}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 
@@ -155,12 +159,7 @@ def _cmd_moves(args):
     payload = {}
     lines = []
     for kind in kinds:
-        if kind.family in ("oc", "uc", "r3"):
-            directed = [kind]
-        else:
-            directed = [moves.MoveKind(kind.family, kind.n, moves.EXPAND),
-                        moves.MoveKind(kind.family, kind.n, moves.REDUCE)]
-        for dk in directed:
+        for dk in moves.directed_kinds(kind):
             count = len(moves.find_sites(d, dk))
             payload[str(dk)] = count
             lines.append(f"{dk}: {count} site(s)")

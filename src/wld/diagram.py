@@ -64,10 +64,7 @@ class Diagram:
     def __post_init__(self):
         if self.kind not in (LINK, STRING_LINK):
             raise DiagramError(f"unknown diagram kind {self.kind!r}")
-        if not isinstance(self.components, tuple):
-            object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
-        else:
-            object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
+        object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
         if len(self.components) < 1:
             raise DiagramError("a diagram needs at least one component")
         seen = {}

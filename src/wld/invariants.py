@@ -13,6 +13,7 @@ Alexander polynomial 1 - t + t^2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import diagram as dg
@@ -86,10 +87,6 @@ def alexander_matrix(d):
     return [fox_row(rel, pres.ngens) for rel in pres.relators], pres.ngens
 
 
-def _is_unit(p):
-    return p.is_unit()
-
-
 def _pivot_reduce(matrix):
     """Eliminate unit entries by row and column operations.
 
@@ -107,7 +104,7 @@ def _pivot_reduce(matrix):
         target = None
         for i, row in enumerate(mat):
             for j, p in enumerate(row):
-                if _is_unit(p):
+                if p.is_unit():
                     target = (i, j)
                     break
             if target:
@@ -319,9 +316,13 @@ def builtin_group(name):
 
 
 def load_group_csv(path):
-    with open(path) as fh:
-        rows = [[int(x) for x in line.strip().split(",")]
-                for line in fh if line.strip()]
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise GroupTableError(f"cannot read {path}: {exc.strerror}") from exc
+    rows = [[int(x) for x in line.strip().split(",")]
+            for line in text.splitlines() if line.strip()]
     return FiniteGroupTable(str(path), rows)
 
 
@@ -485,12 +486,5 @@ def coloring_count(d, n):
     factors = snf(rows)
     count = n ** (len(arcs) - len(factors))
     for f in factors:
-        count *= _gcd(f, n)
+        count *= math.gcd(f, n)
     return count
-
-
-def _gcd(a, b):
-    a, b = abs(a), abs(b)
-    while b:
-        a, b = b, a % b
-    return a

@@ -148,8 +148,11 @@ def _delete_positions(components, removals):
 
 
 def _run_positions(d, ci, start, length):
-    comp = d.components[ci]
-    n = len(comp)
+    if not 0 <= ci < d.mu:
+        return None
+    n = len(d.components[ci])
+    if not 0 <= start < n:
+        return None
     if d.kind == STRING_LINK:
         if start + length > n:
             return None
@@ -427,10 +430,10 @@ def _sites_v_expand(d, n):
 
 def _block_run(d, ci, start, n, role):
     """Crossing ids of a same-role, same-sign run of length n, else None."""
-    comp = d.components[ci]
     positions = _run_positions(d, ci, start, n)
     if positions is None or len(set(positions)) != n:
         return None
+    comp = d.components[ci]
     sign = comp[positions[0]].sign
     ids = []
     for p in positions:
@@ -472,10 +475,10 @@ def _sites_vn_expand(d, n):
 
 def _alt_run(d, ci, start, n):
     """Alternating-role, same-sign run: (ids, roles, sign, positions) or None."""
-    comp = d.components[ci]
     positions = _run_positions(d, ci, start, n)
     if positions is None or len(set(positions)) != n:
         return None
+    comp = d.components[ci]
     sign = comp[positions[0]].sign
     first = comp[positions[0]].role
     ids, roles = [], []
@@ -571,12 +574,14 @@ def apply(d, kind, site):
 
 
 def _next_pos(d, ci, p):
-    comp = d.components[ci]
-    if d.kind == STRING_LINK:
-        if p + 1 >= len(comp):
-            raise MoveError("adjacency runs off a strand end")
-        return p + 1
-    return (p + 1) % len(comp)
+    """Position after p on component ci, for a pair _adjacent_pairs lists."""
+    if not 0 <= ci < d.mu:
+        raise MoveError(f"no component {ci}")
+    n = len(d.components[ci])
+    last = n if d.kind == LINK and n > 2 else n - 1
+    if not 0 <= p < last:
+        raise MoveError(f"no adjacent pair at position {p} of component {ci}")
+    return (p + 1) % n
 
 
 def _apply_swap(d, site, role):
@@ -906,15 +911,12 @@ def scramble(d, kinds, steps, seed):
     return cur
 
 
-def _directed(kinds):
-    out = []
-    for kind in sorted(set(kinds)):
-        if kind.family in _UNDIRECTED or kind.direction:
-            out.append(kind)
-        else:
-            out.append(MoveKind(kind.family, kind.n, EXPAND))
-            out.append(MoveKind(kind.family, kind.n, REDUCE))
-    return out
+def directed_kinds(kind):
+    """The directed kinds a kind stands for: itself if it is undirected or
+    has a direction, else its expand and its reduce form."""
+    if kind.family in _UNDIRECTED or kind.direction:
+        return [kind]
+    return [MoveKind(kind.family, kind.n, EXPAND), MoveKind(kind.family, kind.n, REDUCE)]
 
 
 def search_path(d, target, kinds, max_crossings, max_depth):
@@ -926,7 +928,7 @@ def search_path(d, target, kinds, max_crossings, max_depth):
     goal = canonical_key(target)
     if canonical_key(d) == goal:
         return []
-    kinds = _directed(kinds)
+    kinds = [dk for kind in sorted(set(kinds)) for dk in directed_kinds(kind)]
     frontier = [(d, [])]
     visited = {canonical_key(d)}
     for _ in range(max_depth):

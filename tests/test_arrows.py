@@ -11,8 +11,8 @@ from wld.arrows import (ArrowSite, WArrowPresentation,
 from wld.diagram import (DiagramError, closure, linking_matrix, parse,
                          random_diagram, same_diagram)
 from wld.invariants import alexander, panel, welded_group, hom_count
-from wld.moves import (EXPAND, REDUCE, MoveError, MoveSite, find_sites,
-                       make_kind, apply as apply_move)
+from wld.moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
+                       find_sites, make_kind, scramble, apply as apply_move)
 
 HOPF_SL = parse("stringlink\ncomponent: O1+ U2+\ncomponent: U1+ O2+\n")
 
@@ -88,6 +88,12 @@ def test_presentation_parse_rejects_crossing_base():
     bad = "arrows\ncomponent: O1+ U1+\n"
     with pytest.raises(DiagramError):
         parse_presentation(bad)
+
+
+def test_presentation_rejects_non_positive_arrow_ids():
+    # arrow ids become crossing ids under surgery, which must be positive
+    with pytest.raises(DiagramError):
+        WArrowPresentation((((0, "T"), (0, "H")),), ((0, 1),), "link")
 
 
 def test_presentation_format_example():
@@ -351,3 +357,64 @@ def test_h12_2_closure_unlinks_in_one_v2():
     assert path is not None and len(path) == 1
     assert path[0][0].direction == "reduce"
     assert same_diagram(replay(d, path), unlink)
+
+
+# ---------------------------------------------------------------------------
+# contract: a reduce move applies exactly at the sites find_arrow_sites lists
+
+REDUCE_CONTRACT_KINDS = (
+    [("ar8", None), ("ar10", None), ("ar9", None)]
+    + [(name, n) for name in ("a^n", "abar^n", "a(n)") for n in (1, 2, 3, 4)]
+    + [("abar(n)", 1), ("abar(n)", 3)])
+
+
+def _contract_presentations():
+    """Small seeded presentations with planted reduce sites, plus tails 1,2
+    adjacent on strand 1 whose heads are separated on strand 2."""
+    out = [WArrowPresentation(
+        (((1, "T"), (2, "T")), ((1, "H"), (3, "T"), (3, "H"), (2, "H"))),
+        ((1, 1), (2, 1), (3, -1)), kind)
+        for kind in ("stringlink", "link")]
+    plants = ([("r1", 0), ("r2", 0), ("vbar(n)", 1), ("vbar(n)", 3)]
+              + [(family, n) for family in ("v^n", "vbar^n", "v(n)")
+                 for n in (1, 2, 3, 4)])
+    rng = random.Random(46)
+    for k, (family, n) in enumerate(plants):
+        # even v(n) splices strands, so it is planted on links only
+        kind = "link" if k % 2 or (family == "v(n)" and n % 2 == 0) else "stringlink"
+        d = random_diagram(rng, max_crossings=2, max_mu=2, kind=kind)
+        grown = scramble(d, [MoveKind(family, n, EXPAND)], 1, rng.randrange(1 << 20))
+        out.append(to_arrows(grown))
+    return out
+
+
+def _reduce_site_grid(p, name):
+    """Every reduce site tuple of the kind's shape, one position past each
+    strand end included."""
+    positions = [(ci, q) for ci in range(p.mu)
+                 for q in range(len(p.strands[ci]) + 1)]
+    if name in ("ar8", "ar10"):
+        return [ArrowSite(pos) for pos in positions]
+    pairs = [a + b for a in positions for b in positions]
+    if name == "ar9":
+        return [ArrowSite(pair + (parallel,)) for pair in pairs
+                for parallel in (True, False)]
+    return [ArrowSite(pair) for pair in pairs]
+
+
+@pytest.mark.parametrize("name,n", REDUCE_CONTRACT_KINDS,
+                         ids=[f"{name}-{n}" for name, n in REDUCE_CONTRACT_KINDS])
+def test_arrow_reduce_applies_exactly_at_listed_sites(name, n):
+    kind = make_arrow_kind(name, n, REDUCE)
+    listed_total = 0
+    for p in _contract_presentations():
+        listed = set(find_arrow_sites(p, kind))
+        listed_total += len(listed)
+        for site in _reduce_site_grid(p, name):
+            if site in listed:
+                out = apply_arrow_move(p, kind, site)
+                assert len(out.arrow_ids()) < len(p.arrow_ids())
+            else:
+                with pytest.raises(MoveError):
+                    apply_arrow_move(p, kind, site)
+    assert listed_total > 0

@@ -191,3 +191,20 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     for argv in commands:
         assert main(argv) == 0, argv
         capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["normal-form", "{missing}", "--relation", "vn", "--n", "3"],
+    ["homs", "{trefoil}", "--group", "table:{missing}"],
+    ["scramble", "{trefoil}", "--moves", "r1", "--steps", "1", "--seed", "1",
+     "-o", "{unwritable}"],
+    ["examples", "trefoil", "-o", "{unwritable}"],
+    ["multiplex", "{trefoil}", "--m", "2", "-o", "{unwritable}"],
+], ids=["normal-form-read", "group-table-read", "scramble-write",
+        "examples-write", "multiplex-write"])
+def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
+    paths = {"missing": str(tmp_path / "missing.gc"), "trefoil": trefoil_file,
+             "unwritable": str(tmp_path / "no-such-dir" / "x.gc")}
+    assert main([arg.format(**paths) for arg in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -400,6 +400,21 @@ def test_expand_rejects_out_of_range_gap():
         apply(TREFOIL, make_kind("v^n", 2, EXPAND), MoveSite((0, 0, 1, 0, 1)))
 
 
+def test_reduce_rejects_positions_find_sites_does_not_list():
+    # a cyclic component of length two has one adjacency, (0, 0)
+    kink = parse("component: O1+ U1+\n")
+    assert find_sites(kink, make_kind("r1", direction=REDUCE)) == [MoveSite((0, 0))]
+    with pytest.raises(MoveError):
+        apply(kink, make_kind("r1", direction=REDUCE), MoveSite((0, 1)))
+    with pytest.raises(MoveError):
+        apply(TREFOIL, make_kind("oc"), MoveSite((0, -1)))
+    block = apply(parse("component:\ncomponent:\n"), make_kind("v^n", 2, EXPAND),
+                  MoveSite((0, 0, 1, 0, 1)))
+    assert MoveSite((0, 0, 1, 0)) in find_sites(block, make_kind("v^n", 2, REDUCE))
+    with pytest.raises(MoveError):  # starts past the component ends
+        apply(block, make_kind("v^n", 2, REDUCE), MoveSite((0, 2, 1, 2)))
+
+
 def test_scramble_empty_kinds():
     assert scramble(TREFOIL, [], 0, 1) == TREFOIL
     with pytest.raises(MoveError):
