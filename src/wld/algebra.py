@@ -1,10 +1,18 @@
 """Exact integer algebra: Laurent polynomials in t, free-group words with
-Fox derivatives, polynomial gcd, integer HNF/SNF, and ideal arithmetic in
-Z[t,t^-1]/(1-t^n) via shift-closed integer lattices.
+Fox derivatives, polynomial gcd, integer HNF/SNF, ideal arithmetic in
+Z[t,t^-1]/(1-t^n) via shift-closed integer lattices, and minors of Laurent
+matrices.
+
+A Laurent polynomial is held in one dense form, a lowest exponent and a
+trimmed coefficient tuple, which gcd, division and residues read directly.
+``laurent_minors`` computes the minors of every requested size of a sparse
+Laurent matrix (rows as {column: entry}) from one Laplace-expansion memo;
+``laurent_det`` is its single full-size minor.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -17,89 +25,144 @@ class AlgebraError(ValueError):
 # Laurent polynomials
 
 class Laurent:
-    """Integer Laurent polynomial in one variable t, canonical term map."""
+    """Integer Laurent polynomial in one variable t.
 
-    __slots__ = ("terms",)
+    Dense form: ``low`` is the lowest exponent and ``coeffs`` the tuple of
+    coefficients of t^low, t^(low+1), ..., whose first and last entries are
+    nonzero; the zero polynomial is ``low == 0``, ``coeffs == ()``.  The form
+    is canonical, so equality and hashing compare the two fields.
+    """
+
+    __slots__ = ("low", "coeffs")
 
     def __init__(self, terms=()):
         data = {}
-        if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
+        items = terms.items() if isinstance(terms, dict) else terms
         for e, c in items:
             if c:
                 data[e] = data.get(e, 0) + c
-                if not data[e]:
-                    del data[e]
-        self.terms = tuple(sorted(data.items()))
+        data = {e: c for e, c in data.items() if c}
+        if not data:
+            self.low, self.coeffs = 0, ()
+            return
+        low = min(data)
+        self.low = low
+        self.coeffs = tuple(data.get(e, 0) for e in range(low, max(data) + 1))
+
+    @classmethod
+    def _raw(cls, low, coeffs):
+        """Wrap an already trimmed coefficient tuple."""
+        p = object.__new__(cls)
+        p.low, p.coeffs = low, coeffs
+        return p
+
+    @classmethod
+    def _trimmed(cls, low, coeffs):
+        """Trim zero coefficients from both ends of a list or tuple."""
+        hi = len(coeffs)
+        while hi and not coeffs[hi - 1]:
+            hi -= 1
+        if not hi:
+            return cls._raw(0, ())
+        lo = 0
+        while not coeffs[lo]:
+            lo += 1
+        return cls._raw(low + lo, tuple(coeffs[lo:hi]))
 
     @classmethod
     def zero(cls):
-        return cls()
+        return cls._raw(0, ())
 
     @classmethod
     def one(cls):
-        return cls(((0, 1),))
+        return cls._raw(0, (1,))
 
     @classmethod
     def monomial(cls, coeff, exp=0):
-        return cls(((exp, coeff),))
+        return cls._raw(exp, (coeff,)) if coeff else cls._raw(0, ())
 
     @classmethod
     def t(cls, exp=1):
-        return cls(((exp, 1),))
+        return cls._raw(exp, (1,))
 
     def is_zero(self):
-        return not self.terms
+        return not self.coeffs
 
     def is_unit(self):
-        return len(self.terms) == 1 and abs(self.terms[0][1]) == 1
+        return len(self.coeffs) == 1 and self.coeffs[0] in (1, -1)
 
     def min_exp(self):
-        if not self.terms:
+        if not self.coeffs:
             raise AlgebraError("zero polynomial has no exponents")
-        return self.terms[0][0]
+        return self.low
 
     def max_exp(self):
-        if not self.terms:
+        if not self.coeffs:
             raise AlgebraError("zero polynomial has no exponents")
-        return self.terms[-1][0]
+        return self.low + len(self.coeffs) - 1
 
     def coeff(self, e):
-        for exp, c in self.terms:
-            if exp == e:
-                return c
-        return 0
+        i = e - self.low
+        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
+
+    def _combine(self, other, sign):
+        """self + sign * other."""
+        a, b = self.coeffs, other.coeffs
+        if not b:
+            return self
+        if not a:
+            return other if sign > 0 else -other
+        low = min(self.low, other.low)
+        out = [0] * (max(self.low + len(a), other.low + len(b)) - low)
+        i = self.low - low
+        out[i:i + len(a)] = a
+        for k, y in enumerate(b, other.low - low):
+            out[k] += sign * y
+        return Laurent._trimmed(low, out)
 
     def __add__(self, other):
-        return Laurent(list(self.terms) + list(other.terms))
-
-    def __neg__(self):
-        return Laurent([(e, -c) for e, c in self.terms])
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return Laurent._raw(self.low, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
+        a = self.coeffs
         if isinstance(other, int):
-            return Laurent([(e, c * other) for e, c in self.terms])
-        out = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return Laurent(out)
+            if not other or not a:
+                return Laurent.zero()
+            return Laurent._raw(self.low, tuple(c * other for c in a))
+        b = other.coeffs
+        if not a or not b:
+            return Laurent.zero()
+        low = self.low + other.low
+        # the product of the end coefficients is nonzero, so no trimming
+        if len(b) == 1:
+            a, b = b, a
+        if len(a) == 1:
+            x = a[0]
+            return Laurent._raw(low, b if x == 1 else tuple(x * y for y in b))
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for k, y in enumerate(b, i):
+                    out[k] += x * y
+        return Laurent._raw(low, tuple(out))
 
     __rmul__ = __mul__
 
     def shift(self, k):
-        return Laurent([(e + k, c) for e, c in self.terms])
+        return Laurent._raw(self.low + k, self.coeffs) if self.coeffs else self
 
     def __eq__(self, other):
-        return isinstance(other, Laurent) and self.terms == other.terms
+        return (isinstance(other, Laurent) and self.low == other.low
+                and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash(self.terms)
+        return hash((self.low, self.coeffs))
 
     def __repr__(self):
         return f"Laurent({format_poly(self)!r})"
@@ -112,17 +175,17 @@ def normalize_units(p):
     """Multiply by +-t^r so the lowest exponent is 0 with positive coefficient."""
     if p.is_zero():
         return p
-    q = p.shift(-p.min_exp())
-    if q.terms[0][1] < 0:
-        q = -q
-    return q
+    q = p.shift(-p.low)
+    return -q if q.coeffs[0] < 0 else q
 
 
 def format_poly(p):
     if p.is_zero():
         return "0"
     parts = []
-    for e, c in p.terms:
+    for e, c in enumerate(p.coeffs, p.low):
+        if not c:
+            continue
         if e == 0:
             body = str(abs(c))
         else:
@@ -188,45 +251,10 @@ def parse_poly(text):
 
 # -- dense helpers on ordinary integer polynomials (lists, low degree first)
 
-def _to_dense(p):
-    shift = p.min_exp()
-    q = p.shift(-shift)
-    out = [0] * (q.max_exp() + 1)
-    for e, c in q.terms:
-        out[e] = c
-    return out
-
-
-def _from_dense(coeffs):
-    return Laurent(list(enumerate(coeffs)))
-
-
 def _dense_trim(a):
     while a and a[-1] == 0:
         a.pop()
     return a
-
-
-def _dense_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _dense_trim(out)
-
-
-def _dense_scale(a, s):
-    return _dense_trim([x * s for x in a])
-
-
-def _dense_sub(a, b):
-    out = [0] * max(len(a), len(b))
-    for i, x in enumerate(a):
-        out[i] += x
-    for i, y in enumerate(b):
-        out[i] -= y
-    return _dense_trim(out)
 
 
 def _primitive(a):
@@ -241,8 +269,11 @@ def _pseudo_rem(a, b):
     a = list(a)
     db, lb = len(b) - 1, b[-1]
     while len(a) - 1 >= db and a:
-        da, la = len(a) - 1, a[-1]
-        a = _dense_sub(_dense_scale(a, lb), _dense_mul(b, [0] * (da - db) + [la]))
+        la, k = a[-1], len(a) - 1 - db
+        a = [x * lb for x in a]
+        for i, y in enumerate(b, k):
+            a[i] -= la * y
+        _dense_trim(a)
     return a
 
 
@@ -263,7 +294,7 @@ def _dense_gcd(a, b):
         r = _pseudo_rem(a, b)
         r, _ = _primitive(r)
         a, b = b, r
-    return _dense_scale(a, cg)
+    return [x * cg for x in a]
 
 
 def poly_gcd(polys):
@@ -276,12 +307,10 @@ def poly_gcd(polys):
     for p in polys:
         if p.is_zero():
             continue
-        acc = _dense_gcd(acc, _to_dense(p))
+        acc = _dense_gcd(acc, p.coeffs)
         if acc == [1]:
             break
-    if not acc:
-        return Laurent.zero()
-    return normalize_units(_from_dense(acc))
+    return normalize_units(Laurent._trimmed(0, acc))
 
 
 def exact_div(p, q):
@@ -290,22 +319,22 @@ def exact_div(p, q):
         raise AlgebraError("division by zero polynomial")
     if p.is_zero():
         return Laurent.zero()
-    a = _to_dense(p)
-    b = _to_dense(q)
-    out = [0] * (len(a) - len(b) + 1)
-    if len(a) < len(b):
+    a, b = list(p.coeffs), q.coeffs
+    db, lead = len(b) - 1, b[-1]
+    if len(a) <= db:
         raise AlgebraError("not divisible")
-    while a:
-        if len(a) < len(b):
+    out = [0] * (len(a) - db)
+    for k in range(len(out) - 1, -1, -1):
+        c, rem = divmod(a[k + db], lead)
+        if rem:
             raise AlgebraError("not divisible")
-        if a[-1] % b[-1]:
-            raise AlgebraError("not divisible")
-        c = a[-1] // b[-1]
-        k = len(a) - len(b)
-        out[k] = c
-        a = _dense_sub(a, _dense_mul(b, [0] * k + [c]))
-    shift = p.min_exp() - q.min_exp()
-    return _from_dense(out).shift(shift)
+        if c:
+            out[k] = c
+            for i, y in enumerate(b, k):
+                a[i] -= c * y
+    if any(a):
+        raise AlgebraError("not divisible")
+    return Laurent._trimmed(p.low - q.low, out)
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +407,20 @@ def abelianize_t(terms):
 
 def fox_row(word, ngens):
     """Abelianized Fox derivative row of a relator, all generators -> t."""
-    row = [{} for _ in range(ngens)]
+    cells = {}
     e = 0
     for g, ex in free_reduce(word):
+        cell = cells.setdefault(g, {})
         if ex == 1:
-            row[g][e] = row[g].get(e, 0) + 1
+            cell[e] = cell.get(e, 0) + 1
             e += 1
         else:
             e -= 1
-            row[g][e] = row[g].get(e, 0) - 1
-    return [Laurent(cell) for cell in row]
+            cell[e] = cell.get(e, 0) - 1
+    row = [Laurent.zero()] * ngens
+    for g, cell in cells.items():
+        row[g] = Laurent(cell)
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -398,46 +431,69 @@ def hnf(rows):
 
     Rows span an integer lattice; the result is the unique echelon basis with
     positive pivots and entries above each pivot reduced into [0, pivot).
-    Zero rows are dropped, so equal lattices give equal HNFs.
+    Zero rows are dropped, so equal lattices give equal HNFs.  Rows are
+    inserted one at a time into a basis of at most ``ncols`` echelon rows,
+    merged by extended-gcd steps, and the basis is reduced after every
+    insertion, so entries stay bounded by the lattice instead of growing
+    with the number of rows.
     """
     mat = [list(r) for r in rows]
     if not mat:
         return []
     ncols = len(mat[0])
-    for r in mat:
-        if len(r) != ncols:
-            raise AlgebraError("ragged matrix")
-    pivot_row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(pivot_row, len(mat)):
-            if mat[r][col]:
-                if pivot is None or abs(mat[r][col]) < abs(mat[pivot][col]):
-                    pivot = r
-        if pivot is None:
-            continue
-        mat[pivot_row], mat[pivot] = mat[pivot], mat[pivot_row]
-        changed = True
-        while changed:
-            changed = False
-            for r in range(pivot_row + 1, len(mat)):
-                if mat[r][col]:
-                    q = mat[r][col] // mat[pivot_row][col]
-                    mat[r] = [a - q * b for a, b in zip(mat[r], mat[pivot_row])]
-                    if mat[r][col]:
-                        mat[pivot_row], mat[r] = mat[r], mat[pivot_row]
-                        changed = True
-        if mat[pivot_row][col] < 0:
-            mat[pivot_row] = [-a for a in mat[pivot_row]]
-        for r in range(pivot_row):
-            q = mat[r][col] // mat[pivot_row][col]
+    if any(len(r) != ncols for r in mat):
+        raise AlgebraError("ragged matrix")
+    basis = {}  # pivot column -> echelon row
+    for v in mat:
+        changed = False
+        for col in range(ncols):
+            a = v[col]
+            if not a:
+                continue
+            b = basis.get(col)
+            if b is None:
+                basis[col] = v if a > 0 else [-x for x in v]
+                changed = True
+                break
+            p = b[col]
+            if a % p == 0:
+                q = a // p
+                v = [x - q * y for x, y in zip(v, b)]
+                continue
+            # [[x, y], [-a/g, p/g]] is unimodular and clears column col of v
+            g, x, y = _ext_gcd(p, a)
+            basis[col] = [x * s + y * w for s, w in zip(b, v)]
+            v = [(p // g) * w - (a // g) * s for s, w in zip(b, v)]
+            changed = True
+        if changed:
+            _reduce_above_pivots(basis)
+    return [tuple(basis[col]) for col in sorted(basis)]
+
+
+def _ext_gcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _reduce_above_pivots(basis):
+    """Reduce every entry above a pivot into [0, pivot), left to right: the
+    row of a later pivot is zero left of it, so it leaves earlier columns
+    alone."""
+    cols = sorted(basis)
+    for i, col in enumerate(cols):
+        row = basis[col]
+        p = row[col]
+        for prev in cols[:i]:
+            upper = basis[prev]
+            q = upper[col] // p
             if q:
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(mat):
-            break
-    out = [tuple(r) for r in mat[:pivot_row] if any(r)]
-    return out
+                basis[prev] = [x - q * y for x, y in zip(upper, row)]
 
 
 def snf(rows):
@@ -535,7 +591,7 @@ def poly_residue(p, n):
     if n < 1:
         raise AlgebraError("modulus n must be >= 1")
     vec = [0] * n
-    for e, c in p.terms:
+    for e, c in enumerate(p.coeffs, p.low):
         vec[e % n] += c
     return vec
 
@@ -573,35 +629,64 @@ def f_n(p, n):
     """
     if n < 1:
         raise AlgebraError("modulus n must be >= 1")
-    return sum(c for e, c in p.terms if e % n in (0, 2 % n))
+    return sum(c for e, c in enumerate(p.coeffs, p.low) if e % n in (0, 2 % n))
 
 
 # ---------------------------------------------------------------------------
-# determinants of small Laurent matrices
+# minors and determinants of Laurent matrices
+
+def laurent_minors(rows, sizes):
+    """Every nonzero s x s minor of a sparse Laurent matrix, for s in ``sizes``.
+
+    ``rows`` is a list of {column: nonzero Laurent} dicts; columns are any
+    sortable labels, and all-zero columns need no entry since they give no
+    nonzero minor.  Returns {(row positions, column labels): minor}, both
+    tuples increasing.  The minors of all sizes come from one Laplace memo:
+    a size-s minor expands along its first row into the size-(s-1) minors of
+    the rows below it, so each level is built from the one before and every
+    smaller minor is computed once.  A minor is kept only while some
+    requested size can still be reached from it, which makes a single full
+    determinant a walk over column subsets of the bottom rows.
+    """
+    sizes = {s for s in sizes if 0 <= s <= len(rows)}
+    out = {}
+    level = {((), ()): Laurent.one()}
+    for size in range(max(sizes, default=-1) + 1):
+        if size:
+            # a new first row r leaves room above it for the rows the
+            # smallest requested size >= size still needs
+            first = min(s for s in sizes if s >= size) - size
+            level = _extend_minors(rows, level, first)
+        if size in sizes:
+            out.update(level)
+        if not level:
+            break
+    return out
+
+
+def _extend_minors(rows, level, first):
+    """Minors one size up: put a row r >= first above each minor's rows."""
+    nxt = {}
+    for (rset, cset), minor in level.items():
+        for r in range(first, rset[0] if rset else len(rows)):
+            for col, entry in rows[r].items():
+                if col in cset:
+                    continue
+                pos = bisect.bisect(cset, col)
+                key = ((r,) + rset, cset[:pos] + (col,) + cset[pos:])
+                term = entry * minor
+                got = nxt.get(key)
+                if pos % 2:
+                    nxt[key] = -term if got is None else got - term
+                else:
+                    nxt[key] = term if got is None else got + term
+    return {key: p for key, p in nxt.items() if p.coeffs}
+
 
 def laurent_det(matrix):
-    """Determinant by cofactor expansion with column-subset memoization."""
+    """Determinant of a square Laurent matrix: its one full-size minor in
+    ``laurent_minors``, a cofactor expansion memoized on column subsets."""
     size = len(matrix)
-    if size == 0:
-        return Laurent.one()
-    memo = {}
-
-    def rec(row, cols):
-        if not cols:
-            return Laurent.one()
-        key = cols
-        got = memo.get((row, key))
-        if got is not None:
-            return got
-        total = Laurent.zero()
-        for k, col in enumerate(cols):
-            entry = matrix[row][col]
-            if entry.is_zero():
-                continue
-            sub = rec(row + 1, cols[:k] + cols[k + 1:])
-            term = entry * sub
-            total = total + (term if k % 2 == 0 else -term)
-        memo[(row, key)] = total
-        return total
-
-    return rec(0, tuple(range(size)))
+    rows = [{j: p for j, p in enumerate(row) if p.coeffs} for row in matrix]
+    full = tuple(range(size))
+    return laurent_minors(rows, [size]).get((full, full), Laurent.zero())

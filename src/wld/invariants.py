@@ -12,14 +12,15 @@ Alexander polynomial 1 - t + t^2.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
 
 from . import diagram as dg
-from .algebra import (AlgebraError, Laurent, cyclic_reduce, exact_div,
-                      fox_row, free_reduce, ideal_mod, laurent_det, poly_gcd,
-                      snf, word_inverse, word_mul)
+from .algebra import (AlgebraError, Laurent, cyclic_reduce, fox_row,
+                      free_reduce, ideal_mod, laurent_minors, poly_gcd, snf,
+                      word_inverse, word_mul)
 
 linking_matrix = dg.linking_matrix
 
@@ -92,47 +93,65 @@ def _pivot_reduce(matrix):
 
     Elementary operations preserve every determinantal ideal, and clearing a
     unit pivot trades the ideal of s-minors for the ideal of (s-1)-minors of
-    the complement, so the returned (matrix, pivots) pair carries the same
-    elementary ideals as the input.
+    the complement, so the returned (rows, pivots) pair carries the same
+    elementary ideals as the input.  Rows are sparse, {column: nonzero
+    entry}: a Fox row has at most three entries.  A unit +-t^a divides out
+    as a multiplication by its inverse +-t^-a, and the unit with the least
+    fill, (row entries - 1) * (column entries - 1), goes first; a heap holds
+    the candidates, and an entry whose fill has changed since it was pushed
+    is skipped (the change pushed a fresh one).  All-zero rows are dropped;
+    the columns left keep their indices, all-zero ones included (they carry
+    no entry).
     """
-    mat = [row[:] for row in matrix]
+    live = {}
+    in_col = {}
+    for i, row in enumerate(matrix):
+        entries = {j: p for j, p in enumerate(row) if p.coeffs}
+        if entries:
+            live[i] = entries
+            for j in entries:
+                in_col.setdefault(j, set()).add(i)
+
+    def fill(i, j):
+        return (len(live[i]) - 1) * (len(in_col[j]) - 1), i, j
+
+    heap = [fill(i, j) for i, row in live.items() for j, p in row.items() if p.is_unit()]
+    heapq.heapify(heap)
     pivots = 0
-    while True:
-        mat = [row for row in mat if any(not p.is_zero() for p in row)]
-        if not mat:
-            break
-        target = None
-        for i, row in enumerate(mat):
-            for j, p in enumerate(row):
-                if p.is_unit():
-                    target = (i, j)
-                    break
-            if target:
-                break
-        if target is None:
-            break
-        i, j = target
-        pivot = mat[i][j]
-        for r in range(len(mat)):
-            if r != i and not mat[r][j].is_zero():
-                q = exact_div(mat[r][j], pivot)
-                mat[r] = [a - q * b for a, b in zip(mat[r], mat[i])]
-        for row in mat:
-            del row[j]
-        del mat[i]
+    while heap:
+        cand = heapq.heappop(heap)
+        _, i, j = cand
+        row = live.get(i)
+        if row is None or j not in row or not row[j].is_unit() or fill(i, j) != cand:
+            continue
+        prow = live.pop(i)
+        unit = prow.pop(j)
+        inverse = Laurent.monomial(unit.coeffs[0], -unit.low)
+        for c in prow:
+            in_col[c].discard(i)
+        others = in_col.pop(j) - {i}
+        for r in others:
+            row = live[r]
+            q = row.pop(j) * inverse
+            for c, b in prow.items():
+                old = row.get(c)
+                new = -(q * b) if old is None else old - q * b
+                if new.coeffs:
+                    row[c] = new
+                    in_col[c].add(r)
+                else:
+                    del row[c]
+                    in_col[c].discard(r)
+            if not row:
+                del live[r]
+        # fills change along the rows and columns the pivot touched
+        touched = {(r, c) for r in others if r in live for c in live[r]}
+        touched.update((r, c) for c in prow for r in in_col[c])
+        for r, c in touched:
+            if live[r][c].is_unit():
+                heapq.heappush(heap, fill(r, c))
         pivots += 1
-    return mat, pivots
-
-
-def _minors(mat, size):
-    rows = range(len(mat))
-    cols = range(len(mat[0]) if mat else 0)
-    out = []
-    for rset in itertools.combinations(rows, size):
-        for cset in itertools.combinations(cols, size):
-            sub = [[mat[r][c] for c in cset] for r in rset]
-            out.append(laurent_det(sub))
-    return out
+    return list(live.values()), pivots
 
 
 def elementary_ideals(d, kmax):
@@ -140,30 +159,26 @@ def elementary_ideals(d, kmax):
 
     E^k is the ideal of (g-k)-minors of the Alexander matrix: the whole ring
     when g-k <= 0 and the zero ideal when g-k exceeds the relator count.
-    Returned lists generate the same ideals as the full minor sets (unit
-    pivots are eliminated first).
+    Returned lists generate the same ideals as the full minor sets: unit
+    pivots are eliminated first, and the minors of every size needed come
+    from one ``laurent_minors`` memo.
     """
     matrix, g = alexander_matrix(d)
     nrows = len(matrix)
     reduced, pivots = _pivot_reduce(matrix)
+    sizes = [g - k - pivots for k in range(kmax + 1) if pivots < g - k <= nrows]
+    by_size = {}
+    for (rows, _cols), minor in laurent_minors(reduced, sizes).items():
+        by_size.setdefault(len(rows), []).append(minor)
     out = []
     for k in range(kmax + 1):
         s = g - k
-        if s <= 0:
-            out.append([Laurent.one()])
-            continue
         if s > nrows:
             out.append([])
-            continue
-        s_red = s - pivots
-        if s_red <= 0:
+        elif s - pivots <= 0:
             out.append([Laurent.one()])
-            continue
-        if s_red > len(reduced):
-            out.append([])
-            continue
-        gens = [p for p in _minors(reduced, s_red) if not p.is_zero()]
-        out.append(gens)
+        else:
+            out.append(by_size.get(s - pivots, []))
     return out
 
 

@@ -121,6 +121,11 @@ def _gaps(d, ci):
     return list(range(n)) if n else [0]
 
 
+def _check_variant(value, allowed, what):
+    if value not in allowed:
+        raise MoveError(f"bad {what} {value!r} in site")
+
+
 def _check_gap(components, kind, ci, gap):
     if not 0 <= ci < len(components):
         raise MoveError(f"no component {ci}")
@@ -269,10 +274,12 @@ def _r3_triple_pattern(d, pair_sites):
     positions = set()
     edges = []
     for ci, p in pair_sites:
+        if not 0 <= ci < d.mu or not 0 <= p < len(d.components[ci]):
+            return None
         comp = d.components[ci]
         n = len(comp)
         q = p + 1 if d.kind == STRING_LINK else (p + 1) % n
-        if p >= n or q >= n or (d.kind == STRING_LINK and q > n - 1):
+        if q >= n:
             return None
         if (ci, p) in positions or (ci, q) in positions or p == q:
             return None
@@ -563,12 +570,17 @@ _FINDERS = {
 def apply(d, kind, site):
     """Apply one move at a site; raises MoveError if the site does not fit."""
     fam = kind.family
+    if fam not in _UNDIRECTED and not kind.direction:
+        raise MoveError(f"move kind {kind} needs a direction")
+    data = site.data
+    if len(data) != _SITE_LENGTHS[(fam, kind.direction)] or (
+            fam == "r3" and not all(isinstance(pair, tuple) and len(pair) == 2
+                                    for pair in data)):
+        raise MoveError(f"site {data} does not have the shape of a {kind} site")
     if fam == "r3":
         return _apply_r3(d, site)
     if fam in ("oc", "uc"):
         return _apply_swap(d, site, OVER if fam == "oc" else UNDER)
-    if not kind.direction:
-        raise MoveError(f"move kind {kind} needs a direction")
     handler = _APPLIERS[(fam, kind.direction)]
     return handler(d, kind.n, site)
 
@@ -586,8 +598,8 @@ def _next_pos(d, ci, p):
 
 def _apply_swap(d, site, role):
     ci, p = site.data
-    comp = d.components[ci]
     q = _next_pos(d, ci, p)
+    comp = d.components[ci]
     if comp[p].role != role or comp[q].role != role:
         raise MoveError("site passages do not both carry the required role")
     comps = [list(c) for c in d.components]
@@ -608,8 +620,8 @@ def _apply_r3(d, site):
 
 def _apply_r1_reduce(d, n, site):
     ci, p = site.data
-    comp = d.components[ci]
     q = _next_pos(d, ci, p)
+    comp = d.components[ci]
     if comp[p].crossing != comp[q].crossing:
         raise MoveError("R1 site is not a kink")
     return d.with_components(_delete_positions(d.components, [(ci, p), (ci, q)]))
@@ -618,6 +630,8 @@ def _apply_r1_reduce(d, n, site):
 def _apply_r1_expand(d, n, site):
     ci, g, order, sign = site.data
     _check_gap(d.components, d.kind, ci, g)
+    _check_variant(order, (OVER, UNDER), "passage order")
+    _check_variant(sign, (1, -1), "sign")
     cid = d.fresh_crossing_id()
     first, second = (OVER, UNDER) if order == OVER else (UNDER, OVER)
     block = [Passage(cid, first, sign), Passage(cid, second, sign)]
@@ -626,8 +640,8 @@ def _apply_r1_expand(d, n, site):
 
 def _apply_r2_reduce(d, n, site):
     ci, p, cj, r, parallel = site.data
-    comp, comp_j = d.components[ci], d.components[cj]
     q, s = _next_pos(d, ci, p), _next_pos(d, cj, r)
+    comp, comp_j = d.components[ci], d.components[cj]
     a, b = comp[p], comp[q]
     u1, u2 = comp_j[r], comp_j[s]
     ok = (a.role == b.role == OVER and u1.role == u2.role == UNDER
@@ -646,6 +660,7 @@ def _apply_r2_expand(d, n, site):
     c1, g1, c2, g2, sign, parallel = site.data
     _check_gap(d.components, d.kind, c1, g1)
     _check_gap(d.components, d.kind, c2, g2)
+    _check_variant(sign, (1, -1), "sign")
     k = d.fresh_crossing_id()
     over_block = [Passage(k, OVER, sign), Passage(k + 1, OVER, -sign)]
     if parallel:
@@ -674,6 +689,8 @@ def _insert_two(components, first, second):
 
 def _apply_v_reduce(d, n, site):
     (cid,) = site.data
+    if cid not in d.crossing_ids():
+        raise MoveError(f"no crossing {cid} in diagram")
     over, under = d.passage_positions(cid)
     return d.with_components(_delete_positions(d.components, [over, under]))
 
@@ -682,6 +699,7 @@ def _apply_v_expand(d, n, site):
     c1, g1, c2, g2, sign = site.data
     _check_gap(d.components, d.kind, c1, g1)
     _check_gap(d.components, d.kind, c2, g2)
+    _check_variant(sign, (1, -1), "sign")
     cid = d.fresh_crossing_id()
     return d.with_components(
         _insert_two(d.components, (c1, g1, [Passage(cid, OVER, sign)]),
@@ -692,6 +710,7 @@ def _apply_vn_expand(d, n, site, reversed_under=False):
     c1, g1, c2, g2, sign = site.data
     _check_gap(d.components, d.kind, c1, g1)
     _check_gap(d.components, d.kind, c2, g2)
+    _check_variant(sign, (1, -1), "sign")
     base = d.fresh_crossing_id()
     ids = list(range(base, base + n))
     over_block = [Passage(k, OVER, sign) for k in ids]
@@ -732,6 +751,8 @@ def _apply_twist_expand(d, n, site, reversed_second=False):
     c1, g1, c2, g2, sign, first_over = site.data
     _check_gap(d.components, d.kind, c1, g1)
     _check_gap(d.components, d.kind, c2, g2)
+    _check_variant(sign, (1, -1), "sign")
+    _check_variant(first_over, (1, 2), "first strand role")
     base = d.fresh_crossing_id()
     raw1, raw2 = _twist_blocks(n, sign, first_over)
     block1 = [Passage(base + k - 1, r, s) for k, r, s in raw1]
@@ -827,6 +848,16 @@ def _delete_and_splice(d, run_a, run_b, n):
     comps.insert(ca + 1, comp2)
     return d.with_components(comps)
 
+
+# site tuple length per (family, direction); an r3 site is three
+# (component, position) pairs
+_SITE_LENGTHS = {
+    ("r3", ""): 3, ("oc", ""): 2, ("uc", ""): 2,
+    ("r1", REDUCE): 2, ("r1", EXPAND): 4, ("r2", REDUCE): 5, ("r2", EXPAND): 6,
+    ("v", REDUCE): 1, ("v", EXPAND): 5,
+    ("v^n", REDUCE): 4, ("v^n", EXPAND): 5, ("vbar^n", REDUCE): 4, ("vbar^n", EXPAND): 5,
+    ("v(n)", REDUCE): 4, ("v(n)", EXPAND): 6, ("vbar(n)", REDUCE): 4, ("vbar(n)", EXPAND): 6,
+}
 
 _APPLIERS = {
     ("r1", REDUCE): _apply_r1_reduce,

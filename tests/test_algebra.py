@@ -1,4 +1,7 @@
+import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -6,8 +9,9 @@ from wld.algebra import (AlgebraError, Laurent, abelianize_t,
                          cyclic_reduce, exact_div, f_n, format_poly,
                          fox_derive, fox_row, free_reduce, hnf,
                          ideal_equal_mod, ideal_mod, laurent_det,
-                         member_of_principal, normalize_units, parse_poly,
-                         poly_gcd, snf, word_mul, word_pow)
+                         laurent_minors, member_of_principal,
+                         normalize_units, parse_poly, poly_gcd, snf,
+                         word_mul, word_pow)
 
 import oracles
 
@@ -321,3 +325,59 @@ def test_laurent_det_against_bruteforce():
         mat = [[rand_poly(rng, max_terms=2, max_exp=2) for _ in range(n)]
                for _ in range(n)]
         assert laurent_det(mat) == oracles.laurent_det_bruteforce(mat)
+
+
+def test_laurent_minors_match_bruteforce_for_every_minor():
+    rng = random.Random(17)
+    for _ in range(40):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        mat = [[rand_poly(rng, max_terms=2, max_exp=2) for _ in range(n)]
+               for _ in range(m)]
+        rows = [{j: p for j, p in enumerate(row) if not p.is_zero()} for row in mat]
+        sizes = range(min(m, n) + 1)
+        minors = laurent_minors(rows, sizes)
+        assert all(not p.is_zero() for p in minors.values())
+        count = 0
+        for s in sizes:
+            for rset in itertools.combinations(range(m), s):
+                for cset in itertools.combinations(range(n), s):
+                    sub = [[mat[r][c] for c in cset] for r in rset]
+                    want = oracles.laurent_det_bruteforce(sub)
+                    assert minors.get((rset, cset), Laurent.zero()) == want
+                    count += not want.is_zero()
+        assert count == len(minors)
+        # one requested size alone gives the same minors of that size
+        s = rng.choice(sizes)
+        assert laurent_minors(rows, [s]) == {key: p for key, p in minors.items()
+                                             if len(key[0]) == s}
+
+
+@contextmanager
+def _time_limit(seconds):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_ideal_mod_of_many_dense_generators_stays_fast():
+    # twenty degree-20 generators with coefficients in +-100 make a 100 x 5
+    # lattice basis problem; a full-matrix Euclid sweep blows the entries up
+    # and takes from a tenth of a second to minutes, depending on the draw
+    rng = random.Random(18)
+    n = 5
+    problems = [[Laurent([(e, rng.randint(-100, 100)) for e in range(21)])
+                 for _ in range(20)] for _ in range(10)]
+    with _time_limit(10):
+        lattices = [ideal_mod(gens, n) for gens in problems]
+    for gens, lattice in zip(problems, lattices):
+        assert oracles.is_hnf(lattice.basis)
+        for p in gens:
+            for row in _shift_rows(p, n):
+                assert lattice.contains(row)

@@ -294,3 +294,19 @@ def test_core_panel_invariant_under_antiparallel_v2():
             assert coloring_count(d, n) == coloring_count(s, n)
         for g in panel():
             assert hom_count(core_group(d), g) == hom_count(core_group(s), g)
+
+
+def test_elementary_ideals_match_bruteforce_on_three_components():
+    rng = random.Random(24)
+    done = 0
+    while done < 12:
+        d = random_diagram(rng, max_crossings=5, max_mu=3)
+        if d.mu != 3:
+            continue
+        done += 1
+        mine = elementary_ideals(d, 3)
+        for k in range(4):
+            brute = oracles.elementary_ideal_bruteforce(d, k)
+            assert poly_gcd(mine[k]) == poly_gcd(brute)
+            for n in (2, 3):
+                assert ideal_equal_mod(mine[k], brute, n)

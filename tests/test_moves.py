@@ -448,3 +448,13 @@ def test_vbar_scrambles_respect_lambda_residues():
         s2 = scramble(d, WELDED + [make_kind("uc"), make_kind("vbar^n", 2)], 30,
                       rng.randrange(10 ** 6))
         assert lam_mod(s2, 2) == lam_mod(d, 2)
+
+
+@pytest.mark.parametrize("kind, data", [
+    (make_kind("r3"), ((5, 0), (0, 1), (0, 2))),   # no component 5
+    (make_kind("v", direction=REDUCE), (99,)),      # no crossing 99
+    (make_kind("r1", direction=EXPAND), (0, 0, 1)),  # one entry short
+])
+def test_apply_rejects_malformed_site_with_move_error(kind, data):
+    with pytest.raises(MoveError):
+        apply(TREFOIL, kind, MoveSite(data))
