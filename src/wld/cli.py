@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -195,7 +196,10 @@ def _cmd_examples(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, so every ``main`` call reuses it."""
     parser = argparse.ArgumentParser(
         prog="wld",
         description="Welded-link invariants and generalized virtualization moves.")

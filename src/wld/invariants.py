@@ -12,15 +12,18 @@ Alexander polynomial 1 - t + t^2.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from . import diagram as dg
 from .algebra import (AlgebraError, Laurent, cyclic_reduce, fox_row,
                       free_reduce, ideal_mod, laurent_minors, poly_gcd, snf,
-                      word_inverse, word_mul)
+                      word_inverse)
 
 linking_matrix = dg.linking_matrix
 
@@ -31,16 +34,24 @@ CORE = "core-group"
 @dataclass(frozen=True)
 class GroupPresentation:
     """Finite presentation; relators are freely reduced words over
-    generators 0..ngens-1."""
+    generators 0..ngens-1.
+
+    ``components`` is empty or holds one component index per generator;
+    generators with equal indices are conjugate in the presented group, so
+    ``hom_count`` sends them into one conjugacy class of the target.
+    """
 
     ngens: int
     relators: tuple
     marking: str = WELDED
+    components: tuple = ()
 
 
 def welded_group(d):
     """Arc-generated presentation of the diagram group, one relator per
-    classical crossing."""
+    classical crossing.  Each relator conjugates the under-in arc into the
+    under-out arc, so the arcs of one component are conjugate and
+    ``components`` records each arc's component."""
     arcs = dg.arcs(d)
     relators = []
     for cid, (y, x, z, sign) in sorted(dg.crossing_arcs(d).items()):
@@ -51,12 +62,14 @@ def welded_group(d):
         word = free_reduce(word)
         if word:
             relators.append(word)
-    return GroupPresentation(len(arcs), tuple(relators), WELDED)
+    return GroupPresentation(len(arcs), tuple(relators), WELDED,
+                             tuple(arc.component for arc in arcs))
 
 
 def core_group(d):
     """Unoriented core presentation: relator y x^-1 y z^-1 per crossing,
-    independent of crossing signs and of component orientations."""
+    independent of crossing signs and of component orientations.  Arcs of
+    one component need not be conjugate here, so ``components`` is empty."""
     arcs = dg.arcs(d)
     relators = []
     for cid, (y, x, z, _sign) in sorted(dg.crossing_arcs(d).items()):
@@ -205,11 +218,16 @@ class GroupTableError(ValueError):
 
 
 class FiniteGroupTable:
-    """Multiplication table of a finite group, validated on construction."""
+    """Multiplication table of a finite group, validated on construction.
+
+    Rows are tuples, so one instance can be shared (``builtin_group`` does).
+    ``classes`` lists the conjugacy classes as sorted tuples, ordered by
+    their least element; ``class_of[x]`` indexes the class of ``x``.
+    """
 
     def __init__(self, name, table):
         self.name = name
-        self.table = [list(row) for row in table]
+        self.table = tuple(tuple(row) for row in table)
         self.order = len(self.table)
         n = self.order
         if n < 1 or any(len(row) != n for row in self.table):
@@ -226,18 +244,30 @@ class FiniteGroupTable:
         if identity is None:
             raise GroupTableError("no identity element")
         self.identity = identity
-        self.inverse = [None] * n
+        inverse = [None] * n
         for a in range(n):
             for b in range(n):
                 if self.table[a][b] == identity:
-                    self.inverse[a] = b
-            if self.inverse[a] is None:
+                    inverse[a] = b
+            if inverse[a] is None:
                 raise GroupTableError(f"element {a} has no inverse")
+        self.inverse = tuple(inverse)
         for a in range(n):
             for b in range(n):
                 for c in range(n):
                     if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                         raise GroupTableError("multiplication is not associative")
+        class_of = [None] * n
+        classes = []
+        for x in range(n):
+            if class_of[x] is None:
+                members = tuple(sorted({self.table[self.table[g][x]][inverse[g]]
+                                        for g in range(n)}))
+                for y in members:
+                    class_of[y] = len(classes)
+                classes.append(members)
+        self.classes = tuple(classes)
+        self.class_of = tuple(class_of)
 
     def mul(self, a, b):
         return self.table[a][b]
@@ -311,8 +341,16 @@ def quaternion_group():
 
 
 def builtin_group(name):
-    """Groups addressable by name: z2..z12, d3..d8, s3, s4, q8."""
-    name = name.lower()
+    """Groups addressable by name: z2..z12, d3..d8, s3, s4, q8.
+
+    Names are case-insensitive; each is built and validated once per
+    process, and later calls return the same shared instance.
+    """
+    return _builtin_group(name.lower())
+
+
+@functools.cache
+def _builtin_group(name):
     if name.startswith("z") and name[1:].isdigit():
         n = int(name[1:])
         if 2 <= n <= 12:
@@ -358,40 +396,52 @@ def simplify_presentation(p):
 
     Substitution plus free/cyclic reduction; relator growth is capped so the
     procedure always terminates quickly.  The returned presentation defines
-    an isomorphic group.
+    an isomorphic group; its generators are the survivors in their old
+    order, and ``components`` follows them.  Each step eliminates, from the
+    shortest relator holding one (the first such relator on ties), the
+    first generator occurring exactly once there.  Generator counts are kept
+    per relator, and a step rewrites and recounts only the relators that
+    contain the eliminated generator.
     """
-    relators = [cyclic_reduce(r) for r in p.relators]
-    relators = [r for r in relators if r]
+    relators = [r for r in map(cyclic_reduce, p.relators) if r]
+    counts = [Counter(map(_generator, r)) for r in relators]
+    total = sum(map(len, relators))
     alive = list(range(p.ngens))
     blocked = set()
     while True:
         best = None
         for ri, rel in enumerate(relators):
-            counts = {}
-            for g, _ in rel:
-                counts[g] = counts.get(g, 0) + 1
-            for g, c in counts.items():
+            if best is not None and len(rel) >= best[0]:
+                continue
+            for g, c in counts[ri].items():
                 if c == 1 and g not in blocked:
-                    cost = len(rel)
-                    if best is None or cost < best[0]:
-                        best = (cost, ri, g)
+                    best = (len(rel), ri, g)
+                    break
         if best is None:
             break
         _, ri, gen = best
         rel = relators[ri]
         pos = next(i for i, (g, _) in enumerate(rel) if g == gen)
-        g, e = rel[pos]
-        before, after = rel[:pos], rel[pos + 1:]
-        # rel = before * g^e * after = 1  =>  g^e = before^-1 after^-1
-        repl = word_mul(word_inverse(before), word_inverse(after))
-        if e == -1:
-            repl = word_inverse(repl)
-        rest = [r for i, r in enumerate(relators) if i != ri]
-        new = _substitute_all(rest, gen, repl)
-        if sum(len(r) for r in new) > _LENGTH_BUDGET and rest:
+        # rel = before g^e after = 1  =>  g^e = (after before)^-1; a rotation
+        # of the cyclically reduced rel, after before needs no reduction
+        rest = rel[pos + 1:] + rel[:pos]
+        if rel[pos][1] == -1:
+            repl, inv = rest, word_inverse(rest)
+        else:
+            repl, inv = word_inverse(rest), rest
+        subs = {i: _substitute(r, gen, repl, inv) for i, r in enumerate(relators)
+                if i != ri and gen in counts[i]}
+        new_total = (total - len(rel) + sum(len(w) for w in subs.values())
+                     - sum(len(relators[i]) for i in subs))
+        if new_total > _LENGTH_BUDGET and len(relators) > 1:
             blocked.add(gen)
             continue
-        relators = new
+        for i, w in subs.items():
+            relators[i] = w
+            counts[i] = Counter(map(_generator, w))
+        for i in sorted([ri] + [i for i, w in subs.items() if not w], reverse=True):
+            del relators[i], counts[i]
+        total = new_total
         alive.remove(gen)
         blocked.clear()
     index = {g: i for i, g in enumerate(alive)}
@@ -406,21 +456,21 @@ def simplify_presentation(p):
             continue
         seen.add(key)
         out.append(rel)
-    return GroupPresentation(len(alive), tuple(out), p.marking)
+    components = tuple(p.components[g] for g in alive) if p.components else ()
+    return GroupPresentation(len(alive), tuple(out), p.marking, components)
 
 
-def _substitute_all(relators, gen, repl):
-    inv = word_inverse(repl)
-    out = []
-    for rel in relators:
-        word = []
-        for g, e in rel:
-            if g == gen:
-                word.extend(repl if e == 1 else inv)
-            else:
-                word.append((g, e))
-        out.append(cyclic_reduce(tuple(word)))
-    return [r for r in out if r]
+_generator = operator.itemgetter(0)
+
+
+def _substitute(rel, gen, repl, inv):
+    word = []
+    for g, e in rel:
+        if g == gen:
+            word.extend(repl if e == 1 else inv)
+        else:
+            word.append((g, e))
+    return cyclic_reduce(tuple(word))
 
 
 def _cyclic_keys(rel):
@@ -434,52 +484,69 @@ def hom_count(p, group):
     """Exact number of homomorphisms from the presented group into ``group``.
 
     Backtracking over generator images with relator pruning, run on the
-    Tietze-simplified presentation.
+    Tietze-simplified presentation.  Hom(pi, G) is closed under conjugation
+    by G, so the first generator runs over one representative per conjugacy
+    class and each count is weighted by the class size.  Generators that
+    ``components`` marks as conjugate take images in one class: once one of
+    them is assigned, the later ones run over the members of its image's
+    class only.
     """
     simp = simplify_presentation(p)
     ngens = simp.ngens
-    order = group.order
     if ngens == 0:
         return 1
-    generators_in = [set() for _ in range(len(simp.relators))]
-    for ri, rel in enumerate(simp.relators):
-        for g, _ in rel:
-            generators_in[ri].add(g)
-    order_of_gens = sorted(range(ngens),
-                           key=lambda g: min((len(r) for r in simp.relators
-                                              if g in {x for x, _ in r}),
-                                             default=10 ** 9))
+    gens_in = [{g for g, _ in rel} for rel in simp.relators]
+    order_of_gens = sorted(range(ngens), key=lambda g: min(
+        (len(r) for r, gens in zip(simp.relators, gens_in) if g in gens), default=10 ** 9))
     rank = {g: i for i, g in enumerate(order_of_gens)}
-    ready_at = [[] for _ in range(ngens)]
-    for ri, gens in enumerate(generators_in):
-        if gens:
-            ready_at[max(rank[g] for g in gens)].append(simp.relators[ri])
-        elif simp.relators[ri]:
-            return 0
+    # a relator is checked at the level of its last generator, each letter
+    # g^e as (the table of right multiplication by x^e, g)
     table = group.table
-    invs = group.inverse
+    by_inverse = tuple(tuple(row[x] for x in group.inverse) for row in table)
+    ready_at = [[] for _ in range(ngens)]
+    for rel, gens in zip(simp.relators, gens_in):
+        ready_at[max(rank[g] for g in gens)].append(
+            tuple((table if e == 1 else by_inverse, g) for g, e in rel))
+    # anchor[level]: the generator first assigned in this level's component
+    first_of = {}
+    anchor = [None] * ngens
+    if simp.components:
+        for level, g in enumerate(order_of_gens):
+            first = first_of.setdefault(simp.components[g], g)
+            anchor[level] = first if first != g else None
     ident = group.identity
+    classes = group.classes
+    class_of = group.class_of
+    every = range(group.order)
     assign = [0] * ngens
 
-    def evaluate(rel):
-        acc = ident
-        for g, e in rel:
-            img = assign[g]
-            acc = table[acc][img if e == 1 else invs[img]]
-        return acc
+    def fits(level):
+        for rel in ready_at[level]:
+            acc = ident
+            for tab, g in rel:
+                acc = tab[acc][assign[g]]
+            if acc != ident:
+                return False
+        return True
 
     def rec(level):
         if level == ngens:
             return 1
         gen = order_of_gens[level]
+        first = anchor[level]
         total = 0
-        for val in range(order):
+        for val in every if first is None else classes[class_of[assign[first]]]:
             assign[gen] = val
-            if all(evaluate(rel) == ident for rel in ready_at[level]):
+            if fits(level):
                 total += rec(level + 1)
         return total
 
-    return rec(0)
+    total = 0
+    for members in classes:
+        assign[order_of_gens[0]] = members[0]
+        if fits(0):
+            total += len(members) * rec(1)
+    return total
 
 
 def coloring_count(d, n):

@@ -577,12 +577,27 @@ def apply(d, kind, site):
             fam == "r3" and not all(isinstance(pair, tuple) and len(pair) == 2
                                     for pair in data)):
         raise MoveError(f"site {data} does not have the shape of a {kind} site")
+    _check_entry_types(fam, kind.direction, data)
     if fam == "r3":
         return _apply_r3(d, site)
     if fam in ("oc", "uc"):
         return _apply_swap(d, site, OVER if fam == "oc" else UNDER)
     handler = _APPLIERS[(fam, kind.direction)]
     return handler(d, kind.n, site)
+
+
+def _check_entry_types(fam, direction, data):
+    """Site entries are ints (bools excluded), except the r2 parallel flag,
+    a bool, and the r1 expand passage order, which ``_check_variant``
+    checks."""
+    entries = [x for pair in data for x in pair] if fam == "r3" else list(data)
+    if fam == "r2" and not isinstance(entries.pop(), bool):
+        raise MoveError(f"bad parallel flag {data[-1]!r} in site")
+    if fam == "r1" and direction == EXPAND:
+        del entries[2]
+    for x in entries:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise MoveError(f"site entry {x!r} is not an integer")
 
 
 def _next_pos(d, ci, p):

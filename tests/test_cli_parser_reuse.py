@@ -1,0 +1,46 @@
+"""The CLI parser is built once per process; reusing it must leak nothing
+from one ``main`` call into the next."""
+
+import os
+import subprocess
+import sys
+
+import wld
+from wld.classify import named
+from wld.cli import main
+from wld.diagram import serialize
+
+
+def run_in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:       # argparse usage errors
+        code = exc.code
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+def run_fresh(argv):
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wld.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "wld", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_parser_reuse_leaks_nothing(capsys, tmp_path):
+    path = tmp_path / "trefoil.gc"
+    path.write_text(serialize(named("trefoil")))
+    trefoil = str(path)
+    calls = [
+        ["homs", trefoil, "--group", "s3", "--json"],
+        ["homs", trefoil, "--group", "s3"],
+        ["homs", trefoil, "--group", "s3", "--presentation", "bogus"],
+        ["obstruct", trefoil, trefoil, "--n", "2", "--kmax", "1"],
+        ["obstruct", trefoil, trefoil, "--n", "2"],
+    ]
+    got = [run_in_process(capsys, argv) for argv in calls]
+    assert [code for code, _, _ in got] == [0, 0, 2, 0, 0]
+    assert "k=3" in got[-1][1]
+    for argv, result in zip(calls, got):
+        assert result == run_fresh(argv), argv

@@ -458,3 +458,16 @@ def test_vbar_scrambles_respect_lambda_residues():
 def test_apply_rejects_malformed_site_with_move_error(kind, data):
     with pytest.raises(MoveError):
         apply(TREFOIL, kind, MoveSite(data))
+
+
+@pytest.mark.parametrize("kind, data", [
+    (make_kind("r1", direction=EXPAND), ("0", 0, "O", 1)),       # string component
+    (make_kind("r1", direction=EXPAND), (0, 0, "O", True)),      # bool sign
+    (make_kind("r2", direction=EXPAND), (0, "1", 0, 3, 1, True)),  # string gap
+    (make_kind("r2", direction=EXPAND), (0, 1, 0, 3, 1, "yes")),   # non-bool parallel
+    (make_kind("v", direction=EXPAND), (0, 0, "0", 3, 1)),       # string component
+    (make_kind("v", direction=REDUCE), (1.0,)),                  # float crossing id
+])
+def test_apply_rejects_non_integer_site_entries(kind, data):
+    with pytest.raises(MoveError):
+        apply(TREFOIL, kind, MoveSite(data))
