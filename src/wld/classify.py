@@ -201,8 +201,7 @@ def multiplex(d, m):
         raise DiagramError(f"need one multiplier per component, got {len(m)}")
     blocks = {}
     next_id = 1
-    for cid in d.crossing_ids():
-        (co, po), _ = d.passage_positions(cid)
+    for cid, ((co, _), _, _) in d.crossing_table().items():
         mj = m[co]
         count = abs(mj)
         blocks[cid] = (list(range(next_id, next_id + count)),

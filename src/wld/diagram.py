@@ -99,10 +99,6 @@ class Diagram:
     def mu(self):
         return len(self.components)
 
-    @property
-    def is_link(self):
-        return self.kind == LINK
-
     def crossing_ids(self):
         return sorted({p.crossing for comp in self.components for p in comp})
 
@@ -110,19 +106,15 @@ class Diagram:
     def crossing_count(self):
         return sum(len(comp) for comp in self.components) // 2
 
-    def passage_positions(self, crossing):
-        """Return ((c, p) of the over passage, (c, p) of the under passage)."""
-        over = under = None
+    def crossing_table(self):
+        """Per crossing id, in increasing order: ((c, p) of the over passage,
+        (c, p) of the under passage, sign)."""
+        over, under, sign = {}, {}, {}
         for ci, comp in enumerate(self.components):
-            for pi, psg in enumerate(comp):
-                if psg.crossing == crossing:
-                    if psg.role == OVER:
-                        over = (ci, pi)
-                    else:
-                        under = (ci, pi)
-        if over is None or under is None:
-            raise DiagramError(f"no crossing {crossing} in diagram")
-        return over, under
+            for p, psg in enumerate(comp):
+                (over if psg.role == OVER else under)[psg.crossing] = (ci, p)
+                sign[psg.crossing] = psg.sign
+        return {cid: (over[cid], under[cid], sign[cid]) for cid in sorted(sign)}
 
     def with_components(self, components):
         return Diagram(tuple(tuple(c) for c in components), self.kind)
@@ -279,13 +271,8 @@ def _arc_data(d):
 def crossing_arcs(d):
     """Per crossing id: (over-arc, under-in arc, under-out arc, sign)."""
     _, pos_to_arc, under_out = _arc_data(d)
-    table = {}
-    for cid in d.crossing_ids():
-        (co, po), (cu, pu) = d.passage_positions(cid)
-        sign = d.components[co][po].sign
-        table[cid] = (pos_to_arc[(co, po)], pos_to_arc[(cu, pu)],
-                      under_out[(cu, pu)], sign)
-    return table
+    return {cid: (pos_to_arc[over], pos_to_arc[under], under_out[under], sign)
+            for cid, (over, under, sign) in d.crossing_table().items()}
 
 
 def linking_matrix(d):
@@ -293,11 +280,8 @@ def linking_matrix(d):
     passing over on component i and under on component j.  Diagonal unused.
     """
     mat = [[0] * d.mu for _ in range(d.mu)]
-    for cid in d.crossing_ids():
-        (co, _), (cu, _) = d.passage_positions(cid)
+    for (co, _), (cu, _), sign in d.crossing_table().values():
         if co != cu:
-            sign = next(p.sign for comp in d.components for p in comp
-                        if p.crossing == cid)
             mat[co][cu] += sign
     return mat
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import diagram as dg
 from .algebra import (AlgebraError, Laurent, cyclic_reduce, fox_row,
-                      free_reduce, ideal_mod, laurent_minors, poly_gcd, snf,
+                      free_reduce, laurent_minors, poly_gcd, snf,
                       word_inverse)
 
 linking_matrix = dg.linking_matrix
@@ -203,11 +203,6 @@ def alexander(d, k):
 
 def alexander_polynomials(d, kmax):
     return [poly_gcd(gens) for gens in elementary_ideals(d, kmax)]
-
-
-def ideal_lattices(d, n, kmax):
-    """CyclicLattice images of E^0..E^kmax modulo (1 - t^n)."""
-    return [ideal_mod(gens, n) for gens in elementary_ideals(d, kmax)]
 
 
 # ---------------------------------------------------------------------------

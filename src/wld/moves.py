@@ -17,6 +17,31 @@ Conventions pinned by the ordered-linking-number calibration:
   component count may change by one.
 * The antiparallel variants read the second strand's block in reversed
   order.  V(1), V^1 and their bars all normalize to plain V.
+
+Sites are tuples; ``find_sites`` sorts them and wraps each in a
+``MoveSite``.  ``c`` is a component, ``p`` a position on it, ``g`` a gap (the
+point before position ``g``; a string link also has the one after its last
+passage) and ``s`` a sign, 1 or -1.  Strand 1 is at ``c1``, strand 2 at
+``c2``:
+
+==============  ==================================  ==========================
+kind            expand site                         reduce site
+==============  ==================================  ==========================
+r1              (c, g, "O" or "U", s)               (c, p)
+r2              (c1, g1, c2, g2, s, parallel)       (c1, p1, c2, p2, parallel)
+v               (c1, g1, c2, g2, s)                 (crossing id,)
+v^n, vbar^n     (c1, g1, c2, g2, s)                 (c1, p1, c2, p2)
+v(n), vbar(n)   (c1, g1, c2, g2, s, 1 or 2)         (c1, p1, c2, p2)
+r3              ((c, p), (c, p), (c, p)), sorted
+oc, uc          (c, p)
+==============  ==================================  ==========================
+
+A position names the first passage of an adjacent pair (r1, r2, r3, oc,
+uc) or of a block (V^n, V(n)).  The r1 role is that of the kink's first
+passage; the r2 flag tells whether strand 2 meets the two crossings in
+strand 1's order; the V(n) variant names the strand that is over at the
+first crossing.  A kind built directly with n = 1, as the arrow calculus
+does, keeps the block formats.
 """
 
 from __future__ import annotations
@@ -114,6 +139,37 @@ def _adjacent_pairs(d, ci):
     return [(p, (p + 1) % n) for p in range(n)]
 
 
+def _pair(d, ci, p):
+    """The position after p on component ci if ``_adjacent_pairs`` lists
+    that pair, else None."""
+    if not 0 <= ci < d.mu:
+        return None
+    n = len(d.components[ci])
+    last = n if d.kind == LINK and n > 2 else n - 1
+    return (p + 1) % n if 0 <= p < last else None
+
+
+def _run(d, ci, start, roles):
+    """(positions, crossing ids) of the same-sign passages from start on
+    component ci whose roles are ``roles``, else None.  Runs wrap on a link
+    component no shorter than the run."""
+    if not 0 <= ci < d.mu:
+        return None
+    comp = d.components[ci]
+    n, k = len(comp), len(roles)
+    if not 0 <= start < n or (start + k > n if d.kind == STRING_LINK else k > n):
+        return None
+    positions = [(start + i) % n for i in range(k)]
+    sign = comp[start].sign
+    ids = []
+    for p, role in zip(positions, roles):
+        psg = comp[p]
+        if psg.role != role or psg.sign != sign:
+            return None
+        ids.append(psg.crossing)
+    return positions, ids
+
+
 def _gaps(d, ci):
     n = len(d.components[ci])
     if d.kind == STRING_LINK:
@@ -121,23 +177,55 @@ def _gaps(d, ci):
     return list(range(n)) if n else [0]
 
 
-def _check_variant(value, allowed, what):
-    if value not in allowed:
-        raise MoveError(f"bad {what} {value!r} in site")
+def _all_gaps(d):
+    return [(ci, g) for ci in range(d.mu) for g in _gaps(d, ci)]
 
 
-def _check_gap(components, kind, ci, gap):
-    if not 0 <= ci < len(components):
+def _check_gap(d, ci, gap):
+    if not 0 <= ci < d.mu:
         raise MoveError(f"no component {ci}")
-    n = len(components[ci])
-    limit = n + 1 if kind == STRING_LINK else max(n, 1)
-    if not 0 <= gap < limit:
+    n = len(d.components[ci])
+    if not 0 <= gap < (n + 1 if d.kind == STRING_LINK else max(n, 1)):
         raise MoveError(f"gap {gap} out of range on component {ci}")
 
 
-def _insert(components, ci, gap, block):
+def _check_entries(data, length, axes=()):
+    """A site is ``length`` entries: integers, then one value of each
+    variant axis, of that axis's type (a bool is not an integer here)."""
+    if len(data) != length:
+        raise MoveError(f"site {data} has {len(data)} entries, not {length}")
+    ints = length - len(axes)
+    for x in data[:ints]:
+        if not isinstance(x, int) or isinstance(x, bool):
+            raise MoveError(f"site entry {x!r} is not an integer")
+    for x, axis in zip(data[ints:], axes):
+        if not (x in axis and isinstance(x, type(axis[0]))
+                and isinstance(x, bool) == isinstance(axis[0], bool)):
+            raise MoveError(f"bad variant {x!r} in site")
+
+
+def _entries(fam, data):
+    """The flat entries of a site; an r3 site is three (component, position)
+    pairs."""
+    if fam != "r3":
+        return data
+    if len(data) != 3 or not all(isinstance(pair, tuple) and len(pair) == 2
+                                 for pair in data):
+        raise MoveError(f"site {data} is not three (component, position) pairs")
+    return [x for pair in data for x in pair]
+
+
+def _insert_two(components, first, second):
+    """Insert two (component, gap, block)s; equal gaps mean two points of
+    the same arc met in travel order, so the first block lands first."""
     comps = [list(c) for c in components]
-    comps[ci][gap:gap] = block
+    (c1, g1, b1), (c2, g2, b2) = first, second
+    if (c1, g1) == (c2, g2):
+        comps[c1][g1:g1] = b1 + b2
+        return comps
+    # the later gap first, so that on one component the earlier stays put
+    for ci, g, block in ((second, first) if g2 > g1 else (first, second)):
+        comps[ci][g:g] = block
     return comps
 
 
@@ -152,19 +240,177 @@ def _delete_positions(components, removals):
     return comps
 
 
-def _run_positions(d, ci, start, length):
-    if not 0 <= ci < d.mu:
+# ---------------------------------------------------------------------------
+# blocks
+#
+# An expand move inserts a block of crossings met by two strands, the second
+# with the roles swapped; the antiparallel (bar) variants meet it backwards
+# on the second strand.  V is V^1, V(n) alternates roles from the role its
+# first_over variant gives strand 1, R2 is two opposite-sign overs, and R1 is
+# V^1 with both strands at one gap.
+
+_OPPOSITE = {OVER: UNDER, UNDER: OVER}
+_BAR = ("vbar^n", "vbar(n)")
+
+# expand moves: family -> (strands, variant axes); a site is a (component,
+# gap) per strand, then one value of each axis
+_EXPAND = {
+    "r1": (1, ((OVER, UNDER), (1, -1))),
+    "r2": (2, ((1, -1), (True, False))),
+    "v": (2, ((1, -1),)),
+    "v^n": (2, ((1, -1),)),
+    "vbar^n": (2, ((1, -1),)),
+    "v(n)": (2, ((1, -1), (1, 2))),
+    "vbar(n)": (2, ((1, -1), (1, 2))),
+}
+
+
+def _splices(kind):
+    """Even twists reconnect the two strands crosswise; links only."""
+    return kind.family == "v(n)" and kind.n % 2 == 0
+
+
+def _roles(kind, first=OVER):
+    """Strand-1 roles of a V^n block (all ``first``) or a V(n) block
+    (alternating from ``first``); V is V^1."""
+    n = max(kind.n, 1)
+    if kind.family in ("v(n)", "vbar(n)"):
+        return tuple(first if k % 2 == 0 else _OPPOSITE[first] for k in range(n))
+    return (first,) * n
+
+
+def _block(kind, variants):
+    """Strand-1 roles and signs of the block an expand site inserts, and
+    whether strand 2 meets it backwards."""
+    fam = kind.family
+    if fam == "r1":
+        first, sign = variants
+        return (first,), (sign,), False
+    if fam == "r2":
+        sign, parallel = variants
+        return (OVER, OVER), (sign, -sign), not parallel
+    first = UNDER if fam in ("v(n)", "vbar(n)") and variants[1] == 2 else OVER
+    roles = _roles(kind, first)
+    return roles, (variants[0],) * len(roles), fam in _BAR
+
+
+def _expand_sites(d, kind):
+    strands, axes = _EXPAND[kind.family]
+    gaps = [sum(combo, ()) for combo in itertools.product(_all_gaps(d), repeat=strands)]
+    variants = list(itertools.product(*axes))
+    return [g + v for g in gaps for v in variants]
+
+
+def _expand(d, kind, data):
+    # an R1 kink has both strands at its one gap
+    strands, _ = _EXPAND[kind.family]
+    (c1, g1), (c2, g2) = (data[0:2], data[2:4]) if strands == 2 else (data[0:2],) * 2
+    _check_gap(d, c1, g1)
+    _check_gap(d, c2, g2)
+    roles, signs, backwards = _block(kind, data[2 * strands:])
+    block1 = [Passage(cid, role, sign)
+              for cid, role, sign in zip(itertools.count(d.fresh_crossing_id()), roles, signs)]
+    block2 = [Passage(p.crossing, _OPPOSITE[p.role], p.sign)
+              for p in (block1[::-1] if backwards else block1)]
+    if _splices(kind):
+        return _splice(d, (c1, g1), (c2, g2), block1, block2)
+    return d.with_components(_insert_two(d.components, (c1, g1, block1), (c2, g2, block2)))
+
+
+def _match_block(d, kind, site):
+    """Positions of a block from (ci, p) on strand 1 and (cj, q) on strand 2,
+    strand 1's first; None if the site holds none."""
+    ci, p, cj, q = site
+    roles = _roles(kind)
+    backwards = kind.family in _BAR
+    first = _run(d, ci, p, roles)
+    second = _run(d, cj, q, tuple(_OPPOSITE[r] for r in (roles[::-1] if backwards else roles)))
+    if first is None or second is None:
         return None
-    n = len(d.components[ci])
-    if not 0 <= start < n:
+    (pos1, ids1), (pos2, ids2) = first, second
+    # equal crossings carry equal signs, so the two runs share one sign
+    if ids2 != (ids1[::-1] if backwards else ids1) or (ci == cj and set(pos1) & set(pos2)):
         return None
-    if d.kind == STRING_LINK:
-        if start + length > n:
-            return None
-        return list(range(start, start + length))
-    if length > n:
-        return None
-    return [(start + i) % n for i in range(length)]
+    return [(ci, x) for x in pos1] + [(cj, x) for x in pos2]
+
+
+def _block_sites(d, kind):
+    """Strand 2 meets strand 1's first crossing at its first passage, or at
+    its last when backwards, so each over passage fixes one candidate."""
+    back = max(kind.n, 1) - 1 if kind.family in _BAR else 0
+    table = d.crossing_table()
+    out = []
+    for ci, comp in enumerate(d.components):
+        for p, psg in enumerate(comp):
+            if psg.role != OVER:
+                continue
+            cj, q = table[psg.crossing][1]
+            q -= back
+            if d.kind == LINK:
+                q %= len(d.components[cj])
+            if _match_block(d, kind, (ci, p, cj, q)) is not None:
+                out.append((ci, p, cj, q))
+    return out
+
+
+def _splice(d, gap_a, gap_b, block_a, block_b):
+    """Insert blocks at two cut points and reconnect the strands crosswise."""
+    (ca, ga), (cb, gb) = gap_a, gap_b
+    comps = [list(c) for c in d.components]
+    if ca != cb:
+        sa, sb = comps[ca], comps[cb]
+        wa = sa[ga:] + sa[:ga]
+        wb = sb[gb:] + sb[:gb]
+        merged = block_a + wb + block_b + wa
+        lo, hi = min(ca, cb), max(ca, cb)
+        comps[lo] = merged
+        del comps[hi]
+        return d.with_components(comps)
+    s = comps[ca]
+    if ga <= gb:
+        # equal gaps: two cut points of one arc met in travel order, so the
+        # arc between them is empty
+        x = s[ga:gb]
+        y = s[gb:] + s[:ga]
+    else:
+        x = s[ga:] + s[:gb]
+        y = s[gb:ga]
+    comps[ca] = y + block_a
+    comps.insert(ca + 1, x + block_b)
+    return d.with_components(comps)
+
+
+def _delete_and_splice(d, run_a, run_b, n):
+    (ca, pa), (cb, pb) = run_a, run_b
+    comps = [list(c) for c in d.components]
+    if ca != cb:
+        la, lb = len(comps[ca]), len(comps[cb])
+        wa = [comps[ca][(pa + n + i) % la] for i in range(la - n)]
+        wb = [comps[cb][(pb + n + i) % lb] for i in range(lb - n)]
+        merged = wb + wa
+        lo, hi = min(ca, cb), max(ca, cb)
+        comps[lo] = merged
+        del comps[hi]
+        return d.with_components(comps)
+    s = comps[ca]
+    ln = len(s)
+    idx2 = {(pb + i) % ln for i in range(n)}
+    walk = []
+    b_index = None
+    pos = (pa + n) % ln
+    while pos != pa:
+        if pos == pb:
+            b_index = len(walk)
+        if pos not in idx2:
+            walk.append(s[pos])
+        pos = (pos + 1) % ln
+    if b_index is None:
+        b_index = len(walk)
+    comp1 = walk[b_index:]
+    comp2 = walk[:b_index]
+    comps[ca] = comp1
+    comps.insert(ca + 1, comp2)
+    return d.with_components(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -204,25 +450,19 @@ def _line_params():
     return params
 
 
-def _canon_triple(edges):
-    """Canonical form of three (first-passage, second-passage) pairs.
+def _triple_key(edges):
+    """Key of three (first-passage, second-passage) pairs up to crossing
+    names.
 
-    Each passage is (crossing-key, role, sign); crossing keys are abstract
-    and get relabeled by the pair of edge slots they join.
+    Each passage is (crossing-key, role, sign); a crossing key is replaced
+    by the slots of the pairs it joins.
     """
-    best = None
-    for perm in itertools.permutations(range(3)):
-        ordered = [edges[k] for k in perm]
-        owners = {}
-        for ei, edge in enumerate(ordered):
-            for ckey, _, _ in edge:
-                owners.setdefault(ckey, []).append(ei)
-        label = {ckey: tuple(sorted(v)) for ckey, v in owners.items()}
-        key = tuple(tuple((label[ckey], role, sign) for ckey, role, sign in edge)
-                    for edge in ordered)
-        if best is None or key < best:
-            best = key
-    return best
+    owners = {}
+    for ei, edge in enumerate(edges):
+        for ckey, _, _ in edge:
+            owners.setdefault(ckey, []).append(ei)
+    return tuple(tuple((tuple(owners[ckey]), role, sign) for ckey, role, sign in edge)
+                 for edge in edges)
 
 
 def _r3_pattern_table():
@@ -260,77 +500,39 @@ def _r3_pattern_table():
                         role = OVER if over_of[key] == s else UNDER
                         edge.append((key, role, signs[key]))
                     edges.append(tuple(edge))
-                pat = _canon_triple(edges)
-                patterns.add(pat)
-                patterns.add(_canon_triple([tuple(reversed(e)) for e in edges]))
+                # every order of the pairs, so a site's pairs match as
+                # they come
+                for config in (edges, [tuple(reversed(e)) for e in edges]):
+                    patterns.update(_triple_key(order)
+                                    for order in itertools.permutations(config))
     return frozenset(patterns)
 
 
 _R3_PATTERNS = _r3_pattern_table()
 
 
-def _r3_triple_pattern(d, pair_sites):
-    """Canonical pattern of three adjacent pairs, or None if malformed."""
-    positions = set()
-    edges = []
-    for ci, p in pair_sites:
-        if not 0 <= ci < d.mu or not 0 <= p < len(d.components[ci]):
+def _match_r3(d, kind, site):
+    """The six positions of three adjacent pairs forming an R3 triangle,
+    pair by pair, else None."""
+    positions, edges = [], []
+    for ci, p in site:
+        q = _pair(d, ci, p)
+        if q is None:
             return None
-        comp = d.components[ci]
-        n = len(comp)
-        q = p + 1 if d.kind == STRING_LINK else (p + 1) % n
-        if q >= n:
-            return None
-        if (ci, p) in positions or (ci, q) in positions or p == q:
-            return None
-        positions.update([(ci, p), (ci, q)])
-        a, b = comp[p], comp[q]
-        if a.crossing == b.crossing:
-            return None
+        a, b = d.components[ci][p], d.components[ci][q]
+        positions += [(ci, p), (ci, q)]
         edges.append(((a.crossing, a.role, a.sign), (b.crossing, b.role, b.sign)))
     crossings = {}
     for edge in edges:
         for cid, _, _ in edge:
             crossings[cid] = crossings.get(cid, 0) + 1
-    if len(crossings) != 3 or set(crossings.values()) != {2}:
+    if (len(set(positions)) != 6 or len(crossings) != 3 or set(crossings.values()) != {2}
+            or _triple_key(edges) not in _R3_PATTERNS):
         return None
-    return _canon_triple([tuple(edge) for edge in edges])
+    return positions
 
 
-# ---------------------------------------------------------------------------
-# find_sites
-
-def find_sites(d, kind):
-    """All applicable sites of a move kind, deterministically sorted."""
-    fam = kind.family
-    if fam in _UNDIRECTED:
-        finder = {"r3": _sites_r3, "oc": _sites_swap_oc, "uc": _sites_swap_uc}[fam]
-        return sorted(finder(d))
-    if not kind.direction:
-        raise MoveError(f"move kind {kind} needs a direction")
-    finder = _FINDERS[(fam, kind.direction)]
-    return sorted(finder(d, kind.n))
-
-
-def _sites_swap_oc(d):
-    return _sites_swap(d, OVER)
-
-
-def _sites_swap_uc(d):
-    return _sites_swap(d, UNDER)
-
-
-def _sites_swap(d, role):
-    out = []
-    for ci in range(d.mu):
-        comp = d.components[ci]
-        for p, q in _adjacent_pairs(d, ci):
-            if comp[p].role == role and comp[q].role == role:
-                out.append(MoveSite((ci, p)))
-    return out
-
-
-def _sites_r3(d):
+def _r3_sites(d, kind):
     edges = []
     for ci in range(d.mu):
         comp = d.components[ci]
@@ -356,567 +558,159 @@ def _sites_r3(d):
                 bins = [by_cset.get(frozenset(x), []) for x in
                         ((a, b), (b, c), (a, c))]
                 for combo in itertools.product(*bins):
-                    sites = tuple(sorted(combo))
-                    pat = _r3_triple_pattern(d, sites)
-                    if pat is not None and pat in _R3_PATTERNS:
-                        out.add(MoveSite(sites))
+                    site = tuple(sorted(combo))
+                    if _match_r3(d, kind, site) is not None:
+                        out.add(site)
     return out
 
 
-def _sites_r1_reduce(d, n):
-    out = []
-    for ci in range(d.mu):
-        comp = d.components[ci]
-        for p, q in _adjacent_pairs(d, ci):
-            if comp[p].crossing == comp[q].crossing:
-                out.append(MoveSite((ci, p)))
-    return out
+# ---------------------------------------------------------------------------
+# reduce and undirected moves: a finder lists sites, a matcher returns the
+# positions a site deletes (or swaps, pair by pair) or None.  The cheap
+# finders filter inline instead of calling the matcher on every candidate.
+
+def _pair_move(test):
+    """Finder and matcher of a move on one adjacent pair passing ``test``."""
+    def sites(d, kind):
+        out = []
+        for ci, comp in enumerate(d.components):
+            for p, q in _adjacent_pairs(d, ci):
+                if test(comp[p], comp[q]):
+                    out.append((ci, p))
+        return out
+
+    def match(d, kind, site):
+        ci, p = site
+        q = _pair(d, ci, p)
+        if q is None or not test(d.components[ci][p], d.components[ci][q]):
+            return None
+        return [(ci, p), (ci, q)]
+    return sites, match
 
 
-def _sites_r1_expand(d, n):
-    out = []
-    for ci in range(d.mu):
-        for g in _gaps(d, ci):
-            for order in (OVER, UNDER):
-                for sign in (1, -1):
-                    out.append(MoveSite((ci, g, order, sign)))
-    return out
-
-
-def _sites_r2_reduce(d, n):
-    out = []
+def _r2_sites(d, kind):
     unders = {}
-    for ci in range(d.mu):
-        comp = d.components[ci]
+    for ci, comp in enumerate(d.components):
         for p, q in _adjacent_pairs(d, ci):
-            if comp[p].role == UNDER and comp[q].role == UNDER:
-                unders[(comp[p].crossing, comp[q].crossing)] = unders.get(
-                    (comp[p].crossing, comp[q].crossing), []) + [(ci, p)]
-    for ci in range(d.mu):
-        comp = d.components[ci]
+            if comp[p].role == comp[q].role == UNDER:
+                unders.setdefault((comp[p].crossing, comp[q].crossing), []).append((ci, p))
+    out = []
+    for ci, comp in enumerate(d.components):
         for p, q in _adjacent_pairs(d, ci):
             a, b = comp[p], comp[q]
-            if a.role != OVER or b.role != OVER or a.sign != -b.sign:
-                continue
-            over_pos = {(ci, p), (ci, (p + 1) % len(comp) if d.kind == LINK else p + 1)}
-            for parallel, key in ((True, (a.crossing, b.crossing)),
-                                  (False, (b.crossing, a.crossing))):
-                for cj, r in unders.get(key, []):
-                    comp_j = d.components[cj]
-                    s = r + 1 if d.kind == STRING_LINK else (r + 1) % len(comp_j)
-                    if {(cj, r), (cj, s)} & over_pos:
-                        continue
-                    out.append(MoveSite((ci, p, cj, r, parallel)))
+            if a.role == b.role == OVER and a.sign == -b.sign:
+                for parallel, key in ((True, (a.crossing, b.crossing)),
+                                      (False, (b.crossing, a.crossing))):
+                    out += [(ci, p, cj, r, parallel) for cj, r in unders.get(key, ())]
     return out
 
 
-def _sites_r2_expand(d, n):
-    out = []
-    for (c1, g1), (c2, g2) in itertools.product(_all_gaps(d), repeat=2):
-        for sign in (1, -1):
-            for parallel in (True, False):
-                out.append(MoveSite((c1, g1, c2, g2, sign, parallel)))
-    return out
-
-
-def _all_gaps(d):
-    return [(ci, g) for ci in range(d.mu) for g in _gaps(d, ci)]
-
-
-def _sites_v_reduce(d, n):
-    return [MoveSite((cid,)) for cid in d.crossing_ids()]
-
-
-def _sites_v_expand(d, n):
-    out = []
-    for (c1, g1), (c2, g2) in itertools.product(_all_gaps(d), repeat=2):
-        for sign in (1, -1):
-            out.append(MoveSite((c1, g1, c2, g2, sign)))
-    return out
-
-
-def _block_run(d, ci, start, n, role):
-    """Crossing ids of a same-role, same-sign run of length n, else None."""
-    positions = _run_positions(d, ci, start, n)
-    if positions is None or len(set(positions)) != n:
+def _match_r2(d, kind, site):
+    ci, p, cj, r, parallel = site
+    q, s = _pair(d, ci, p), _pair(d, cj, r)
+    if q is None or s is None:
         return None
-    comp = d.components[ci]
-    sign = comp[positions[0]].sign
-    ids = []
-    for p in positions:
-        psg = comp[p]
-        if psg.role != role or psg.sign != sign:
-            return None
-        ids.append(psg.crossing)
-    return ids, sign, positions
+    a, b = d.components[ci][p], d.components[ci][q]
+    u, w = d.components[cj][r], d.components[cj][s]
+    if (a.role == b.role == OVER and u.role == w.role == UNDER and a.sign == -b.sign
+            and (u.crossing, w.crossing) == ((a.crossing, b.crossing) if parallel
+                                             else (b.crossing, a.crossing))):
+        return [(ci, p), (ci, q), (cj, r), (cj, s)]
+    return None
 
 
-def _sites_vn_reduce(d, n, reversed_under=False):
-    out = []
-    for ci in range(d.mu):
-        comp = d.components[ci]
-        for p in range(len(comp)):
-            got = _block_run(d, ci, p, n, OVER)
-            if not got:
-                continue
-            ids, sign, over_pos = got
-            want = list(reversed(ids)) if reversed_under else ids
-            for cj in range(d.mu):
-                comp_j = d.components[cj]
-                for q in range(len(comp_j)):
-                    under = _block_run(d, cj, q, n, UNDER)
-                    if not under:
-                        continue
-                    uids, usign, under_pos = under
-                    if uids != want or usign != sign:
-                        continue
-                    if cj == ci and set(under_pos) & set(over_pos):
-                        continue
-                    out.append(MoveSite((ci, p, cj, q)))
-    return out
+def _v_sites(d, kind):
+    return [(cid,) for cid in d.crossing_ids()]
 
 
-def _sites_vn_expand(d, n):
-    return _sites_v_expand(d, n)
+def _match_v(d, kind, site):
+    entry = d.crossing_table().get(site[0])
+    return None if entry is None else list(entry[:2])
 
 
-def _alt_run(d, ci, start, n):
-    """Alternating-role, same-sign run: (ids, roles, sign, positions) or None."""
-    positions = _run_positions(d, ci, start, n)
-    if positions is None or len(set(positions)) != n:
-        return None
-    comp = d.components[ci]
-    sign = comp[positions[0]].sign
-    first = comp[positions[0]].role
-    ids, roles = [], []
-    for k, p in enumerate(positions):
-        psg = comp[p]
-        want = first if k % 2 == 0 else (UNDER if first == OVER else OVER)
-        if psg.role != want or psg.sign != sign:
-            return None
-        ids.append(psg.crossing)
-        roles.append(psg.role)
-    return ids, roles, sign, positions
+_KINK = _pair_move(lambda a, b: a.crossing == b.crossing)
+_OC = _pair_move(lambda a, b: a.role == b.role == OVER)
+_UC = _pair_move(lambda a, b: a.role == b.role == UNDER)
 
-
-def _sites_twist_reduce(d, n, reversed_second=False):
-    if n % 2 == 0 and not reversed_second and d.kind == STRING_LINK:
-        return []
-    out = []
-    for ci in range(d.mu):
-        comp = d.components[ci]
-        for p in range(len(comp)):
-            got = _alt_run(d, ci, p, n)
-            if not got or got[1][0] != OVER:
-                continue
-            ids, roles, sign, positions = got
-            want_ids = list(reversed(ids)) if reversed_second else ids
-            for cj in range(d.mu):
-                comp_j = d.components[cj]
-                for q in range(len(comp_j)):
-                    other = _alt_run(d, cj, q, n)
-                    if not other:
-                        continue
-                    oids, oroles, osign, opos = other
-                    if oids != want_ids or osign != sign:
-                        continue
-                    expect = [UNDER if r == OVER else OVER for r in
-                              (reversed(roles) if reversed_second else roles)]
-                    if oroles != expect:
-                        continue
-                    if cj == ci and set(opos) & set(positions):
-                        continue
-                    out.append(MoveSite((ci, p, cj, q)))
-    return out
-
-
-def _sites_twist_expand(d, n):
-    if n % 2 == 0 and d.kind == STRING_LINK:
-        return []
-    out = []
-    for (c1, g1), (c2, g2) in itertools.product(_all_gaps(d), repeat=2):
-        for sign in (1, -1):
-            for first_over in (1, 2):
-                out.append(MoveSite((c1, g1, c2, g2, sign, first_over)))
-    return out
-
-
-def _sites_v_n_even_guard(d):
-    if d.kind == STRING_LINK:
-        raise MoveError("even twist moves splice strands; links only")
-
-
-_FINDERS = {
-    ("r1", REDUCE): _sites_r1_reduce,
-    ("r1", EXPAND): _sites_r1_expand,
-    ("r2", REDUCE): _sites_r2_reduce,
-    ("r2", EXPAND): _sites_r2_expand,
-    ("v", REDUCE): _sites_v_reduce,
-    ("v", EXPAND): _sites_v_expand,
-    ("v^n", REDUCE): lambda d, n: _sites_vn_reduce(d, n, reversed_under=False),
-    ("v^n", EXPAND): _sites_vn_expand,
-    ("vbar^n", REDUCE): lambda d, n: _sites_vn_reduce(d, n, reversed_under=True),
-    ("vbar^n", EXPAND): _sites_vn_expand,
-    ("v(n)", REDUCE): lambda d, n: _sites_twist_reduce(d, n, reversed_second=False),
-    ("v(n)", EXPAND): _sites_twist_expand,
-    ("vbar(n)", REDUCE): lambda d, n: _sites_twist_reduce(d, n, reversed_second=True),
-    ("vbar(n)", EXPAND): _sites_twist_expand,
+# family -> (site length, variant axes ending the site, finder, matcher); an
+# r3 site counts its three pairs' six entries
+_REDUCE = {
+    "r1": (2, (), *_KINK),
+    "r2": (5, ((True, False),), _r2_sites, _match_r2),
+    "r3": (6, (), _r3_sites, _match_r3),
+    "oc": (2, (), *_OC),
+    "uc": (2, (), *_UC),
+    "v": (1, (), _v_sites, _match_v),
+    "v^n": (4, (), _block_sites, _match_block),
+    "vbar^n": (4, (), _block_sites, _match_block),
+    "v(n)": (4, (), _block_sites, _match_block),
+    "vbar(n)": (4, (), _block_sites, _match_block),
 }
 
 
 # ---------------------------------------------------------------------------
-# apply
+# find_sites and apply
+
+def find_sites(d, kind):
+    """All applicable sites of a move kind, deterministically sorted."""
+    fam = kind.family
+    if fam in _UNDIRECTED or kind.direction == REDUCE:
+        finder = _REDUCE[fam][2]
+    elif kind.direction == EXPAND:
+        finder = _expand_sites
+    else:
+        raise MoveError(f"move kind {kind} needs a direction")
+    if _splices(kind) and d.kind == STRING_LINK:
+        return []
+    return [MoveSite(site) for site in sorted(finder(d, kind))]
+
 
 def apply(d, kind, site):
     """Apply one move at a site; raises MoveError if the site does not fit."""
-    fam = kind.family
-    if fam not in _UNDIRECTED and not kind.direction:
+    fam, data = kind.family, site.data
+    if fam in _UNDIRECTED or kind.direction == REDUCE:
+        length, axes, _, match = _REDUCE[fam]
+        _check_entries(_entries(fam, data), length, axes)
+    elif kind.direction == EXPAND:
+        strands, axes = _EXPAND[fam]
+        _check_entries(data, 2 * strands + len(axes), axes)
+        match = None
+    else:
         raise MoveError(f"move kind {kind} needs a direction")
-    data = site.data
-    if len(data) != _SITE_LENGTHS[(fam, kind.direction)] or (
-            fam == "r3" and not all(isinstance(pair, tuple) and len(pair) == 2
-                                    for pair in data)):
-        raise MoveError(f"site {data} does not have the shape of a {kind} site")
-    _check_entry_types(fam, kind.direction, data)
-    if fam == "r3":
-        return _apply_r3(d, site)
-    if fam in ("oc", "uc"):
-        return _apply_swap(d, site, OVER if fam == "oc" else UNDER)
-    handler = _APPLIERS[(fam, kind.direction)]
-    return handler(d, kind.n, site)
-
-
-def _check_entry_types(fam, direction, data):
-    """Site entries are ints (bools excluded), except the r2 parallel flag,
-    a bool, and the r1 expand passage order, which ``_check_variant``
-    checks."""
-    entries = [x for pair in data for x in pair] if fam == "r3" else list(data)
-    if fam == "r2" and not isinstance(entries.pop(), bool):
-        raise MoveError(f"bad parallel flag {data[-1]!r} in site")
-    if fam == "r1" and direction == EXPAND:
-        del entries[2]
-    for x in entries:
-        if not isinstance(x, int) or isinstance(x, bool):
-            raise MoveError(f"site entry {x!r} is not an integer")
-
-
-def _next_pos(d, ci, p):
-    """Position after p on component ci, for a pair _adjacent_pairs lists."""
-    if not 0 <= ci < d.mu:
-        raise MoveError(f"no component {ci}")
-    n = len(d.components[ci])
-    last = n if d.kind == LINK and n > 2 else n - 1
-    if not 0 <= p < last:
-        raise MoveError(f"no adjacent pair at position {p} of component {ci}")
-    return (p + 1) % n
-
-
-def _apply_swap(d, site, role):
-    ci, p = site.data
-    q = _next_pos(d, ci, p)
-    comp = d.components[ci]
-    if comp[p].role != role or comp[q].role != role:
-        raise MoveError("site passages do not both carry the required role")
-    comps = [list(c) for c in d.components]
-    comps[ci][p], comps[ci][q] = comps[ci][q], comps[ci][p]
-    return d.with_components(comps)
-
-
-def _apply_r3(d, site):
-    pat = _r3_triple_pattern(d, site.data)
-    if pat is None or pat not in _R3_PATTERNS:
-        raise MoveError("not a valid R3 triangle configuration")
-    comps = [list(c) for c in d.components]
-    for ci, p in site.data:
-        q = _next_pos(d, ci, p)
-        comps[ci][p], comps[ci][q] = comps[ci][q], comps[ci][p]
-    return d.with_components(comps)
-
-
-def _apply_r1_reduce(d, n, site):
-    ci, p = site.data
-    q = _next_pos(d, ci, p)
-    comp = d.components[ci]
-    if comp[p].crossing != comp[q].crossing:
-        raise MoveError("R1 site is not a kink")
-    return d.with_components(_delete_positions(d.components, [(ci, p), (ci, q)]))
-
-
-def _apply_r1_expand(d, n, site):
-    ci, g, order, sign = site.data
-    _check_gap(d.components, d.kind, ci, g)
-    _check_variant(order, (OVER, UNDER), "passage order")
-    _check_variant(sign, (1, -1), "sign")
-    cid = d.fresh_crossing_id()
-    first, second = (OVER, UNDER) if order == OVER else (UNDER, OVER)
-    block = [Passage(cid, first, sign), Passage(cid, second, sign)]
-    return d.with_components(_insert(d.components, ci, g, block))
-
-
-def _apply_r2_reduce(d, n, site):
-    ci, p, cj, r, parallel = site.data
-    q, s = _next_pos(d, ci, p), _next_pos(d, cj, r)
-    comp, comp_j = d.components[ci], d.components[cj]
-    a, b = comp[p], comp[q]
-    u1, u2 = comp_j[r], comp_j[s]
-    ok = (a.role == b.role == OVER and u1.role == u2.role == UNDER
-          and a.sign == -b.sign)
-    if parallel:
-        ok = ok and (u1.crossing, u2.crossing) == (a.crossing, b.crossing)
-    else:
-        ok = ok and (u1.crossing, u2.crossing) == (b.crossing, a.crossing)
-    if not ok:
-        raise MoveError("R2 site does not match a cancelling pair")
-    return d.with_components(
-        _delete_positions(d.components, [(ci, p), (ci, q), (cj, r), (cj, s)]))
-
-
-def _apply_r2_expand(d, n, site):
-    c1, g1, c2, g2, sign, parallel = site.data
-    _check_gap(d.components, d.kind, c1, g1)
-    _check_gap(d.components, d.kind, c2, g2)
-    _check_variant(sign, (1, -1), "sign")
-    k = d.fresh_crossing_id()
-    over_block = [Passage(k, OVER, sign), Passage(k + 1, OVER, -sign)]
-    if parallel:
-        under_block = [Passage(k, UNDER, sign), Passage(k + 1, UNDER, -sign)]
-    else:
-        under_block = [Passage(k + 1, UNDER, -sign), Passage(k, UNDER, sign)]
-    return d.with_components(
-        _insert_two(d.components, (c1, g1, over_block), (c2, g2, under_block)))
-
-
-def _insert_two(components, first, second):
-    """Insert two blocks; equal gaps mean two points of the same arc met in
-    travel order, so the first site's block lands first."""
-    (c1, g1, b1), (c2, g2, b2) = first, second
-    if c1 == c2:
-        comps = [list(c) for c in components]
-        if g1 == g2:
-            comps[c1][g1:g1] = list(b1) + list(b2)
-            return comps
-        for g, b in sorted([(g1, b1), (g2, b2)], key=lambda t: -t[0]):
-            comps[c1][g:g] = b
-        return comps
-    comps = _insert(components, c1, g1, b1)
-    return _insert(comps, c2, g2, b2)
-
-
-def _apply_v_reduce(d, n, site):
-    (cid,) = site.data
-    if cid not in d.crossing_ids():
-        raise MoveError(f"no crossing {cid} in diagram")
-    over, under = d.passage_positions(cid)
-    return d.with_components(_delete_positions(d.components, [over, under]))
-
-
-def _apply_v_expand(d, n, site):
-    c1, g1, c2, g2, sign = site.data
-    _check_gap(d.components, d.kind, c1, g1)
-    _check_gap(d.components, d.kind, c2, g2)
-    _check_variant(sign, (1, -1), "sign")
-    cid = d.fresh_crossing_id()
-    return d.with_components(
-        _insert_two(d.components, (c1, g1, [Passage(cid, OVER, sign)]),
-                    (c2, g2, [Passage(cid, UNDER, sign)])))
-
-
-def _apply_vn_expand(d, n, site, reversed_under=False):
-    c1, g1, c2, g2, sign = site.data
-    _check_gap(d.components, d.kind, c1, g1)
-    _check_gap(d.components, d.kind, c2, g2)
-    _check_variant(sign, (1, -1), "sign")
-    base = d.fresh_crossing_id()
-    ids = list(range(base, base + n))
-    over_block = [Passage(k, OVER, sign) for k in ids]
-    uids = list(reversed(ids)) if reversed_under else ids
-    under_block = [Passage(k, UNDER, sign) for k in uids]
-    return d.with_components(
-        _insert_two(d.components, (c1, g1, over_block), (c2, g2, under_block)))
-
-
-def _apply_vn_reduce(d, n, site, reversed_under=False):
-    ci, p, cj, q = site.data
-    got = _block_run(d, ci, p, n, OVER)
-    under = _block_run(d, cj, q, n, UNDER)
-    if not got or not under:
-        raise MoveError("no parallel crossing block at site")
-    ids, sign, over_pos = got
-    uids, usign, under_pos = under
-    want = list(reversed(ids)) if reversed_under else ids
-    if uids != want or usign != sign or (ci == cj and set(over_pos) & set(under_pos)):
-        raise MoveError("blocks at site do not match")
-    removals = [(ci, x) for x in over_pos] + [(cj, x) for x in under_pos]
-    return d.with_components(_delete_positions(d.components, removals))
-
-
-def _twist_blocks(n, sign, first_over):
-    """Passage blocks for the two strands of an n-twist, strand-1 view first."""
-    ids = list(range(1, n + 1))  # caller shifts ids
-    b1, b2 = [], []
-    for k in range(n):
-        r1 = OVER if (k % 2 == 0) == (first_over == 1) else UNDER
-        r2 = UNDER if r1 == OVER else OVER
-        b1.append((ids[k], r1, sign))
-        b2.append((ids[k], r2, sign))
-    return b1, b2
-
-
-def _apply_twist_expand(d, n, site, reversed_second=False):
-    c1, g1, c2, g2, sign, first_over = site.data
-    _check_gap(d.components, d.kind, c1, g1)
-    _check_gap(d.components, d.kind, c2, g2)
-    _check_variant(sign, (1, -1), "sign")
-    _check_variant(first_over, (1, 2), "first strand role")
-    base = d.fresh_crossing_id()
-    raw1, raw2 = _twist_blocks(n, sign, first_over)
-    block1 = [Passage(base + k - 1, r, s) for k, r, s in raw1]
-    raw2 = list(reversed(raw2)) if reversed_second else raw2
-    block2 = [Passage(base + k - 1, r, s) for k, r, s in raw2]
-    if n % 2 == 1 or reversed_second:
-        return d.with_components(
-            _insert_two(d.components, (c1, g1, block1), (c2, g2, block2)))
-    _sites_v_n_even_guard(d)
-    return _splice(d, (c1, g1), (c2, g2), block1, block2)
-
-
-def _apply_twist_reduce(d, n, site, reversed_second=False):
-    ci, p, cj, q = site.data
-    got = _alt_run(d, ci, p, n)
-    other = _alt_run(d, cj, q, n)
-    if not got or not other or got[1][0] != OVER:
-        raise MoveError("no twist block at site")
-    ids, roles, sign, positions = got
-    oids, oroles, osign, opos = other
-    want_ids = list(reversed(ids)) if reversed_second else ids
-    expect = [UNDER if r == OVER else OVER for r in
-              (reversed(roles) if reversed_second else roles)]
-    if oids != want_ids or osign != sign or oroles != expect:
-        raise MoveError("twist blocks at site do not match")
-    if ci == cj and set(opos) & set(positions):
-        raise MoveError("twist blocks overlap")
-    if n % 2 == 1 or reversed_second:
-        removals = [(ci, x) for x in positions] + [(cj, x) for x in opos]
-        return d.with_components(_delete_positions(d.components, removals))
-    _sites_v_n_even_guard(d)
-    return _delete_and_splice(d, (ci, p), (cj, q), n)
-
-
-def _splice(d, gap_a, gap_b, block_a, block_b):
-    """Insert blocks at two cut points and reconnect the strands crosswise."""
-    (ca, ga), (cb, gb) = gap_a, gap_b
-    comps = [list(c) for c in d.components]
-    if ca != cb:
-        sa, sb = comps[ca], comps[cb]
-        wa = sa[ga:] + sa[:ga]
-        wb = sb[gb:] + sb[:gb]
-        merged = list(block_a) + wb + list(block_b) + wa
-        lo, hi = min(ca, cb), max(ca, cb)
-        comps[lo] = merged
-        del comps[hi]
+    if _splices(kind) and d.kind == STRING_LINK:
+        raise MoveError("even twist moves splice strands; links only")
+    if match is None:
+        return _expand(d, kind, data)
+    positions = match(d, kind, data)
+    if positions is None:
+        raise MoveError(f"site {data} does not fit a {kind} move")
+    if fam in _UNDIRECTED:
+        comps = [list(c) for c in d.components]
+        for (ci, p), (cj, q) in zip(positions[::2], positions[1::2]):
+            comps[ci][p], comps[cj][q] = comps[cj][q], comps[ci][p]
         return d.with_components(comps)
-    s = comps[ca]
-    if ga <= gb:
-        # equal gaps: two cut points of one arc met in travel order, so the
-        # arc between them is empty
-        x = s[ga:gb]
-        y = s[gb:] + s[:ga]
-    else:
-        x = s[ga:] + s[:gb]
-        y = s[gb:ga]
-    comp1 = y + list(block_a)
-    comp2 = x + list(block_b)
-    comps[ca] = comp1
-    comps.insert(ca + 1, comp2)
-    return d.with_components(comps)
-
-
-def _delete_and_splice(d, run_a, run_b, n):
-    (ca, pa), (cb, pb) = run_a, run_b
-    comps = [list(c) for c in d.components]
-    if ca != cb:
-        la, lb = len(comps[ca]), len(comps[cb])
-        wa = [comps[ca][(pa + n + i) % la] for i in range(la - n)]
-        wb = [comps[cb][(pb + n + i) % lb] for i in range(lb - n)]
-        merged = wb + wa
-        lo, hi = min(ca, cb), max(ca, cb)
-        comps[lo] = merged
-        del comps[hi]
-        return d.with_components(comps)
-    s = comps[ca]
-    ln = len(s)
-    idx2 = {(pb + i) % ln for i in range(n)}
-    walk = []
-    b_index = None
-    pos = (pa + n) % ln
-    while pos != pa:
-        if pos == pb:
-            b_index = len(walk)
-        if pos not in idx2:
-            walk.append(s[pos])
-        pos = (pos + 1) % ln
-    if b_index is None:
-        b_index = len(walk)
-    comp1 = walk[b_index:]
-    comp2 = walk[:b_index]
-    comps[ca] = comp1
-    comps.insert(ca + 1, comp2)
-    return d.with_components(comps)
-
-
-# site tuple length per (family, direction); an r3 site is three
-# (component, position) pairs
-_SITE_LENGTHS = {
-    ("r3", ""): 3, ("oc", ""): 2, ("uc", ""): 2,
-    ("r1", REDUCE): 2, ("r1", EXPAND): 4, ("r2", REDUCE): 5, ("r2", EXPAND): 6,
-    ("v", REDUCE): 1, ("v", EXPAND): 5,
-    ("v^n", REDUCE): 4, ("v^n", EXPAND): 5, ("vbar^n", REDUCE): 4, ("vbar^n", EXPAND): 5,
-    ("v(n)", REDUCE): 4, ("v(n)", EXPAND): 6, ("vbar(n)", REDUCE): 4, ("vbar(n)", EXPAND): 6,
-}
-
-_APPLIERS = {
-    ("r1", REDUCE): _apply_r1_reduce,
-    ("r1", EXPAND): _apply_r1_expand,
-    ("r2", REDUCE): _apply_r2_reduce,
-    ("r2", EXPAND): _apply_r2_expand,
-    ("v", REDUCE): _apply_v_reduce,
-    ("v", EXPAND): _apply_v_expand,
-    ("v^n", REDUCE): lambda d, n, s: _apply_vn_reduce(d, n, s, False),
-    ("v^n", EXPAND): lambda d, n, s: _apply_vn_expand(d, n, s, False),
-    ("vbar^n", REDUCE): lambda d, n, s: _apply_vn_reduce(d, n, s, True),
-    ("vbar^n", EXPAND): lambda d, n, s: _apply_vn_expand(d, n, s, True),
-    ("v(n)", REDUCE): lambda d, n, s: _apply_twist_reduce(d, n, s, False),
-    ("v(n)", EXPAND): lambda d, n, s: _apply_twist_expand(d, n, s, False),
-    ("vbar(n)", REDUCE): lambda d, n, s: _apply_twist_reduce(d, n, s, True),
-    ("vbar(n)", EXPAND): lambda d, n, s: _apply_twist_expand(d, n, s, True),
-}
+    if _splices(kind):
+        return _delete_and_splice(d, positions[0], positions[kind.n], kind.n)
+    return d.with_components(_delete_positions(d.components, positions))
 
 
 # ---------------------------------------------------------------------------
 # scrambling and search
 
-_EXPANDABLE = ("r1", "r2", "v", "v^n", "vbar^n", "v(n)", "vbar(n)")
-
-
-def _sample_expand_site(d, fam, n, rng):
+def _sample_expand_site(d, kind, rng):
+    """A random expand site, or None for an even twist on a string link.
+    The draws (every gap, even for that None, then one value per axis in
+    axis order) fix what ``scramble`` makes of a seed."""
+    strands, axes = _EXPAND[kind.family]
     gaps = _all_gaps(d)
-    for _ in range(32):
-        if fam == "r1":
-            ci, g = gaps[rng.randrange(len(gaps))]
-            return MoveSite((ci, g, rng.choice((OVER, UNDER)), rng.choice((1, -1))))
-        (c1, g1) = gaps[rng.randrange(len(gaps))]
-        (c2, g2) = gaps[rng.randrange(len(gaps))]
-        if fam == "r2":
-            return MoveSite((c1, g1, c2, g2, rng.choice((1, -1)), rng.choice((True, False))))
-        if fam == "v":
-            return MoveSite((c1, g1, c2, g2, rng.choice((1, -1))))
-        if fam in ("v^n", "vbar^n"):
-            return MoveSite((c1, g1, c2, g2, rng.choice((1, -1))))
-        if fam in ("v(n)", "vbar(n)"):
-            if fam == "v(n)" and n % 2 == 0 and d.kind == STRING_LINK:
-                return None
-            return MoveSite((c1, g1, c2, g2, rng.choice((1, -1)), rng.choice((1, 2))))
-    return None
+    site = ()
+    for _ in range(strands):
+        site += gaps[rng.randrange(len(gaps))]
+    if _splices(kind) and d.kind == STRING_LINK:
+        return None
+    for axis in axes:
+        site += (rng.choice(axis),)
+    return MoveSite(site)
 
 
 def scramble(d, kinds, steps, seed):
@@ -938,8 +732,8 @@ def scramble(d, kinds, steps, seed):
             direction = kind.direction or (
                 "" if kind.family in _UNDIRECTED else rng.choice((EXPAND, REDUCE)))
             concrete = MoveKind(kind.family, kind.n, direction)
-            if direction == EXPAND and kind.family in _EXPANDABLE:
-                site = _sample_expand_site(cur, kind.family, kind.n, rng)
+            if direction == EXPAND and kind.family in _EXPAND:
+                site = _sample_expand_site(cur, concrete, rng)
                 if site is None:
                     continue
                 try:

@@ -471,3 +471,70 @@ def test_apply_rejects_malformed_site_with_move_error(kind, data):
 def test_apply_rejects_non_integer_site_entries(kind, data):
     with pytest.raises(MoveError):
         apply(TREFOIL, kind, MoveSite(data))
+
+
+def _reduce_test_diagrams():
+    from wld.moves import MoveKind
+    rng = random.Random(64)
+    out = [parse("component: O1+ U1+\n"),
+           parse("component: O1+ O2-\ncomponent: U1+ U2-\n"),
+           parse("stringlink\ncomponent: O1+ O2-\ncomponent: U1+ U2-\n"),
+           BRAID_R3, TREFOIL]
+    # even twists at even indices, which are links
+    plants = [MoveKind("v^n", 2, EXPAND), MoveKind("vbar^n", 3, EXPAND),
+              MoveKind("v(n)", 2, EXPAND), MoveKind("vbar(n)", 3, EXPAND),
+              MoveKind("v(n)", 4, EXPAND), MoveKind("r2", 0, EXPAND),
+              MoveKind("v(n)", 4, EXPAND), MoveKind("v^n", 3, EXPAND),
+              MoveKind("v(n)", 3, EXPAND), MoveKind("v^n", 4, EXPAND),
+              MoveKind("v^n", 1, EXPAND), MoveKind("vbar^n", 4, EXPAND)]
+    for i in range(30):
+        kind = ("link", "stringlink")[i % 2]
+        d = random_diagram(rng, max_crossings=4, max_mu=2, kind=kind)
+        if i % 5:
+            plant = plants[i % len(plants)]
+            sites = find_sites(d, plant)
+            d = apply(d, plant, sites[rng.randrange(len(sites))])
+        out.append(d)
+    return out
+
+
+def test_reduce_applies_exactly_at_listed_sites():
+    import itertools
+    from wld.moves import MoveKind
+    kinds = ([MoveKind(fam, 0, REDUCE) for fam in ("r1", "r2", "v")]
+             + [MoveKind(fam, n, REDUCE) for fam in ("v^n", "vbar^n", "v(n)")
+                for n in (1, 2, 3, 4)]
+             + [MoveKind("vbar(n)", n, REDUCE) for n in (1, 3)]
+             + [make_kind("r3"), make_kind("oc"), make_kind("uc")])
+    checked = 0
+    for d in _reduce_test_diagrams():
+        # every position, one past each end, and one component past the last
+        spots = [(ci, p) for ci in range(d.mu + 1)
+                 for p in range(-1, (len(d.components[ci]) if ci < d.mu else 1) + 1)]
+        inside = [(ci, p) for ci, p in spots
+                  if ci < d.mu and 0 <= p < len(d.components[ci])]
+        ids = range(0, d.crossing_count + 2)
+        for kind in kinds:
+            fam = kind.family
+            if fam in ("r1", "oc", "uc"):
+                candidates = spots
+            elif fam == "r2":
+                candidates = [a + b + (par,) for a in spots for b in spots
+                              for par in (True, False)]
+            elif fam == "v":
+                candidates = [(cid,) for cid in ids]
+            elif fam == "r3":
+                candidates = list(itertools.combinations(inside, 3))
+            else:
+                candidates = [a + b for a in spots for b in spots]
+            listed = {site.data for site in find_sites(d, kind)}
+            assert listed <= set(candidates), kind
+            for data in candidates:
+                try:
+                    apply(d, kind, MoveSite(data))
+                    applied = True
+                except MoveError:
+                    applied = False
+                assert applied == (data in listed), (str(d), str(kind), data)
+                checked += 1
+    assert checked > 10000
