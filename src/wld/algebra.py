@@ -5,9 +5,11 @@ matrices.
 
 A Laurent polynomial is held in one dense form, a lowest exponent and a
 trimmed coefficient tuple, which gcd, division and residues read directly.
-``laurent_minors`` computes the minors of every requested size of a sparse
-Laurent matrix (rows as {column: entry}) from one Laplace-expansion memo;
-``laurent_det`` is its single full-size minor.
+The same form serves R_n = Z[t]/(t^n - 1): ``fold`` reduces a polynomial to
+its representative with exponents in [0, n).  ``laurent_minors`` computes
+the minors of every requested size of a sparse Laurent matrix (rows as
+{column: entry}) from one Laplace-expansion memo, over Z[t^+-1] or, given
+n, over R_n; ``laurent_det`` is its single full-size minor.
 """
 
 from __future__ import annotations
@@ -596,6 +598,14 @@ def poly_residue(p, n):
     return vec
 
 
+def fold(p, n):
+    """p modulo t^n - 1: the Laurent polynomial with exponents in [0, n)
+    that represents p in R_n = Z[t]/(t^n - 1)."""
+    if 0 <= p.low and p.low + len(p.coeffs) <= n:
+        return p
+    return Laurent._trimmed(0, poly_residue(p, n))
+
+
 def _shift_vec(vec):
     return [vec[-1]] + vec[:-1]
 
@@ -635,7 +645,7 @@ def f_n(p, n):
 # ---------------------------------------------------------------------------
 # minors and determinants of Laurent matrices
 
-def laurent_minors(rows, sizes):
+def laurent_minors(rows, sizes, n=None):
     """Every nonzero s x s minor of a sparse Laurent matrix, for s in ``sizes``.
 
     ``rows`` is a list of {column: nonzero Laurent} dicts; columns are any
@@ -646,7 +656,9 @@ def laurent_minors(rows, sizes):
     the rows below it, so each level is built from the one before and every
     smaller minor is computed once.  A minor is kept only while some
     requested size can still be reached from it, which makes a single full
-    determinant a walk over column subsets of the bottom rows.
+    determinant a walk over column subsets of the bottom rows.  Given n,
+    every product is folded (see ``fold``), so the minors are the images of
+    the Z[t^+-1] minors in R_n.
     """
     sizes = {s for s in sizes if 0 <= s <= len(rows)}
     out = {}
@@ -656,7 +668,7 @@ def laurent_minors(rows, sizes):
             # a new first row r leaves room above it for the rows the
             # smallest requested size >= size still needs
             first = min(s for s in sizes if s >= size) - size
-            level = _extend_minors(rows, level, first)
+            level = _extend_minors(rows, level, first, n)
         if size in sizes:
             out.update(level)
         if not level:
@@ -664,7 +676,7 @@ def laurent_minors(rows, sizes):
     return out
 
 
-def _extend_minors(rows, level, first):
+def _extend_minors(rows, level, first, n):
     """Minors one size up: put a row r >= first above each minor's rows."""
     nxt = {}
     for (rset, cset), minor in level.items():
@@ -675,6 +687,8 @@ def _extend_minors(rows, level, first):
                 pos = bisect.bisect(cset, col)
                 key = ((r,) + rset, cset[:pos] + (col,) + cset[pos:])
                 term = entry * minor
+                if n:
+                    term = fold(term, n)
                 got = nxt.get(key)
                 if pos % 2:
                     nxt[key] = -term if got is None else got - term

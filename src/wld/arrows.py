@@ -121,10 +121,6 @@ class WArrowPresentation:
         return [WArrow(where[(aid, TAIL)], where[(aid, HEAD)], sm[aid])
                 for aid in self.arrow_ids()]
 
-    def fresh_arrow_id(self):
-        ids = self.arrow_ids()
-        return (ids[-1] + 1) if ids else 1
-
 
 def trivial_string_link(mu):
     return WArrowPresentation(tuple(() for _ in range(mu)), (), STRING_LINK)

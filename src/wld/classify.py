@@ -5,8 +5,9 @@ corpus.
 Two welded links are V(n)-equivalent for even n unconditionally; for odd n
 exactly when the mod-n reductions of lambda_ij + lambda_ji agree pairwise.
 They are (V^n + UC)-equivalent exactly when every ordered lambda_ij agrees
-mod n.  Both conditions are complete, so the verdicts are exact; the ideal
-comparison is only an obstruction for V^n-moves alone.
+mod n.  Both conditions are complete, so the verdicts are exact.  For
+V^n-moves alone there is only an obstruction: the images of the elementary
+ideals E^k in Z[t]/(t^n - 1), compared as lattices.
 """
 
 from __future__ import annotations
@@ -14,8 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import (Laurent, format_poly, ideal_mod, member_of_principal,
-                      poly_gcd)
+from .algebra import ideal_mod
 from .diagram import (LINK, Diagram, DiagramError, Passage,
                       linking_matrix, parse)
 from .invariants import elementary_ideals
@@ -56,23 +56,18 @@ class EquivalenceVerdict:
 
 @dataclass(frozen=True)
 class ObstructionCertificate:
-    """Least k at which the V^n-invariance of the elementary ideals fails.
-
-    ``reason`` is "ideal" when the E^k images modulo (1 - t^n) differ as
-    lattices, and "alexander" when the lattices agree but no unit +-t^r
-    makes the k-th Alexander polynomials congruent modulo (1 - t^n).
-    """
+    """Least k at which the E^k images modulo (1 - t^n) differ, with both
+    lattices (HNF bases of the images, see ``CyclicLattice``)."""
 
     n: int
     k: int
-    reason: str
     lattice_left: tuple
     lattice_right: tuple
-    delta_left: str = ""
-    delta_right: str = ""
+
+    reason = "ideal"
 
     def to_json_dict(self):
-        out = {
+        return {
             "relation": "vn-only",
             "n": self.n,
             "verdict": "obstruction-found",
@@ -83,9 +78,6 @@ class ObstructionCertificate:
                 "right": [list(r) for r in self.lattice_right],
             },
         }
-        if self.reason == "alexander":
-            out["alexander"] = {"left": self.delta_left, "right": self.delta_right}
-        return out
 
 
 def _require_links(*diagrams):
@@ -159,37 +151,22 @@ def obstruct_vn(left, right, n, kmax=3):
     """Elementary-ideal obstruction to V^n-equivalence.
 
     V^n-equivalent links have, for every k, equal E^k images modulo
-    (1 - t^n) and k-th Alexander polynomials congruent up to a unit +-t^r.
-    Returns the certificate at the least k <= kmax where either fails, or
-    None when all agree (inconclusive: this direction never certifies
-    equivalence).
+    (1 - t^n); they are computed in Z[t]/(t^n - 1) directly (see
+    ``elementary_ideals``).  Returns the certificate at the least k <= kmax
+    where they differ, or None when all agree (inconclusive: this direction
+    never certifies equivalence).
     """
     _require_links(left, right)
     if n < 1 or kmax < 0:
         raise DiagramError("need n >= 1 and kmax >= 0")
-    ideals_l = elementary_ideals(left, kmax)
-    ideals_r = elementary_ideals(right, kmax)
+    ideals_l = elementary_ideals(left, kmax, n)
+    ideals_r = elementary_ideals(right, kmax, n)
     for k in range(kmax + 1):
         lat_l = ideal_mod(ideals_l[k], n)
         lat_r = ideal_mod(ideals_r[k], n)
         if lat_l != lat_r:
-            return ObstructionCertificate(n, k, "ideal", lat_l.basis, lat_r.basis)
-        delta_l = poly_gcd(ideals_l[k])
-        delta_r = poly_gcd(ideals_r[k])
-        if not _deltas_congruent(delta_l, delta_r, n):
-            return ObstructionCertificate(
-                n, k, "alexander", lat_l.basis, lat_r.basis,
-                format_poly(delta_l), format_poly(delta_r))
+            return ObstructionCertificate(n, k, lat_l.basis, lat_r.basis)
     return None
-
-
-def _deltas_congruent(p, q, n):
-    """Does p = +-t^r q hold modulo (1 - t^n) for some sign and shift?"""
-    for eps in (1, -1):
-        for r in range(n):
-            if member_of_principal(p - Laurent.monomial(eps, r) * q, n):
-                return True
-    return False
 
 
 def multiplex(d, m):

@@ -2,7 +2,8 @@
 
 Ordered linking numbers, Wirtinger-style welded group presentations, core
 group presentations, elementary ideals / Alexander polynomials via the Fox
-derivative, homomorphism and coloring counts, and abelianizations.
+derivative (over Z[t^+-1], or their images in Z[t]/(t^n - 1) straight from
+the crossing table), homomorphism and coloring counts, and abelianizations.
 
 Wirtinger convention: at a positive crossing with over-arc y, under-in arc
 x and under-out arc z the relator is z^-1 y x y^-1; a negative crossing
@@ -21,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import diagram as dg
-from .algebra import (AlgebraError, Laurent, cyclic_reduce, fox_row,
+from .algebra import (AlgebraError, Laurent, cyclic_reduce, fold,
                       free_reduce, laurent_minors, poly_gcd, snf,
                       word_inverse)
 
@@ -95,79 +96,101 @@ def abelianization(p):
 # ---------------------------------------------------------------------------
 # Alexander matrices and elementary ideals
 
-def alexander_matrix(d):
-    """Fox-derivative matrix of the welded group, all generators sent to t."""
-    pres = welded_group(d)
-    return [fox_row(rel, pres.ngens) for rel in pres.relators], pres.ngens
+# entries (x, z, y) of the Fox row of z^-1 y x y^-1 times t (positive
+# crossing) and of z^-1 y^-1 x y times t^2 (negative crossing)
+_FOX_ENTRIES = {
+    1: (Laurent.t(), Laurent.monomial(-1), Laurent._raw(0, (1, -1))),
+    -1: (Laurent.one(), Laurent.monomial(-1, 1), Laurent._raw(0, (-1, 1))),
+}
 
 
-def _pivot_reduce(matrix):
-    """Eliminate unit entries by row and column operations.
+def _alexander_rows(d, n=None):
+    """(rows, g): the Alexander matrix as sparse rows {arc: nonzero entry},
+    one per crossing in id order, and the arc count g.  A row is the Fox row
+    of the crossing's relator (see ``welded_group``) times a unit, with the
+    entries of coinciding arcs summed; it cancels exactly when all three
+    arcs coincide (a trivial relator), and is then left out.  Given n, the
+    entries are folded into R_n (see ``fold``)."""
+    arc_list, pos_to_arc, under_out = dg._arc_data(d)
+    entries = {sign: tuple(fold(p, n) for p in ps) if n else ps
+               for sign, ps in _FOX_ENTRIES.items()}
+    rows = []
+    for over, under, sign in d.crossing_table().values():
+        y, x, z = pos_to_arc[over], pos_to_arc[under], under_out[under]
+        if x == y == z:
+            continue
+        row = {}
+        for arc, entry in zip((x, z, y), entries[sign]):
+            row[arc] = row[arc] + entry if arc in row else entry
+        rows.append({arc: p for arc, p in row.items() if p.coeffs})
+    return rows, len(arc_list)
 
-    Elementary operations preserve every determinantal ideal, and clearing a
-    unit pivot trades the ideal of s-minors for the ideal of (s-1)-minors of
-    the complement, so the returned (rows, pivots) pair carries the same
-    elementary ideals as the input.  Rows are sparse, {column: nonzero
-    entry}: a Fox row has at most three entries.  A unit +-t^a divides out
-    as a multiplication by its inverse +-t^-a, and the unit with the least
-    fill, (row entries - 1) * (column entries - 1), goes first; a heap holds
-    the candidates, and an entry whose fill has changed since it was pushed
-    is skipped (the change pushed a fresh one).  All-zero rows are dropped;
-    the columns left keep their indices, all-zero ones included (they carry
-    no entry).
+
+def _pivot_reduce(rows, n=None):
+    """Eliminate unit entries +-t^a of sparse rows {column: entry}.
+
+    Clearing a unit pivot trades the ideal of s-minors for the ideal of
+    (s-1)-minors of the complement, so the returned (rows, pivots) carries
+    the elementary ideals of the input, whose rows it consumes.  Given n,
+    products are folded into R_n, where +-t^a is still a unit.  Pivots go by
+    least fill, (row entries - 1) * (column entries - 1), kept lazily in a
+    heap: a popped unit whose fill has grown goes back with the new fill,
+    and a pivot pushes only the entries it rewrote into units.  All-zero
+    rows are dropped; the columns left keep their labels.
     """
-    live = {}
+    live = {i: row for i, row in enumerate(rows) if row}
     in_col = {}
-    for i, row in enumerate(matrix):
-        entries = {j: p for j, p in enumerate(row) if p.coeffs}
-        if entries:
-            live[i] = entries
-            for j in entries:
-                in_col.setdefault(j, set()).add(i)
+    for i, row in live.items():
+        for j in row:
+            in_col.setdefault(j, set()).add(i)
 
     def fill(i, j):
-        return (len(live[i]) - 1) * (len(in_col[j]) - 1), i, j
+        return (len(live[i]) - 1) * (len(in_col[j]) - 1)
 
-    heap = [fill(i, j) for i, row in live.items() for j, p in row.items() if p.is_unit()]
+    def mul(a, b):
+        return fold(a * b, n) if n else a * b
+
+    heap = [(fill(i, j), i, j) for i, row in live.items() for j, p in row.items()
+            if p.is_unit()]
     heapq.heapify(heap)
     pivots = 0
     while heap:
-        cand = heapq.heappop(heap)
-        _, i, j = cand
+        old_fill, i, j = heapq.heappop(heap)
         row = live.get(i)
-        if row is None or j not in row or not row[j].is_unit() or fill(i, j) != cand:
+        if row is None or j not in row or not row[j].is_unit():
+            continue
+        now = fill(i, j)
+        if now > old_fill:
+            heapq.heappush(heap, (now, i, j))
             continue
         prow = live.pop(i)
         unit = prow.pop(j)
-        inverse = Laurent.monomial(unit.coeffs[0], -unit.low)
+        # row r gains its entry e in column j times the pivot row over -unit
+        neg_inverse = Laurent.monomial(-unit.coeffs[0], -unit.low)
+        prow = {c: mul(b, neg_inverse) for c, b in prow.items()}
         for c in prow:
             in_col[c].discard(i)
-        others = in_col.pop(j) - {i}
-        for r in others:
+        for r in in_col.pop(j) - {i}:
             row = live[r]
-            q = row.pop(j) * inverse
+            e = row.pop(j)
             for c, b in prow.items():
                 old = row.get(c)
-                new = -(q * b) if old is None else old - q * b
+                new = mul(e, b) if old is None else old + mul(e, b)
                 if new.coeffs:
                     row[c] = new
                     in_col[c].add(r)
+                    if new.is_unit():
+                        heapq.heappush(heap, (fill(r, c), r, c))
                 else:
                     del row[c]
                     in_col[c].discard(r)
             if not row:
                 del live[r]
-        # fills change along the rows and columns the pivot touched
-        touched = {(r, c) for r in others if r in live for c in live[r]}
-        touched.update((r, c) for c in prow for r in in_col[c])
-        for r, c in touched:
-            if live[r][c].is_unit():
-                heapq.heappush(heap, fill(r, c))
         pivots += 1
     return list(live.values()), pivots
 
 
-def elementary_ideals(d, kmax):
+def elementary_ideals(d, kmax, n=None):
     """Generators of E^0..E^kmax of the welded group.
 
     E^k is the ideal of (g-k)-minors of the Alexander matrix: the whole ring
@@ -175,24 +198,23 @@ def elementary_ideals(d, kmax):
     Returned lists generate the same ideals as the full minor sets: unit
     pivots are eliminated first, and the minors of every size needed come
     from one ``laurent_minors`` memo.
+
+    Given n, the lists hold folded polynomials generating the images of the
+    E^k in R_n = Z[t]/(t^n - 1).  Determinants commute with the ring map
+    Z[t^+-1] -> R_n, so the folded minors of the folded matrix are the
+    images of the minors, which generate the image of E^k (Fitting ideals
+    commute with base change); +-t^a stays a unit in R_n, so eliminating
+    it there is sound.
     """
-    matrix, g = alexander_matrix(d)
-    nrows = len(matrix)
-    reduced, pivots = _pivot_reduce(matrix)
-    sizes = [g - k - pivots for k in range(kmax + 1) if pivots < g - k <= nrows]
+    rows, g = _alexander_rows(d, n)
+    reduced, pivots = _pivot_reduce(rows, n)
+    # size 0 yields the 0 x 0 minor 1, the whole ring; a size beyond the
+    # rows left yields no minor, the zero ideal, as g - k > len(rows) does
+    sizes = [max(g - k - pivots, 0) for k in range(kmax + 1)]
     by_size = {}
-    for (rows, _cols), minor in laurent_minors(reduced, sizes).items():
-        by_size.setdefault(len(rows), []).append(minor)
-    out = []
-    for k in range(kmax + 1):
-        s = g - k
-        if s > nrows:
-            out.append([])
-        elif s - pivots <= 0:
-            out.append([Laurent.one()])
-        else:
-            out.append(by_size.get(s - pivots, []))
-    return out
+    for (rset, _cols), minor in laurent_minors(reduced, sizes, n).items():
+        by_size.setdefault(len(rset), []).append(minor)
+    return [list(by_size.get(s, ())) for s in sizes]
 
 
 def alexander(d, k):

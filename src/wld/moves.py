@@ -68,9 +68,24 @@ class MoveError(DiagramError):
 
 @dataclass(frozen=True, order=True)
 class MoveKind:
+    """Family, parameter n (0 if it takes none), direction ("" if none)."""
+
     family: str
     n: int = 0
     direction: str = ""
+
+    def __post_init__(self):
+        if self.family not in FAMILIES:
+            raise MoveError(f"unknown move family {self.family!r}")
+        if self.family in _PARAMETRIC:
+            if self.n < 1:
+                raise MoveError(f"{self.family} needs a parameter n >= 1")
+            if self.family == "vbar(n)" and self.n % 2 == 0:
+                raise MoveError("vbar(n) is defined for odd n only")
+        elif self.n != 0:
+            raise MoveError(f"{self.family} takes no parameter, got n={self.n}")
+        if self.direction not in ("", EXPAND, REDUCE):
+            raise MoveError(f"bad direction {self.direction!r}")
 
     def __str__(self):
         name = self.family.replace("n", str(self.n)) if self.family in _PARAMETRIC else self.family
@@ -78,23 +93,12 @@ class MoveKind:
 
 
 def make_kind(family, n=None, direction=None):
-    """Validated MoveKind; n=1 variants collapse to plain virtualization."""
-    if family not in FAMILIES:
-        raise MoveError(f"unknown move family {family!r}")
-    if family in _PARAMETRIC:
-        if n is None or n < 1:
-            raise MoveError(f"{family} needs a parameter n >= 1")
-        if family == "vbar(n)" and n % 2 == 0:
-            raise MoveError("vbar(n) is defined for odd n only")
-        if n == 1:
-            family, n = "v", 0
-    else:
-        n = 0
-    if direction not in (None, EXPAND, REDUCE):
-        raise MoveError(f"bad direction {direction!r}")
+    """Validated MoveKind; n=1 variants collapse to plain virtualization,
+    and the parameter of a family without one is ignored."""
+    kind = MoveKind(family, (n or 0) if family in _PARAMETRIC else 0, direction or "")
     if family in _UNDIRECTED:
-        direction = ""
-    return MoveKind(family, n, direction or "")
+        return MoveKind(family)
+    return MoveKind("v", 0, kind.direction) if kind.n == 1 else kind
 
 
 def parse_kind(text):

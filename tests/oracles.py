@@ -184,6 +184,11 @@ def laurent_det_bruteforce(matrix):
     return total
 
 
+def fold_bruteforce(p, n):
+    """p modulo t^n - 1: every exponent taken mod n, like terms summed."""
+    return Laurent([(e % n, c) for e, c in enumerate(p.coeffs, p.low)])
+
+
 def elementary_ideal_bruteforce(d, k):
     """Generators of E^k as the raw (g-k)-minors of the Alexander matrix."""
     from wld.invariants import welded_group

@@ -6,7 +6,7 @@ from contextlib import contextmanager
 import pytest
 
 from wld.algebra import (AlgebraError, Laurent, abelianize_t,
-                         cyclic_reduce, exact_div, f_n, format_poly,
+                         cyclic_reduce, exact_div, f_n, fold, format_poly,
                          fox_derive, fox_row, free_reduce, hnf,
                          ideal_equal_mod, ideal_mod, laurent_det,
                          laurent_minors, member_of_principal,
@@ -350,6 +350,28 @@ def test_laurent_minors_match_bruteforce_for_every_minor():
         s = rng.choice(sizes)
         assert laurent_minors(rows, [s]) == {key: p for key, p in minors.items()
                                              if len(key[0]) == s}
+
+
+def test_folded_laurent_minors_match_folded_bruteforce():
+    rng = random.Random(19)
+    for _ in range(40):
+        m, k = rng.randint(1, 4), rng.randint(1, 5)
+        mat = [[rand_poly(rng, max_terms=3, max_exp=3) for _ in range(k)]
+               for _ in range(m)]
+        rows = [{j: p for j, p in enumerate(row) if not p.is_zero()} for row in mat]
+        sizes = range(min(m, k) + 1)
+        for n in range(1, 6):
+            want = {}
+            for s in sizes:
+                for rset in itertools.combinations(range(m), s):
+                    for cset in itertools.combinations(range(k), s):
+                        sub = [[mat[r][c] for c in cset] for r in rset]
+                        det = oracles.fold_bruteforce(oracles.laurent_det_bruteforce(sub), n)
+                        if not det.is_zero():
+                            want[(rset, cset)] = det
+            assert laurent_minors(rows, sizes, n) == want
+            assert all(fold(p, n) == oracles.fold_bruteforce(p, n)
+                       for row in mat for p in row)
 
 
 @contextmanager

@@ -9,7 +9,7 @@ from wld.diagram import (DiagramError, linking_matrix, parse,
                          random_diagram, same_diagram)
 from wld.invariants import (alexander, coloring_count, core_group,
                             hom_count, panel)
-from wld.moves import make_kind, replay, scramble, search_path
+from wld.moves import make_kind, parse_kinds, replay, scramble, search_path
 
 TREFOIL = named("trefoil")
 UNKNOT = named("unknot")
@@ -85,8 +85,29 @@ def test_decide_any_order_flag():
 def test_obstruct_trefoil_all_n():
     for n in range(2, 13):
         cert = obstruct_vn(TREFOIL, UNKNOT, n, 1)
-        assert cert is not None and cert.k == 1
-        assert cert.reason in ("ideal", "alexander")
+        if n in (5, 7, 11):
+            # 1 - t + t^2 is a unit modulo t^n - 1: both E^1 images are R_n
+            assert cert is None
+        else:
+            assert cert is not None and cert.k == 1
+            assert cert.reason == "ideal"
+
+
+def test_obstruct_figure8_all_n():
+    # V^n is not an unknotting operation for any n >= 2
+    for n in range(2, 13):
+        cert = obstruct_vn(named("figure8"), UNKNOT, n, 1)
+        assert cert is not None and cert.k == 1 and cert.reason == "ideal"
+
+
+def test_obstruct_trefoil_against_its_v3_scramble_is_inconclusive():
+    # V^3-equivalent, with equal E^1 images modulo 1 - t^3, though their
+    # Alexander polynomials differ (1 - t + t^2 against 1): a gcd over
+    # Z[t^+-1] is no V^n invariant, so it certifies nothing
+    s = scramble(TREFOIL, parse_kinds("v^n:3"), 1, 0)
+    assert alexander(s, 1)[1] == parse_poly("1")
+    assert obstruct_vn(TREFOIL, s, 3, 1) is None
+    assert obstruct_vn(TREFOIL, s, 3, 3) is None
 
 
 def test_obstruct_nothing_cases():

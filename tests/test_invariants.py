@@ -1,11 +1,16 @@
 import random
+import signal
 
 import pytest
 
-from wld.algebra import Laurent, ideal_equal_mod, parse_poly, poly_gcd
-from wld.diagram import Diagram, linking_matrix, parse, random_diagram
+from wld.algebra import (Laurent, fox_row, ideal_equal_mod, ideal_mod,
+                         parse_poly, poly_gcd)
+from wld.classify import named
+from wld.diagram import (LINK, STRING_LINK, Diagram, crossing_arcs,
+                         linking_matrix, parse, random_diagram)
 from wld.invariants import (GroupPresentation, GroupTableError, WELDED,
-                            abelianization, alexander, alexander_polynomials,
+                            _alexander_rows, abelianization, alexander,
+                            alexander_polynomials,
                             builtin_group, coloring_count, core_group,
                             cyclic_group, dihedral_group, elementary_ideals,
                             hom_count, load_group_csv, panel,
@@ -119,6 +124,73 @@ def test_elementary_ideals_match_bruteforce_minors():
             assert poly_gcd(mine[k]) == poly_gcd(brute)
             for n in (2, 3, 4):
                 assert ideal_equal_mod(mine[k], brute, n)
+
+
+def test_alexander_rows_are_fox_rows_times_a_unit():
+    # the unit is t at a positive crossing and t^2 at a negative one
+    rng = random.Random(25)
+    diagrams = [random_diagram(rng, max_crossings=8, max_mu=3, kind=kind)
+                for kind in (LINK, STRING_LINK) for _ in range(40)]
+    r1 = [make_kind("r1", direction=EXPAND)]
+    diagrams += [scramble(d, r1, 3, rng.randrange(10 ** 6)) for d in diagrams[::4]]
+    shapes = set()
+    for d in diagrams:
+        pres = welded_group(d)
+        crossings = list(crossing_arcs(d).values())
+        shapes.update((x == z, y == x, y == z) for y, x, z, _ in crossings)
+        signs = [sign for y, x, z, sign in crossings if not x == y == z]
+        assert len(signs) == len(pres.relators)
+        want = [{j: p * Laurent.t(1 if sign > 0 else 2)
+                 for j, p in enumerate(fox_row(rel, pres.ngens)) if not p.is_zero()}
+                for rel, sign in zip(pres.relators, signs)]
+        assert _alexander_rows(d) == (want, pres.ngens)
+        for n in range(1, 5):
+            folded = [{j: oracles.fold_bruteforce(p, n) for j, p in row.items()}
+                      for row in want]
+            folded = [{j: p for j, p in row.items() if not p.is_zero()} for row in folded]
+            assert _alexander_rows(d, n) == (folded, pres.ngens)
+    # kinks: x = z (a one-arc component passing under), y = x, y = z, all equal
+    assert {(True, False, False), (False, True, False), (False, False, True),
+            (True, True, True)} <= shapes
+
+
+def test_folded_elementary_ideals_match_bruteforce_images():
+    rng = random.Random(26)
+    mus = set()
+    for _ in range(30):
+        d = random_diagram(rng, max_crossings=6, max_mu=3)
+        mus.add(d.mu)
+        brute = [oracles.elementary_ideal_bruteforce(d, k) for k in range(4)]
+        for n in range(1, 7):
+            mine = elementary_ideals(d, 3, n)
+            for k in range(4):
+                assert all(0 <= p.low and p.max_exp() < n for p in mine[k])
+                assert ideal_mod(mine[k], n) == ideal_mod(brute[k], n)
+    assert mus == {1, 2, 3}
+
+
+def test_folded_first_ideal_at_156_crossings_within_budget():
+    # unit pivots leave a 12 x 12 matrix; over Z[t^+-1] its 11 x 11 minors
+    # span up to 80 terms with 11-digit coefficients, while folded into
+    # Z[t]/(t^3 - 1) every entry and minor has at most three
+    kinds = [make_kind("r1", direction=EXPAND), make_kind("r2", direction=EXPAND),
+             make_kind("r3"), make_kind("oc"), make_kind("v^n", 3, EXPAND),
+             make_kind("v(n)", 3, EXPAND)]
+    d = scramble(named("h-closure:3,1,2,2"), kinds, 115, 5)
+    assert d.crossing_count == 156
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("E^1 mod 3 still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(10)
+    try:
+        lattice = ideal_mod(elementary_ideals(d, 1, 3)[1], 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    # computed over Z[t^+-1] and then reduced, by the unfolded path
+    assert lattice.basis == ((1, 4, -5), (0, 21, -21))
 
 
 def test_block_relator_congruence():

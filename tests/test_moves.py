@@ -39,6 +39,23 @@ def test_kind_normalization():
         make_kind("bogus")
 
 
+def test_move_kind_validates_on_construction():
+    from wld.moves import MoveKind
+    trefoil = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
+    with pytest.raises(MoveError, match="unknown move family"):
+        find_sites(trefoil, MoveKind("bogus", 0, REDUCE))
+    for bad in [("v^n", -2, EXPAND), ("v^n", 0, EXPAND), ("v(n)", 0, REDUCE),
+                ("vbar(n)", 2, EXPAND), ("vbar(n)", 4, REDUCE),
+                ("r1", 3, EXPAND), ("oc", 1), ("v", 2, EXPAND),
+                ("r2", 0, "sideways"), ("r3", 0, "up")]:
+        with pytest.raises(MoveError):
+            MoveKind(*bad)
+    # n = 1 kinds stay constructible directly, as the arrow calculus does
+    for fam in ("v(n)", "v^n", "vbar(n)", "vbar^n"):
+        assert MoveKind(fam, 1, EXPAND).n == 1
+    assert MoveKind("vbar(n)", 3, REDUCE).n == 3
+
+
 def test_parse_kinds():
     kinds = parse_kinds("r1,oc,v(n):3,v^n:2,vbar^n:4")
     assert kinds[2] == make_kind("v(n)", 3)
