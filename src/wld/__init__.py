@@ -3,8 +3,8 @@
 from .diagram import (Arc, Diagram, DiagramError, ParseError, Passage, arcs,
                       canonical_key, closure, linking_matrix, parse,
                       random_diagram, same_diagram, serialize)
-from .moves import (MoveKind, MoveSite, apply, find_sites, make_kind,
-                    parse_kinds, replay, scramble, search_path)
+from .moves import (MoveKind, MoveSite, apply, count_sites, find_sites,
+                    make_kind, parse_kinds, replay, scramble, search_path)
 from .algebra import (CyclicLattice, Laurent, f_n, format_poly, fox_derive,
                       abelianize_t, hnf, ideal_equal_mod, ideal_mod,
                       member_of_principal, normalize_units, parse_poly,

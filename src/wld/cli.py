@@ -161,7 +161,7 @@ def _cmd_moves(args):
     lines = []
     for kind in kinds:
         for dk in moves.directed_kinds(kind):
-            count = len(moves.find_sites(d, dk))
+            count = moves.count_sites(d, dk)
             payload[str(dk)] = count
             lines.append(f"{dk}: {count} site(s)")
     _emit(args, payload, lines)

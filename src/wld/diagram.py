@@ -67,33 +67,37 @@ class Diagram:
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
         if len(self.components) < 1:
             raise DiagramError("a diagram needs at least one component")
+        # one walk: per crossing id, [over count, under count, sign], the
+        # sign set to 0 once two passages disagree
         seen = {}
         for comp in self.components:
             for psg in comp:
                 if not isinstance(psg, Passage):
                     raise DiagramError(f"not a passage: {psg!r}")
-                if psg.crossing < 1:
-                    raise DiagramError(f"crossing ids must be positive, got {psg.crossing}")
-                if psg.role not in (OVER, UNDER):
-                    raise DiagramError(f"bad role {psg.role!r}")
-                if psg.sign not in (1, -1):
-                    raise DiagramError(f"bad sign {psg.sign!r}")
-                roles, signs = seen.setdefault(psg.crossing, [set(), set()])
-                roles.add(psg.role)
-                signs.add(psg.sign)
-        for cid, (roles, signs) in seen.items():
-            if roles != {OVER, UNDER}:
+                cid, role, sign = psg.crossing, psg.role, psg.sign
+                if cid < 1:
+                    raise DiagramError(f"crossing ids must be positive, got {cid}")
+                if role not in (OVER, UNDER):
+                    raise DiagramError(f"bad role {role!r}")
+                if sign not in (1, -1):
+                    raise DiagramError(f"bad sign {sign!r}")
+                entry = seen.get(cid)
+                if entry is None:
+                    seen[cid] = entry = [0, 0, sign]
+                elif entry[2] != sign:
+                    entry[2] = 0
+                entry[role == UNDER] += 1
+        miscount = None
+        for cid, (overs, unders, sign) in seen.items():
+            if not overs or not unders:
                 raise DiagramError(
                     f"crossing {cid} must appear exactly once over and once under")
-            if len(signs) != 1:
+            if not sign:
                 raise DiagramError(f"crossing {cid} has mismatched signs")
-        counts = {}
-        for comp in self.components:
-            for psg in comp:
-                counts[psg.crossing] = counts.get(psg.crossing, 0) + 1
-        for cid, cnt in counts.items():
-            if cnt != 2:
-                raise DiagramError(f"crossing {cid} appears {cnt} times, expected 2")
+            if miscount is None and overs + unders != 2:
+                miscount = (cid, overs + unders)
+        if miscount is not None:
+            raise DiagramError(f"crossing {miscount[0]} appears {miscount[1]} times, expected 2")
 
     @property
     def mu(self):

@@ -18,11 +18,11 @@ Conventions pinned by the ordered-linking-number calibration:
 * The antiparallel variants read the second strand's block in reversed
   order.  V(1), V^1 and their bars all normalize to plain V.
 
-Sites are tuples; ``find_sites`` sorts them and wraps each in a
-``MoveSite``.  ``c`` is a component, ``p`` a position on it, ``g`` a gap (the
-point before position ``g``; a string link also has the one after its last
-passage) and ``s`` a sign, 1 or -1.  Strand 1 is at ``c1``, strand 2 at
-``c2``:
+A site is a ``MoveSite``, a tuple; ``find_sites`` lists them sorted and
+``count_sites`` counts them without building them.  ``c`` is a component,
+``p`` a position on it, ``g`` a gap (the point before position ``g``; a
+string link also has the one after its last passage) and ``s`` a sign, 1 or
+-1.  Strand 1 is at ``c1``, strand 2 at ``c2``:
 
 ==============  ==================================  ==========================
 kind            expand site                         reduce site
@@ -116,11 +116,18 @@ def parse_kinds(text):
     return [parse_kind(tok) for tok in text.split(",") if tok.strip()]
 
 
-@dataclass(frozen=True, order=True)
-class MoveSite:
-    """Kind-specific tuple of positions/variants in a host diagram."""
+class MoveSite(tuple):
+    """Kind-specific tuple of positions/variants in a host diagram; ``data``
+    is the plain tuple."""
 
-    data: tuple
+    __slots__ = ()
+
+    @property
+    def data(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"MoveSite({tuple.__repr__(self)})"
 
 
 # ---------------------------------------------------------------------------
@@ -655,18 +662,35 @@ _REDUCE = {
 # ---------------------------------------------------------------------------
 # find_sites and apply
 
-def find_sites(d, kind):
-    """All applicable sites of a move kind, deterministically sorted."""
-    fam = kind.family
-    if fam in _UNDIRECTED or kind.direction == REDUCE:
-        finder = _REDUCE[fam][2]
+def _finder(d, kind):
+    """The site finder of a directed kind, or None if the kind has no sites
+    on d (an even twist on a string link)."""
+    if kind.family in _UNDIRECTED or kind.direction == REDUCE:
+        finder = _REDUCE[kind.family][2]
     elif kind.direction == EXPAND:
         finder = _expand_sites
     else:
         raise MoveError(f"move kind {kind} needs a direction")
-    if _splices(kind) and d.kind == STRING_LINK:
-        return []
-    return [MoveSite(site) for site in sorted(finder(d, kind))]
+    return None if _splices(kind) and d.kind == STRING_LINK else finder
+
+
+def find_sites(d, kind):
+    """All applicable sites of a move kind, deterministically sorted."""
+    finder = _finder(d, kind)
+    return [] if finder is None else [MoveSite(site) for site in sorted(finder(d, kind))]
+
+
+def count_sites(d, kind):
+    """``len(find_sites(d, kind))`` without building the sites: an expand
+    kind has one site per choice of a gap for each strand and a value on
+    each variant axis."""
+    finder = _finder(d, kind)
+    if finder is None:
+        return 0
+    if finder is _expand_sites:
+        strands, axes = _EXPAND[kind.family]
+        return len(_all_gaps(d)) ** strands * math.prod(len(axis) for axis in axes)
+    return len(finder(d, kind))
 
 
 def apply(d, kind, site):
@@ -770,11 +794,12 @@ def search_path(d, target, kinds, max_crossings, max_depth):
     bounds is not a disproof of equivalence.
     """
     goal = canonical_key(target)
-    if canonical_key(d) == goal:
+    start = canonical_key(d)
+    if start == goal:
         return []
     kinds = [dk for kind in sorted(set(kinds)) for dk in directed_kinds(kind)]
     frontier = [(d, [])]
-    visited = {canonical_key(d)}
+    visited = {start}
     for _ in range(max_depth):
         nxt = []
         for cur, path in frontier:

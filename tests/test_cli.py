@@ -1,4 +1,5 @@
 import json
+import signal
 
 import pytest
 
@@ -6,7 +7,14 @@ from wld.cli import main
 from wld.classify import named
 from wld.diagram import parse, serialize
 from wld.invariants import coloring_count, hom_count, welded_group, builtin_group
-from wld.moves import make_kind, scramble
+from wld.moves import (EXPAND, directed_kinds, find_sites, make_kind,
+                       parse_kinds, scramble)
+
+ENUMERATE_KINDS = "r1,r2,r3,oc,uc,v,v(n):2,v(n):3,v^n:3,vbar(n):3,vbar^n:3"
+# scramble kinds that only add crossings (or keep their number)
+GROW = [make_kind("r1", direction=EXPAND), make_kind("r2", direction=EXPAND),
+        make_kind("r3"), make_kind("oc"), make_kind("v^n", 3, EXPAND),
+        make_kind("v(n)", 3, EXPAND)]
 
 
 @pytest.fixture
@@ -113,6 +121,44 @@ def test_moves_counts(capsys, trefoil_file):
     code, doc = run_json(capsys, ["moves", trefoil_file, "--moves", "v,r1", "--json"])
     assert code == 0
     assert doc["v reduce"] == 3
+
+
+def test_moves_counts_equal_found_sites(capsys, tmp_path):
+    d = scramble(named("hopf+"), GROW, 8, 3)
+    path = tmp_path / "d.gc"
+    path.write_text(serialize(d))
+    code, doc = run_json(capsys, ["moves", str(path), "--moves", ENUMERATE_KINDS, "--json"])
+    assert code == 0
+    expected = {str(dk): len(find_sites(d, dk))
+                for kind in parse_kinds(ENUMERATE_KINDS) for dk in directed_kinds(kind)}
+    assert doc == expected and len(doc) == 19 and doc["v expand"] > 1000
+
+
+def test_moves_counts_at_203_crossings_within_budget(capsys, tmp_path):
+    # listing every expand site here builds nearly 3 million of them
+    d = scramble(named("h-closure:3,1,2,2"), GROW, 150, 5)
+    assert d.crossing_count == 203
+    path = tmp_path / "d.gc"
+    path.write_text(serialize(d))
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("wld moves still running after 2 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        code, doc = run_json(capsys, ["moves", str(path), "--moves",
+                                      "r1,r2,r3,oc,uc,v,v(n):3,v^n:3,vbar(n):3,vbar^n:3",
+                                      "--json"])
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 0
+    # every component is a nonempty link component: one gap per passage
+    gaps = 2 * d.crossing_count
+    assert doc["v expand"] == doc["v^3 expand"] == 2 * gaps ** 2
+    assert doc["r2 expand"] == doc["v(3) expand"] == 4 * gaps ** 2
+    assert doc["r1 expand"] == 4 * gaps
 
 
 def test_homs_matches_library(capsys, trefoil_file):

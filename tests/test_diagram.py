@@ -60,6 +60,18 @@ def test_parse_sign_mismatch():
         parse("component: O1+ U1-\n")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("component: O1+ O1+\n", "crossing 1 must appear exactly once over and once under"),
+    ("component: O1+ U1-\n", "crossing 1 has mismatched signs"),
+    ("component: O1+ U2+ O2+\n", "crossing 1 must appear exactly once over and once under"),
+    ("component: O1+ U1+ O1+\n", "crossing 1 appears 3 times, expected 2"),
+], ids=["two-overs", "mismatched-signs", "appears-once", "appears-three-times"])
+def test_diagram_rejection_messages(text, message):
+    with pytest.raises(DiagramError) as err:
+        parse(text)
+    assert str(err.value) == message
+
+
 def test_serialize_round_trip_exact():
     rng = random.Random(1)
     for _ in range(200):

@@ -4,9 +4,9 @@ import pytest
 
 from wld.diagram import (linking_matrix, parse, random_diagram,
                          same_diagram)
-from wld.moves import (EXPAND, REDUCE, MoveError, MoveSite, apply,
-                       find_sites, make_kind, parse_kinds, replay, scramble,
-                       search_path)
+from wld.moves import (EXPAND, FAMILIES, REDUCE, MoveError, MoveKind,
+                       MoveSite, apply, count_sites, find_sites, make_kind,
+                       parse_kinds, replay, scramble, search_path)
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
 HOPF = parse("component: O1+ U2+\ncomponent: U1+ O2+\n")
@@ -555,3 +555,48 @@ def test_reduce_applies_exactly_at_listed_sites():
                 assert applied == (data in listed), (str(d), str(kind), data)
                 checked += 1
     assert checked > 10000
+
+
+def _every_directed_kind():
+    """Every directed kind of every family at n = 1..4; the n = 1 kinds are
+    built directly, as the arrow calculus does, so they keep block sites."""
+    kinds = []
+    for fam in FAMILIES:
+        if fam in ("r3", "oc", "uc"):
+            kinds.append(MoveKind(fam))
+            continue
+        for n in ((1, 2, 3, 4) if fam in ("v(n)", "v^n", "vbar(n)", "vbar^n") else (0,)):
+            if fam == "vbar(n)" and n % 2 == 0:
+                continue
+            kinds += [MoveKind(fam, n, EXPAND), MoveKind(fam, n, REDUCE)]
+    return kinds
+
+
+def test_count_sites_is_the_number_of_found_sites():
+    kinds = _every_directed_kind()
+    assert len(kinds) == 37
+    mixed = parse_kinds("r1,r2,r3,oc,v^n:2,v(n):3,vbar^n:3")
+    bases = [TREFOIL, HOPF, BRAID_R3,
+             parse("stringlink\ncomponent: O1+ U2+\ncomponent: U1+ O2+\n"),
+             parse("stringlink\ncomponent: O1+\ncomponent:\ncomponent: U1+\n"),
+             parse("component: O1+ U2+ O3+ U1+ O2+ U3+\ncomponent:\n")]
+    for i, base in enumerate(bases):
+        for seed in range(3):
+            d = scramble(base, mixed, 5 * seed, 100 * i + seed)
+            for kind in kinds:
+                assert count_sites(d, kind) == len(find_sites(d, kind)), (str(d), str(kind))
+    # the even twist on a string link has no sites, and a directed family
+    # needs its direction
+    assert count_sites(bases[3], MoveKind("v(n)", 2, EXPAND)) == 0
+    with pytest.raises(MoveError, match="needs a direction"):
+        count_sites(TREFOIL, MoveKind("v^n", 2))
+
+
+def test_move_site_is_a_tuple():
+    site = MoveSite((0, 1, 1, 0, -1))
+    assert isinstance(site, tuple) and site == (0, 1, 1, 0, -1)
+    assert type(site.data) is tuple and site.data == (0, 1, 1, 0, -1)
+    assert MoveSite((0, 0)) < MoveSite((0, 1)) and hash(site) == hash(site.data)
+    assert repr(site) == "MoveSite((0, 1, 1, 0, -1))"
+    with pytest.raises(AttributeError):
+        site.extra = 1
