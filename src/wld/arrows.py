@@ -172,28 +172,25 @@ def build_H(mu, i, j, a):
     """H_ij(a): |a| arrows tail-on-strand-i, head-on-strand-j whose closure
     has ordered linking numbers (a, 0)."""
     _check_pair(mu, i, j)
-    sign = 1 if a >= 0 else -1
-    strands = [[] for _ in range(mu)]
-    for k in range(1, abs(a) + 1):
-        strands[i - 1].append((k, TAIL))
-        strands[j - 1].append((k, HEAD))
-    return WArrowPresentation(tuple(tuple(s) for s in strands),
-                              tuple((k, sign) for k in range(1, abs(a) + 1)),
-                              STRING_LINK)
+    return _arrow_block(mu, i, j, a)
 
 
 def build_Hbar(mu, i, j, b):
     """Hbar_ij(b): |b| arrows tail-on-strand-j, head-on-strand-i; closure
     linking numbers (0, b)."""
     _check_pair(mu, i, j)
-    sign = 1 if b >= 0 else -1
-    strands = [[] for _ in range(mu)]
-    for k in range(1, abs(b) + 1):
-        strands[j - 1].append((k, TAIL))
-        strands[i - 1].append((k, HEAD))
-    return WArrowPresentation(tuple(tuple(s) for s in strands),
-                              tuple((k, sign) for k in range(1, abs(b) + 1)),
-                              STRING_LINK)
+    return _arrow_block(mu, j, i, b)
+
+
+def _arrow_block(mu, tail, head, count):
+    """|count| parallel arrows of sign sign(count) from strand ``tail`` to
+    strand ``head`` (1-based) on ``mu`` strands."""
+    sign = 1 if count >= 0 else -1
+    ids = range(1, abs(count) + 1)
+    strands = [()] * mu
+    strands[tail - 1] = tuple((k, TAIL) for k in ids)
+    strands[head - 1] = tuple((k, HEAD) for k in ids)
+    return WArrowPresentation(tuple(strands), tuple((k, sign) for k in ids), STRING_LINK)
 
 
 def _check_pair(mu, i, j):

@@ -9,7 +9,6 @@ by R1, R2, R3 and OC alone.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 LINK = "link"
@@ -17,10 +16,6 @@ STRING_LINK = "stringlink"
 
 OVER = "O"
 UNDER = "U"
-
-# Cap on basepoint-rotation combinations tried while canonicalizing.
-_CANON_CAP = 4096
-
 
 class DiagramError(ValueError):
     """Structurally invalid diagram, or an operation misapplied to one."""
@@ -293,59 +288,46 @@ def linking_matrix(d):
 def canonical_key(d):
     """Hashable key invariant under basepoint rotation and crossing relabeling.
 
-    Two diagrams present the same ordered oriented Gauss code iff their keys
-    agree.  Per component the basepoint is rotated to minimize a local
-    relabel-invariant word; among tied rotations the globally relabeled code
-    is minimized.
+    The key is ``(d.kind, words)`` for the least ``words`` over every choice
+    of basepoint rotation per component (only rotation 0 for a string link
+    or a component of length <= 1), where ``words[i]`` lists component
+    ``i`` read from its basepoint as ``(role, sign, label)`` and crossings
+    are labelled 0, 1, ... by first occurrence across the whole code.  So
+    two diagrams present the same ordered oriented Gauss code iff their
+    keys agree.
+
+    The least code is found by one branch-and-prune search over the
+    components in order.  Words compare component by component, so only
+    the partial choices whose words so far are least can complete to the
+    least code.  A later word depends on the earlier choices only through
+    the labels they gave to crossings that occur later, so of two kept
+    choices that label those crossings alike only one is kept: their
+    completions are the same.
     """
-    candidate_offsets = []
-    for comp in d.components:
-        if d.kind == STRING_LINK or len(comp) <= 1:
-            candidate_offsets.append([0])
-            continue
-        best = None
-        best_offsets = [0]
+    comps = d.components
+    # per component, the crossings occurring in the components after it
+    later, seen = [], set()
+    for comp in reversed(comps):
+        later.insert(0, tuple(seen))
+        seen.update(psg.crossing for psg in comp)
+    words = []
+    choices = [{}]
+    for comp, ahead in zip(comps, later):
         n = len(comp)
-        for r in range(n):
-            key = _local_word(comp, r)
-            if best is None or key < best:
-                best, best_offsets = key, [r]
-            elif key == best:
-                best_offsets.append(r)
-        candidate_offsets.append(best_offsets)
-    total = 1
-    for offs in candidate_offsets:
-        total *= len(offs)
-        if total > _CANON_CAP:
-            candidate_offsets = [[offs[0]] for offs in candidate_offsets]
-            break
-    best_global = None
-    for combo in itertools.product(*candidate_offsets):
-        labels = {}
-        out = []
-        for comp, r in zip(d.components, combo):
-            n = len(comp)
-            word = []
-            for i in range(n):
-                psg = comp[(r + i) % n]
-                lbl = labels.setdefault(psg.crossing, len(labels))
-                word.append((psg.role, psg.sign, lbl))
-            out.append(tuple(word))
-        key = (d.kind, tuple(out))
-        if best_global is None or key < best_global:
-            best_global = key
-    return best_global
-
-
-def _local_word(comp, r):
-    n = len(comp)
-    labels = {}
-    word = []
-    for i in range(n):
-        psg = comp[(r + i) % n]
-        lbl = labels.setdefault(psg.crossing, len(labels))
-        word.append((psg.role, psg.sign, lbl))
-    return tuple(word)
+        rotations = range(1 if d.kind == STRING_LINK or n <= 1 else n)
+        best, kept = None, {}
+        for labels in choices:
+            for r in rotations:
+                lab = labels.copy()
+                word = tuple((psg.role, psg.sign, lab.setdefault(psg.crossing, len(lab)))
+                             for psg in comp[r:] + comp[:r])
+                if best is None or word < best:
+                    best, kept = word, {}
+                if word == best:
+                    kept.setdefault(tuple(lab.get(c) for c in ahead), lab)
+        words.append(best)
+        choices = list(kept.values())
+    return (d.kind, tuple(words))
 
 
 def same_diagram(d1, d2):

@@ -569,21 +569,11 @@ def hom_count(p, group):
 def coloring_count(d, n):
     """Number of maps arcs -> Z/n with 2y = x + z at every crossing.
 
-    Computed from the Smith form of the integer relation matrix; equals the
-    homomorphism count of the core group into Z/n.
+    These are the homomorphisms of the core group into Z/n, counted from
+    its abelianization: n per free generator times gcd(t, n) per torsion
+    coefficient t.  (Each core relator abelianizes to 2y - x - z.)
     """
     if n < 1:
         raise AlgebraError("modulus n must be >= 1")
-    arcs = dg.arcs(d)
-    rows = []
-    for cid, (y, x, z, _s) in sorted(dg.crossing_arcs(d).items()):
-        row = [0] * len(arcs)
-        row[y] += 2
-        row[x] -= 1
-        row[z] -= 1
-        rows.append(row)
-    factors = snf(rows)
-    count = n ** (len(arcs) - len(factors))
-    for f in factors:
-        count *= math.gcd(f, n)
-    return count
+    rank, torsion = abelianization(core_group(d))
+    return n ** rank * math.prod(math.gcd(t, n) for t in torsion)

@@ -3,13 +3,14 @@
 These deliberately avoid the library's own algorithms: Smith invariants via
 the minor-gcd characterization, lattice equality via gcds of maximal minors,
 colorings by exhaustive enumeration, and elementary ideals by enumerating
-every minor of the raw Alexander matrix.
+every minor of the raw Alexander matrix, and the canonical key by trying
+every combination of basepoint rotations.
 """
 
 import itertools
 
 from wld.algebra import Laurent, fox_row
-from wld.diagram import arcs, crossing_arcs
+from wld.diagram import STRING_LINK, arcs, crossing_arcs
 
 
 def int_det(matrix):
@@ -147,6 +148,29 @@ def colorings_exhaustive(d, n):
                for y, x, z, _ in table.values()):
             count += 1
     return count
+
+
+def canonical_key_bruteforce(d):
+    """Least relabelled code over every combination of basepoint rotations
+    (rotation 0 only for string links and components of length <= 1);
+    crossings are labelled by first occurrence across the whole code."""
+    rotations = [range(1 if d.kind == STRING_LINK or len(comp) <= 1 else len(comp))
+                 for comp in d.components]
+    best = None
+    for combo in itertools.product(*rotations):
+        labels = {}
+        words = []
+        for comp, r in zip(d.components, combo):
+            word = []
+            for psg in comp[r:] + comp[:r]:
+                if psg.crossing not in labels:
+                    labels[psg.crossing] = len(labels)
+                word.append((psg.role, psg.sign, labels[psg.crossing]))
+            words.append(tuple(word))
+        key = (d.kind, tuple(words))
+        if best is None or key < best:
+            best = key
+    return best
 
 
 def hom_count_exhaustive(pres, group):

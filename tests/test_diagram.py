@@ -1,10 +1,15 @@
+import itertools
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
-from wld.diagram import (Diagram, DiagramError, ParseError, arcs, closure,
-                         linking_matrix, parse, random_diagram, same_diagram,
-                         serialize)
+import oracles
+from wld.arrows import build_H, build_Hbar, stack, surgery
+from wld.diagram import (Diagram, DiagramError, ParseError, arcs,
+                         canonical_key, closure, linking_matrix, parse,
+                         random_diagram, same_diagram, serialize)
 
 TREFOIL = "component: O1+ U2+ O3+ U1+ O2+ U3+\n"
 HOPF = "component: O1+ U2+\ncomponent: U1+ O2+\n"
@@ -194,20 +199,69 @@ def test_arcs_partition_string_links():
             assert covered == list(range(len(comp)))
 
 
+def _closed_stack(p, q):
+    return closure(surgery(stack(p, q)))
+
+
+def _rotate_and_relabel(d, rng):
+    ids = d.crossing_ids()
+    shuffled = ids[:]
+    rng.shuffle(shuffled)
+    relabel = dict(zip(ids, shuffled))
+    comps = []
+    for comp in d.components:
+        comp = tuple(type(p)(relabel[p.crossing], p.role, p.sign) for p in comp)
+        if comp and d.kind == "link":
+            r = rng.randrange(len(comp))
+            comp = comp[r:] + comp[:r]
+        comps.append(comp)
+    return Diagram(tuple(comps), d.kind)
+
+
 def test_canonical_key_invariant_under_rotation_and_relabeling():
     rng = random.Random(15)
-    for _ in range(60):
-        d = random_diagram(rng, max_crossings=8, max_mu=3)
-        ids = d.crossing_ids()
-        shuffled = ids[:]
-        rng.shuffle(shuffled)
-        relabel = dict(zip(ids, shuffled))
-        comps = []
-        for comp in d.components:
-            comp = tuple(type(p)(relabel[p.crossing], p.role, p.sign) for p in comp)
-            if comp:
-                r = rng.randrange(len(comp))
-                comp = comp[r:] + comp[:r]
-            comps.append(comp)
-        other = Diagram(tuple(comps), d.kind)
+    randoms = (random_diagram(rng, max_crossings=8, max_mu=3) for _ in range(60))
+    # 12^4 and 30 * 60 * 30 combinations of basepoint rotations, with many
+    # ties on every component
+    closures = [_closed_stack(build_H(4, 1, 2, 12), build_H(4, 3, 4, 12)),
+                _closed_stack(build_H(3, 1, 2, 30), build_H(3, 2, 3, 30))]
+    for d in itertools.chain(randoms, closures):
+        other = _rotate_and_relabel(d, rng)
         assert same_diagram(d, other)
+
+
+def test_canonical_key_matches_bruteforce():
+    rng = random.Random(16)
+    inputs = [random_diagram(rng, max_crossings=7, max_mu=3, kind=kind)
+              for kind in ("link", "stringlink") for _ in range(150)]
+    for a in (1, 2, 3, -2):
+        inputs.append(_closed_stack(build_H(3, 1, 2, a), build_H(3, 2, 3, a)))
+        inputs.append(_closed_stack(build_H(4, 1, 2, a), build_H(4, 3, 4, a)))
+        inputs.append(_closed_stack(build_H(3, 1, 3, a), build_Hbar(3, 1, 2, 2)))
+        inputs.append(surgery(stack(build_H(3, 1, 2, a), build_H(3, 2, 3, a))))
+    for d in inputs:
+        key = canonical_key(d)
+        assert key == oracles.canonical_key_bruteforce(d)
+        assert key == canonical_key(_rotate_and_relabel(d, rng))
+
+
+@contextmanager
+def _time_limit(seconds):
+    def on_alarm(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_canonical_key_of_many_tied_rotations_is_fast():
+    # 60 tied rotations on each of 4 components: 60^4 combinations
+    d = _closed_stack(build_H(4, 1, 2, 60), build_H(4, 3, 4, 60))
+    rotated = _rotate_and_relabel(d, random.Random(17))
+    with _time_limit(2):
+        assert canonical_key(d) == canonical_key(rotated)
