@@ -9,14 +9,18 @@ The same form serves R_n = Z[t]/(t^n - 1): ``fold`` reduces a polynomial to
 its representative with exponents in [0, n).  ``laurent_minors`` computes
 the minors of every requested size of a sparse Laurent matrix (rows as
 {column: entry}) from one Laplace-expansion memo, over Z[t^+-1] or, given
-n, over R_n; ``laurent_det`` is its single full-size minor.
+n, over R_n; ``laurent_det`` is its single full-size minor.  ``INTEGERS``,
+``LAURENT`` and ``cyclic_ring(n)`` hand unit-pivot elimination its three
+rings: Z, Z[t^+-1] and R_n.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 
 class AlgebraError(ValueError):
@@ -51,25 +55,25 @@ class Laurent:
         self.low = low
         self.coeffs = tuple(data.get(e, 0) for e in range(low, max(data) + 1))
 
-    @classmethod
-    def _raw(cls, low, coeffs):
+    @staticmethod
+    def _raw(low, coeffs):
         """Wrap an already trimmed coefficient tuple."""
-        p = object.__new__(cls)
+        p = object.__new__(Laurent)
         p.low, p.coeffs = low, coeffs
         return p
 
-    @classmethod
-    def _trimmed(cls, low, coeffs):
+    @staticmethod
+    def _trimmed(low, coeffs):
         """Trim zero coefficients from both ends of a list or tuple."""
         hi = len(coeffs)
         while hi and not coeffs[hi - 1]:
             hi -= 1
         if not hi:
-            return cls._raw(0, ())
+            return Laurent._raw(0, ())
         lo = 0
         while not coeffs[lo]:
             lo += 1
-        return cls._raw(low + lo, tuple(coeffs[lo:hi]))
+        return Laurent._raw(low + lo, tuple(coeffs[lo:hi]))
 
     @classmethod
     def zero(cls):
@@ -90,6 +94,9 @@ class Laurent:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     def is_unit(self):
         return len(self.coeffs) == 1 and self.coeffs[0] in (1, -1)
 
@@ -107,26 +114,27 @@ class Laurent:
         i = e - self.low
         return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
-    def _combine(self, other, sign):
-        """self + sign * other."""
+    def _combine(self, other, op):
+        """op(self, other) coefficientwise, op being + or -."""
         a, b = self.coeffs, other.coeffs
         if not b:
             return self
         if not a:
-            return other if sign > 0 else -other
-        low = min(self.low, other.low)
-        out = [0] * (max(self.low + len(a), other.low + len(b)) - low)
-        i = self.low - low
+            return other if op is operator.add else -other
+        la, lb = self.low, other.low
+        low = min(la, lb)
+        out = [0] * (max(la + len(a), lb + len(b)) - low)
+        i = la - low
         out[i:i + len(a)] = a
-        for k, y in enumerate(b, other.low - low):
-            out[k] += sign * y
+        i = lb - low
+        out[i:i + len(b)] = map(op, out[i:i + len(b)], b)
         return Laurent._trimmed(low, out)
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._combine(other, operator.sub)
 
     def __neg__(self):
         return Laurent._raw(self.low, tuple(-c for c in self.coeffs))
@@ -606,6 +614,73 @@ def fold(p, n):
     return Laurent._trimmed(0, poly_residue(p, n))
 
 
+# ---------------------------------------------------------------------------
+# rings for unit-pivot elimination
+
+class Ring(NamedTuple):
+    """A commutative ring as unit-pivot elimination sees it.
+
+    Elements add with ``+`` and are false exactly when zero.  ``is_unit``
+    recognizes the units to pivot on, ``neg_inverse(u)`` is -u^-1 for such
+    a unit, and ``mul`` is the product.
+    """
+
+    is_unit: Callable
+    neg_inverse: Callable
+    mul: Callable
+
+
+def _is_int_unit(a):
+    return a == 1 or a == -1
+
+
+# the units of Z are +-1, each its own inverse
+INTEGERS = Ring(_is_int_unit, operator.neg, operator.mul)
+
+LAURENT = Ring(Laurent.is_unit, lambda u: Laurent._raw(-u.low, (-u.coeffs[0],)),
+               Laurent.__mul__)
+
+
+def cyclic_ring(n):
+    """R_n = Z[t]/(t^n - 1) on folded polynomials (see ``fold``), with the
+    units +-t^a.
+
+    The product of two folded polynomials adds the coefficient products
+    straight into n slots, exponent e going to slot e mod n; a monomial
+    factor c t^a only rotates the other factor by a and scales it by c.
+    """
+    raw, trimmed = Laurent._raw, Laurent._trimmed
+
+    def neg_inverse(u):
+        return raw(-u.low % n, (-u.coeffs[0],))
+
+    def mul(a, b):
+        x, y = a.coeffs, b.coeffs
+        if len(x) > len(y):
+            x, y = y, x
+        # folded factors have exponents below n, so low < 2n - 1
+        low = a.low + b.low
+        if low >= n:
+            low -= n
+        if len(x) == 1:
+            c = x[0]
+            if len(y) == 1:
+                return raw(low, (c * y[0],))
+            if c != 1:
+                y = tuple(c * v for v in y)
+            cut = n - low
+            if len(y) <= cut:
+                return raw(low, y)
+            return trimmed(0, y[cut:] + (0,) * (n - len(y)) + y[:cut])
+        slots = [0] * n
+        for i, c in enumerate(x, low):
+            for k, v in enumerate(y, i):
+                slots[k % n] += c * v
+        return trimmed(0, slots)
+
+    return Ring(Laurent.is_unit, neg_inverse, mul)
+
+
 def _shift_vec(vec):
     return [vec[-1]] + vec[:-1]
 
@@ -657,9 +732,14 @@ def laurent_minors(rows, sizes, n=None):
     smaller minor is computed once.  A minor is kept only while some
     requested size can still be reached from it, which makes a single full
     determinant a walk over column subsets of the bottom rows.  Given n,
-    every product is folded (see ``fold``), so the minors are the images of
-    the Z[t^+-1] minors in R_n.
+    the entries are folded and the products taken in R_n (see
+    ``cyclic_ring``), so the minors are the images of the Z[t^+-1] minors
+    in R_n.
     """
+    mul = Laurent.__mul__
+    if n:
+        mul = cyclic_ring(n).mul
+        rows = [{c: q for c, p in row.items() if (q := fold(p, n))} for row in rows]
     sizes = {s for s in sizes if 0 <= s <= len(rows)}
     out = {}
     level = {((), ()): Laurent.one()}
@@ -668,7 +748,7 @@ def laurent_minors(rows, sizes, n=None):
             # a new first row r leaves room above it for the rows the
             # smallest requested size >= size still needs
             first = min(s for s in sizes if s >= size) - size
-            level = _extend_minors(rows, level, first, n)
+            level = _extend_minors(rows, level, first, mul)
         if size in sizes:
             out.update(level)
         if not level:
@@ -676,7 +756,7 @@ def laurent_minors(rows, sizes, n=None):
     return out
 
 
-def _extend_minors(rows, level, first, n):
+def _extend_minors(rows, level, first, mul):
     """Minors one size up: put a row r >= first above each minor's rows."""
     nxt = {}
     for (rset, cset), minor in level.items():
@@ -686,9 +766,7 @@ def _extend_minors(rows, level, first, n):
                     continue
                 pos = bisect.bisect(cset, col)
                 key = ((r,) + rset, cset[:pos] + (col,) + cset[pos:])
-                term = entry * minor
-                if n:
-                    term = fold(term, n)
+                term = mul(entry, minor)
                 got = nxt.get(key)
                 if pos % 2:
                     nxt[key] = -term if got is None else got - term

@@ -208,70 +208,76 @@ class Arc:
     positions: tuple
 
 
+def _walk_start(kind, comp):
+    """Where to start reading ``comp`` so that each arc is one stretch of
+    the walk: just after the last under-passage of a link component, else
+    at position 0.  A link component's first arc then ends at its first
+    under-passage and its last under-passage ends the walk."""
+    if kind == LINK:
+        for p in range(len(comp) - 1, -1, -1):
+            if comp[p].role == UNDER:
+                return p + 1
+    return 0
+
+
 def arcs(d):
     """Arc decomposition, ordered by component then along the orientation."""
-    return _arc_data(d)[0]
-
-
-def _arc_data(d):
-    """Return (arcs, pos_to_arc, under_out).
-
-    ``pos_to_arc[(c, p)]`` is the index of the arc containing position ``p``;
-    ``under_out[(c, p)]`` is the arc index that begins just after the
-    under-passage at ``p``.
-    """
-    arc_list = []
-    pos_to_arc = {}
-    under_out = {}
+    out = []
     for ci, comp in enumerate(d.components):
-        n = len(comp)
-        unders = [i for i, psg in enumerate(comp) if psg.role == UNDER]
-        if d.kind == STRING_LINK:
-            runs = []
-            prev = -1
-            for u in unders:
-                runs.append(list(range(prev + 1, u + 1)))
-                prev = u
-            runs.append(list(range(prev + 1, n)))
-            for k, run in enumerate(runs):
-                idx = len(arc_list)
-                arc_list.append(Arc(ci, tuple(run)))
-                for p in run:
-                    pos_to_arc[(ci, p)] = idx
-                if k > 0:
-                    under_out[(ci, unders[k - 1])] = idx
-        else:
-            if not unders:
-                idx = len(arc_list)
-                arc_list.append(Arc(ci, tuple(range(n))))
-                for p in range(n):
-                    pos_to_arc[(ci, p)] = idx
-                continue
-            first = len(arc_list)
-            for k, u in enumerate(unders):
-                prev = unders[k - 1] if k > 0 else unders[-1]
+        first = len(out)
+        start = _walk_start(d.kind, comp)
+        run = []
+        for p in [*range(start, len(comp)), *range(start)]:
+            run.append(p)
+            if comp[p].role == UNDER:
+                out.append(Arc(ci, tuple(run)))
                 run = []
-                p = (prev + 1) % n
-                while True:
-                    run.append(p)
-                    if p == u:
-                        break
-                    p = (p + 1) % n
-                idx = len(arc_list)
-                arc_list.append(Arc(ci, tuple(run)))
-                for p in run:
-                    pos_to_arc[(ci, p)] = idx
-            for k, u in enumerate(unders):
-                nxt = first + (k + 1) % len(unders)
-                under_out[(ci, u)] = nxt
-    return arc_list, pos_to_arc, under_out
+        if d.kind == STRING_LINK or len(out) == first:
+            out.append(Arc(ci, tuple(run)))
+    return out
+
+
+def arc_components(d):
+    """The component of every arc, in the order of ``arcs``: a link
+    component has one arc per under-passage (one if it has none), a
+    string-link strand one more."""
+    extra = d.kind == STRING_LINK
+    out = []
+    for ci, comp in enumerate(d.components):
+        unders = sum(psg.role == UNDER for psg in comp)
+        out += [ci] * max(unders + extra, 1)
+    return tuple(out)
 
 
 def crossing_arcs(d):
-    """Per crossing id: (over-arc, under-in arc, under-out arc, sign)."""
-    _, pos_to_arc, under_out = _arc_data(d)
-    return {cid: (pos_to_arc[over], pos_to_arc[under], under_out[under], sign)
-            for cid, (over, under, sign) in d.crossing_table().items()}
+    """Per crossing id, in increasing order: (over-arc, under-in arc,
+    under-out arc, sign), arcs numbered as in ``arcs``.
+
+    One walk labels them: every component is read from its ``_walk_start``
+    and the arc index goes up after each under-passage.  The last
+    under-passage of a link component leads back into its first arc; a
+    string-link strand ends in one more arc, as does a link component with
+    no under-passage (its only arc).
+    """
+    over, under, out, sign = {}, {}, {}, {}
+    arc = 0
+    for comp in d.components:
+        first = arc
+        start = _walk_start(d.kind, comp)
+        for psg in comp[start:] + comp[:start]:
+            cid = psg.crossing
+            if psg.role == UNDER:
+                under[cid] = arc
+                arc += 1
+                out[cid] = arc
+                sign[cid] = psg.sign
+            else:
+                over[cid] = arc
+        if d.kind == LINK and arc > first:
+            out[cid] = first
+        else:
+            arc += 1
+    return {cid: (over[cid], under[cid], out[cid], sign[cid]) for cid in sorted(sign)}
 
 
 def linking_matrix(d):

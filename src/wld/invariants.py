@@ -22,9 +22,9 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import diagram as dg
-from .algebra import (AlgebraError, Laurent, cyclic_reduce, fold,
-                      free_reduce, laurent_minors, poly_gcd, snf,
-                      word_inverse)
+from .algebra import (INTEGERS, LAURENT, AlgebraError, Laurent, cyclic_reduce,
+                      cyclic_ring, fold, free_reduce, laurent_minors, poly_gcd,
+                      snf, word_inverse)
 
 linking_matrix = dg.linking_matrix
 
@@ -53,9 +53,8 @@ def welded_group(d):
     classical crossing.  Each relator conjugates the under-in arc into the
     under-out arc, so the arcs of one component are conjugate and
     ``components`` records each arc's component."""
-    arcs = dg.arcs(d)
     relators = []
-    for cid, (y, x, z, sign) in sorted(dg.crossing_arcs(d).items()):
+    for y, x, z, sign in dg.crossing_arcs(d).values():
         if sign > 0:
             word = ((z, -1), (y, 1), (x, 1), (y, -1))
         else:
@@ -63,34 +62,39 @@ def welded_group(d):
         word = free_reduce(word)
         if word:
             relators.append(word)
-    return GroupPresentation(len(arcs), tuple(relators), WELDED,
-                             tuple(arc.component for arc in arcs))
+    components = dg.arc_components(d)
+    return GroupPresentation(len(components), tuple(relators), WELDED, components)
 
 
 def core_group(d):
     """Unoriented core presentation: relator y x^-1 y z^-1 per crossing,
     independent of crossing signs and of component orientations.  Arcs of
     one component need not be conjugate here, so ``components`` is empty."""
-    arcs = dg.arcs(d)
     relators = []
-    for cid, (y, x, z, _sign) in sorted(dg.crossing_arcs(d).items()):
+    for y, x, z, _sign in dg.crossing_arcs(d).values():
         word = free_reduce(((y, 1), (x, -1), (y, 1), (z, -1)))
         if word:
             relators.append(word)
-    return GroupPresentation(len(arcs), tuple(relators), CORE)
+    return GroupPresentation(len(dg.arc_components(d)), tuple(relators), CORE)
 
 
 def abelianization(p):
-    """(free rank, invariant factors > 1) of the abelianized presentation."""
+    """(free rank, invariant factors > 1) of the abelianized presentation.
+
+    The relation matrix is eliminated on sparse rows over Z first (see
+    ``_pivot_reduce``); only what is left goes to the dense ``snf``, and each
+    pivot stands for one invariant factor 1.
+    """
     rows = []
     for rel in p.relators:
-        row = [0] * p.ngens
+        row = {}
         for g, e in rel:
-            row[g] += e
-        rows.append(row)
-    factors = snf(rows)
-    free_rank = p.ngens - len(factors)
-    return free_rank, tuple(f for f in factors if f > 1)
+            row[g] = row.get(g, 0) + e
+        rows.append({g: e for g, e in row.items() if e})
+    reduced, pivots = _pivot_reduce(rows, INTEGERS)
+    cols = sorted({c for row in reduced for c in row})
+    factors = snf([[row.get(c, 0) for c in cols] for row in reduced])
+    return p.ngens - pivots - len(factors), tuple(f for f in factors if f > 1)
 
 
 # ---------------------------------------------------------------------------
@@ -111,79 +115,101 @@ def _alexander_rows(d, n=None):
     entries of coinciding arcs summed; it cancels exactly when all three
     arcs coincide (a trivial relator), and is then left out.  Given n, the
     entries are folded into R_n (see ``fold``)."""
-    arc_list, pos_to_arc, under_out = dg._arc_data(d)
     entries = {sign: tuple(fold(p, n) for p in ps) if n else ps
                for sign, ps in _FOX_ENTRIES.items()}
     rows = []
-    for over, under, sign in d.crossing_table().values():
-        y, x, z = pos_to_arc[over], pos_to_arc[under], under_out[under]
-        if x == y == z:
-            continue
-        row = {}
-        for arc, entry in zip((x, z, y), entries[sign]):
-            row[arc] = row[arc] + entry if arc in row else entry
-        rows.append({arc: p for arc, p in row.items() if p.coeffs})
-    return rows, len(arc_list)
+    for y, x, z, sign in dg.crossing_arcs(d).values():
+        ex, ez, ey = entries[sign]
+        # ex and ez are units; ey folds to 0 in R_1 only
+        if x != z and y != x and y != z and ey:
+            rows.append({x: ex, z: ez, y: ey})
+        elif not x == y == z:
+            row = {}
+            for arc, entry in ((x, ex), (z, ez), (y, ey)):
+                row[arc] = row[arc] + entry if arc in row else entry
+            rows.append({arc: p for arc, p in row.items() if p})
+    return rows, len(dg.arc_components(d))
 
 
-def _pivot_reduce(rows, n=None):
-    """Eliminate unit entries +-t^a of sparse rows {column: entry}.
+def _pivot_reduce(rows, ring):
+    """Eliminate the unit entries of sparse rows {column: entry} over ``ring``.
 
-    Clearing a unit pivot trades the ideal of s-minors for the ideal of
-    (s-1)-minors of the complement, so the returned (rows, pivots) carries
-    the elementary ideals of the input, whose rows it consumes.  Given n,
-    products are folded into R_n, where +-t^a is still a unit.  Pivots go by
-    least fill, (row entries - 1) * (column entries - 1), kept lazily in a
-    heap: a popped unit whose fill has grown goes back with the new fill,
-    and a pivot pushes only the entries it rewrote into units.  All-zero
-    rows are dropped; the columns left keep their labels.
+    The ring contract (``algebra.Ring``): a commutative ring whose elements
+    add with ``+`` and are false exactly when zero, given by ``is_unit``
+    (the entries to pivot on), ``neg_inverse(u)`` = -u^-1 and the product
+    ``mul``.  The instances are ``INTEGERS`` (units +-1), ``LAURENT``
+    (Z[t^+-1], units +-t^a) and ``cyclic_ring(n)`` (R_n = Z[t]/(t^n - 1) on
+    folded polynomials, units +-t^a).
+
+    Why a pivot keeps the answer: at a unit u in row i, column j, adding
+    e * (-u^-1) times row i to every row r with entry e in column j clears
+    the rest of column j; column operations, which then touch row i only,
+    clear the rest of row i.  Both are invertible over the ring, so the
+    matrix is equivalent to the block matrix diag(u, M'), with M' the other
+    rows without column j.  Equivalent matrices have equal ideals of
+    s-minors (Fitting ideals), and for diag(u, M') that ideal is the one of
+    the (s-1)-minors of M': every s-minor is u times an (s-1)-minor of M',
+    an s-minor of M' (in that ideal by Laplace expansion), or 0.  So the
+    returned (rows, pivots) carries the elementary ideals of the input,
+    whose rows it consumes: its s-minors generate the ideal of the input's
+    (s + pivots)-minors.  Over Z, equivalent matrices share their Smith
+    form, and that of diag(+-1, M') is the Smith form of M' with one more
+    factor 1.
+
+    Pivots go by least fill, (row entries - 1) * (column entries - 1), kept
+    lazily in a heap: a popped unit whose fill has grown goes back with the
+    new fill, and a pivot pushes only the entries it rewrote into units.
+    All-zero rows are dropped; the columns left keep their labels.
     """
+    is_unit, neg_inverse, mul = ring
     live = {i: row for i, row in enumerate(rows) if row}
     in_col = {}
     for i, row in live.items():
         for j in row:
             in_col.setdefault(j, set()).add(i)
-
-    def fill(i, j):
-        return (len(live[i]) - 1) * (len(in_col[j]) - 1)
-
-    def mul(a, b):
-        return fold(a * b, n) if n else a * b
-
-    heap = [(fill(i, j), i, j) for i, row in live.items() for j, p in row.items()
-            if p.is_unit()]
+    heap = [((len(row) - 1) * (len(in_col[j]) - 1), i, j)
+            for i, row in live.items() for j, p in row.items() if is_unit(p)]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     pivots = 0
     while heap:
-        old_fill, i, j = heapq.heappop(heap)
-        row = live.get(i)
-        if row is None or j not in row or not row[j].is_unit():
+        old_fill, i, j = pop(heap)
+        prow = live.get(i)
+        if prow is None:
             continue
-        now = fill(i, j)
+        unit = prow.get(j)
+        if unit is None or not is_unit(unit):
+            continue
+        col = in_col[j]
+        now = (len(prow) - 1) * (len(col) - 1)
         if now > old_fill:
-            heapq.heappush(heap, (now, i, j))
+            push(heap, (now, i, j))
             continue
-        prow = live.pop(i)
-        unit = prow.pop(j)
-        # row r gains its entry e in column j times the pivot row over -unit
-        neg_inverse = Laurent.monomial(-unit.coeffs[0], -unit.low)
-        prow = {c: mul(b, neg_inverse) for c, b in prow.items()}
+        del live[i], in_col[j], prow[j]
+        col.discard(i)
         for c in prow:
             in_col[c].discard(i)
-        for r in in_col.pop(j) - {i}:
+        # row r gains its entry e in column j over -unit times the pivot row
+        factor = neg_inverse(unit)
+        for r in col:
             row = live[r]
-            e = row.pop(j)
+            e = mul(row.pop(j), factor)
             for c, b in prow.items():
                 old = row.get(c)
-                new = mul(e, b) if old is None else old + mul(e, b)
-                if new.coeffs:
-                    row[c] = new
+                if old is None:
+                    new = mul(e, b)
+                    if not new:
+                        continue
                     in_col[c].add(r)
-                    if new.is_unit():
-                        heapq.heappush(heap, (fill(r, c), r, c))
                 else:
-                    del row[c]
-                    in_col[c].discard(r)
+                    new = old + mul(e, b)
+                    if not new:
+                        del row[c]
+                        in_col[c].discard(r)
+                        continue
+                row[c] = new
+                if is_unit(new):
+                    push(heap, ((len(row) - 1) * (len(in_col[c]) - 1), r, c))
             if not row:
                 del live[r]
         pivots += 1
@@ -196,18 +222,17 @@ def elementary_ideals(d, kmax, n=None):
     E^k is the ideal of (g-k)-minors of the Alexander matrix: the whole ring
     when g-k <= 0 and the zero ideal when g-k exceeds the relator count.
     Returned lists generate the same ideals as the full minor sets: unit
-    pivots are eliminated first, and the minors of every size needed come
-    from one ``laurent_minors`` memo.
+    pivots are eliminated first (see ``_pivot_reduce``), and the minors of
+    every size needed come from one ``laurent_minors`` memo.
 
     Given n, the lists hold folded polynomials generating the images of the
     E^k in R_n = Z[t]/(t^n - 1).  Determinants commute with the ring map
-    Z[t^+-1] -> R_n, so the folded minors of the folded matrix are the
-    images of the minors, which generate the image of E^k (Fitting ideals
-    commute with base change); +-t^a stays a unit in R_n, so eliminating
-    it there is sound.
+    Z[t^+-1] -> R_n, so the minors of the folded matrix are the images of
+    the minors, which generate the image of E^k (Fitting ideals commute
+    with base change); both the elimination and the minors run in R_n.
     """
     rows, g = _alexander_rows(d, n)
-    reduced, pivots = _pivot_reduce(rows, n)
+    reduced, pivots = _pivot_reduce(rows, cyclic_ring(n) if n else LAURENT)
     # size 0 yields the 0 x 0 minor 1, the whole ring; a size beyond the
     # rows left yields no minor, the zero ideal, as g - k > len(rows) does
     sizes = [max(g - k - pivots, 0) for k in range(kmax + 1)]

@@ -2,15 +2,17 @@
 
 These deliberately avoid the library's own algorithms: Smith invariants via
 the minor-gcd characterization, lattice equality via gcds of maximal minors,
-colorings by exhaustive enumeration, and elementary ideals by enumerating
-every minor of the raw Alexander matrix, and the canonical key by trying
-every combination of basepoint rotations.
+arcs as explicit runs between under-passages with position maps, Alexander
+rows as Fox derivatives of the Wirtinger relators over those runs, colorings
+by exhaustive enumeration, elementary ideals by enumerating every minor of
+the raw Alexander matrix, and the canonical key by trying every combination
+of basepoint rotations.
 """
 
 import itertools
 
 from wld.algebra import Laurent, fox_row
-from wld.diagram import STRING_LINK, arcs, crossing_arcs
+from wld.diagram import STRING_LINK, UNDER
 
 
 def int_det(matrix):
@@ -138,10 +140,131 @@ def is_hnf(rows):
     return True
 
 
+def arc_data_reference(d):
+    """(arcs, pos_to_arc, under_out) from explicit runs.
+
+    ``arcs`` lists (component, positions) runs: on a link component, the
+    positions from just after one under-passage up to and including the
+    next (all positions, in order, when there is none); on a string-link
+    strand, the runs up to each under-passage and a trailing run to the top
+    (possibly empty).  ``pos_to_arc[(c, p)]`` is the arc holding position p
+    of component c, and ``under_out[(c, p)]`` the arc that begins just
+    after the under-passage at p.
+    """
+    arc_list = []
+    pos_to_arc = {}
+    under_out = {}
+    for ci, comp in enumerate(d.components):
+        n = len(comp)
+        unders = [i for i, psg in enumerate(comp) if psg.role == UNDER]
+        if d.kind == STRING_LINK:
+            runs = []
+            prev = -1
+            for u in unders:
+                runs.append(list(range(prev + 1, u + 1)))
+                prev = u
+            runs.append(list(range(prev + 1, n)))
+            for k, run in enumerate(runs):
+                idx = len(arc_list)
+                arc_list.append((ci, tuple(run)))
+                for p in run:
+                    pos_to_arc[(ci, p)] = idx
+                if k > 0:
+                    under_out[(ci, unders[k - 1])] = idx
+        else:
+            if not unders:
+                idx = len(arc_list)
+                arc_list.append((ci, tuple(range(n))))
+                for p in range(n):
+                    pos_to_arc[(ci, p)] = idx
+                continue
+            first = len(arc_list)
+            for k, u in enumerate(unders):
+                prev = unders[k - 1] if k > 0 else unders[-1]
+                run = []
+                p = (prev + 1) % n
+                while True:
+                    run.append(p)
+                    if p == u:
+                        break
+                    p = (p + 1) % n
+                idx = len(arc_list)
+                arc_list.append((ci, tuple(run)))
+                for p in run:
+                    pos_to_arc[(ci, p)] = idx
+            for k, u in enumerate(unders):
+                under_out[(ci, u)] = first + (k + 1) % len(unders)
+    return arc_list, pos_to_arc, under_out
+
+
+def crossing_arcs_reference(d):
+    """Per crossing id, increasing: (over-arc, under-in arc, under-out arc,
+    sign), read off the position maps of ``arc_data_reference``."""
+    _, pos_to_arc, under_out = arc_data_reference(d)
+    over, under, sign = {}, {}, {}
+    for ci, comp in enumerate(d.components):
+        for p, psg in enumerate(comp):
+            (under if psg.role == UNDER else over)[psg.crossing] = (ci, p)
+            sign[psg.crossing] = psg.sign
+    return {cid: (pos_to_arc[over[cid]], pos_to_arc[under[cid]],
+                  under_out[under[cid]], sign[cid]) for cid in sorted(sign)}
+
+
+def _fox_row_by_definition(word):
+    """{generator: Laurent} with every generator sent to t: a letter g^e
+    after a prefix of exponent sum s adds t^s to column g when e = 1 and
+    -t^(s-1) when e = -1."""
+    cells = {}
+    s = 0
+    for g, e in word:
+        if e == 1:
+            cells.setdefault(g, []).append((s, 1))
+        else:
+            cells.setdefault(g, []).append((s - 1, -1))
+        s += e
+    return {g: Laurent(terms) for g, terms in cells.items()}
+
+
+def _freely_trivial(word):
+    out = []
+    for g, e in word:
+        if out and out[-1] == (g, -e):
+            out.pop()
+        else:
+            out.append((g, e))
+    return not out
+
+
+def alexander_rows_reference(d, n=None):
+    """(rows, g) as ``invariants._alexander_rows`` documents them: per
+    crossing in id order whose Wirtinger relator (z^-1 y x y^-1 at a
+    positive crossing, z^-1 y^-1 x y at a negative one) is not freely
+    trivial, its Fox row times t (positive) or t^2 (negative), zero entries
+    left out; given n, every entry reduced by ``fold_bruteforce``."""
+    rows = []
+    for y, x, z, sign in crossing_arcs_reference(d).values():
+        if sign > 0:
+            word = ((z, -1), (y, 1), (x, 1), (y, -1))
+        else:
+            word = ((z, -1), (y, -1), (x, 1), (y, 1))
+        if _freely_trivial(word):
+            continue
+        unit = Laurent([(1 if sign > 0 else 2, 1)])
+        row = {}
+        for g, p in _fox_row_by_definition(word).items():
+            p = p * unit
+            if n:
+                p = fold_bruteforce(p, n)
+            if not p.is_zero():
+                row[g] = p
+        rows.append(row)
+    return rows, len(arc_data_reference(d)[0])
+
+
 def colorings_exhaustive(d, n):
     """Count maps arcs -> Z/n with 2y = x + z at every crossing."""
-    narcs = len(arcs(d))
-    table = crossing_arcs(d)
+    narcs = len(arc_data_reference(d)[0])
+    table = crossing_arcs_reference(d)
     count = 0
     for assignment in itertools.product(range(n), repeat=narcs):
         if all((2 * assignment[y] - assignment[x] - assignment[z]) % n == 0

@@ -6,8 +6,8 @@ import pytest
 from wld.algebra import (Laurent, fox_row, ideal_equal_mod, ideal_mod,
                          parse_poly, poly_gcd)
 from wld.classify import named
-from wld.diagram import (LINK, STRING_LINK, Diagram, crossing_arcs,
-                         linking_matrix, parse, random_diagram)
+from wld.diagram import (LINK, STRING_LINK, Diagram, arc_components, arcs,
+                         crossing_arcs, linking_matrix, parse, random_diagram)
 from wld.invariants import (GroupPresentation, GroupTableError, WELDED,
                             _alexander_rows, abelianization, alexander,
                             alexander_polynomials,
@@ -154,6 +154,31 @@ def test_alexander_rows_are_fox_rows_times_a_unit():
             (True, True, True)} <= shapes
 
 
+def test_crossing_arcs_and_alexander_rows_match_run_reference():
+    rng = random.Random(41)
+    diagrams = [random_diagram(rng, max_crossings=rng.randint(0, 9), max_mu=4, kind=kind)
+                for kind in (LINK, STRING_LINK) for _ in range(160)]
+    diagrams += [parse("component:\n"), parse("component: O1+\ncomponent: U1+\n"),
+                 Diagram(((), ()), STRING_LINK), named("h-closure:3,1,2,2")]
+    seen = set()
+    for d in diagrams:
+        ref_arcs, _, _ = oracles.arc_data_reference(d)
+        assert [(a.component, a.positions) for a in arcs(d)] == ref_arcs
+        assert arc_components(d) == tuple(c for c, _ in ref_arcs)
+        assert crossing_arcs(d) == oracles.crossing_arcs_reference(d)
+        for n in (None, 2, 3, 5, 7):
+            assert _alexander_rows(d, n) == oracles.alexander_rows_reference(d, n)
+        for comp in d.components:
+            unders = sum(psg.role == "U" for psg in comp)
+            seen.add("empty component" if not comp else
+                     "no under-passage" if not unders else None)
+        if d.kind == STRING_LINK:
+            seen.update("passage-free trailing arc" if not comp or comp[-1].role == "U"
+                        else "trailing arc with passages" for comp in d.components)
+    assert {"empty component", "no under-passage", "passage-free trailing arc",
+            "trailing arc with passages"} <= seen
+
+
 def test_folded_elementary_ideals_match_bruteforce_images():
     rng = random.Random(26)
     mus = set()
@@ -288,6 +313,33 @@ def test_coloring_count_matches_exhaustive():
             continue
         for n in range(2, 6):
             assert coloring_count(d, n) == oracles.colorings_exhaustive(d, n)
+
+
+def test_coloring_count_at_400_crossings_within_budget():
+    # the core relation matrix is 400 x 400; +-1 pivots on sparse rows leave
+    # a small remainder for the dense Smith form, which took seconds on the
+    # whole matrix
+    expand = [make_kind("r1", direction=EXPAND), make_kind("r2", direction=EXPAND),
+              make_kind("r3"), make_kind("oc")]
+    rng = random.Random(11)
+    d = named("figure8")
+    while d.crossing_count < 400:
+        kinds = expand if 400 - d.crossing_count >= 2 else expand[:1]
+        d = scramble(d, kinds, 1, rng.randrange(1 << 30))
+    assert d.crossing_count == 400
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("coloring_count still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        count = coloring_count(d, 3)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    # welded moves keep the figure-eight's three colorings
+    assert count == coloring_count(named("figure8"), 3) == 3
 
 
 def test_coloring_count_multiple_of_n():

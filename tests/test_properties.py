@@ -1,0 +1,75 @@
+"""Hypothesis property tests.
+
+Every test runs a bounded number of examples from a derandomized search, so
+the suite stays deterministic.  Diagrams are drawn through a Hypothesis
+controlled ``random.Random`` handed to ``random_diagram``.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wld.algebra import ideal_mod, snf
+from wld.diagram import LINK, STRING_LINK, random_diagram
+from wld.invariants import GroupPresentation, abelianization, elementary_ideals
+from wld.moves import make_kind, scramble
+
+import oracles
+
+WELDED = [make_kind("r1"), make_kind("r2"), make_kind("r3"), make_kind("oc")]
+
+
+def _diagrams(kinds=(LINK,), max_crossings=6, max_mu=3):
+    return st.builds(
+        lambda rng, crossings, mu, kind: random_diagram(rng, crossings, mu, kind),
+        st.randoms(use_true_random=False), st.integers(0, max_crossings),
+        st.integers(1, max_mu), st.sampled_from(kinds))
+
+
+def _matrices(max_rows, max_cols, entries):
+    return st.integers(1, max_rows).flatmap(lambda m: st.integers(1, max_cols).flatmap(
+        lambda k: st.lists(st.lists(entries, min_size=k, max_size=k),
+                           min_size=m, max_size=m)))
+
+
+def _presentation(mat):
+    """A presentation whose abelianized relation matrix is ``mat``."""
+    relators = tuple(tuple((j, 1 if a > 0 else -1) for j, a in enumerate(row)
+                           for _ in range(abs(a))) for row in mat)
+    return GroupPresentation(len(mat[0]), relators)
+
+
+def _abelianization_from(factors, ngens):
+    return ngens - len(factors), tuple(f for f in factors if f > 1)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_diagrams(), st.sampled_from((2, 3, 4, 5)), st.integers(1, 12),
+       st.integers(0, 10 ** 6))
+def test_folded_ideals_are_invariant_under_vn_scrambles(d, n, steps, seed):
+    s = scramble(d, WELDED + [make_kind("v^n", n)], steps, seed)
+    before = [ideal_mod(gens, n) for gens in elementary_ideals(d, 2, n)]
+    after = [ideal_mod(gens, n) for gens in elementary_ideals(s, 2, n)]
+    assert before == after
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(_diagrams((LINK, STRING_LINK), max_crossings=8), st.integers(1, 7))
+def test_ideals_in_r_n_are_images_of_the_laurent_ideals(d, n):
+    folded = elementary_ideals(d, 3, n)
+    unfolded = elementary_ideals(d, 3)
+    for k in range(4):
+        assert ideal_mod(folded[k], n) == ideal_mod(unfolded[k], n)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices(4, 4, st.integers(-3, 3)))
+def test_z_elimination_then_snf_matches_the_minor_oracle(mat):
+    assert abelianization(_presentation(mat)) == _abelianization_from(
+        oracles.snf_by_minors(mat), len(mat[0]))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_matrices(12, 12, st.sampled_from((0, 0, 0, 1, -1, 1, -1, 2, -2, 3, 5))))
+def test_z_elimination_then_snf_matches_dense_snf(mat):
+    assert abelianization(_presentation(mat)) == _abelianization_from(
+        snf(mat), len(mat[0]))
