@@ -415,24 +415,6 @@ def abelianize_t(terms):
     return Laurent(out)
 
 
-def fox_row(word, ngens):
-    """Abelianized Fox derivative row of a relator, all generators -> t."""
-    cells = {}
-    e = 0
-    for g, ex in free_reduce(word):
-        cell = cells.setdefault(g, {})
-        if ex == 1:
-            cell[e] = cell.get(e, 0) + 1
-            e += 1
-        else:
-            e -= 1
-            cell[e] = cell.get(e, 0) - 1
-    row = [Laurent.zero()] * ngens
-    for g, cell in cells.items():
-        row[g] = Laurent(cell)
-    return row
-
-
 # ---------------------------------------------------------------------------
 # integer matrices: Hermite and Smith normal forms
 

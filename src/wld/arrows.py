@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .classify import _parallel_residues, _twist_residues
 from .diagram import (OVER, STRING_LINK, UNDER, Diagram, DiagramError,
-                      ParseError, Passage)
+                      ParseError, Passage, closure)
+from .diagram import parse as parse_diagram
 from .moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
                     _adjacent_pairs, find_sites)
 from .moves import apply as apply_move
@@ -98,10 +100,6 @@ class WArrowPresentation:
     @property
     def mu(self):
         return len(self.strands)
-
-    @property
-    def base(self):
-        return Diagram(tuple(() for _ in self.strands), self.kind)
 
     @property
     def sign_map(self):
@@ -227,7 +225,6 @@ def parse_presentation(text):
             base_lines.append(line)
     if not header_seen:
         raise ParseError("presentation text must start with 'arrows'")
-    from .diagram import parse as parse_diagram
     base = parse_diagram("\n".join(base_lines))
     if base.crossing_count:
         raise ParseError("presentation base must be crossing-free")
@@ -397,13 +394,7 @@ def normalize_vn(p, n):
         raise DiagramError("normalize_vn needs odd n >= 1")
     if p.kind != STRING_LINK:
         raise DiagramError("normalize_vn expects a string-link presentation")
-    from .diagram import closure, linking_matrix
-    lam = linking_matrix(closure(surgery(p)))
-    out = {}
-    for i in range(1, p.mu + 1):
-        for j in range(i + 1, p.mu + 1):
-            out[(i, j)] = (lam[i - 1][j - 1] + lam[j - 1][i - 1]) % n
-    return out
+    return _twist_residues(closure(surgery(p)), n)
 
 
 def normalize_vn_uc(p, n):
@@ -413,11 +404,6 @@ def normalize_vn_uc(p, n):
         raise DiagramError("normalize_vn_uc needs n >= 1")
     if p.kind != STRING_LINK:
         raise DiagramError("normalize_vn_uc expects a string-link presentation")
-    from .diagram import closure, linking_matrix
-    lam = linking_matrix(closure(surgery(p)))
-    a_mat, b_mat = {}, {}
-    for i in range(1, p.mu + 1):
-        for j in range(i + 1, p.mu + 1):
-            a_mat[(i, j)] = lam[i - 1][j - 1] % n
-            b_mat[(i, j)] = lam[j - 1][i - 1] % n
-    return a_mat, b_mat
+    res = _parallel_residues(closure(surgery(p)), n)
+    pairs = [(i, j) for i, j in res if i < j]
+    return {(i, j): res[i, j] for i, j in pairs}, {(i, j): res[j, i] for i, j in pairs}

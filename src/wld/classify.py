@@ -104,9 +104,8 @@ def decide_vn(left, right, n, any_order=False):
         return _best_over_orders(left, right, n, decide_vn)
     if left.mu != right.mu:
         return EquivalenceVerdict(RELATION_VN, n, False, ())
-    return _compare_residues(RELATION_VN, n, left, right,
-                             itertools.combinations(range(left.mu), 2),
-                             lambda lam, i, j: lam[i][j] + lam[j][i])
+    return _compare_residues(RELATION_VN, n, _twist_residues(left, n),
+                             _twist_residues(right, n))
 
 
 def decide_vn_uc(left, right, n, any_order=False):
@@ -119,17 +118,29 @@ def decide_vn_uc(left, right, n, any_order=False):
         return _best_over_orders(left, right, n, decide_vn_uc)
     if left.mu != right.mu:
         return EquivalenceVerdict(RELATION_VN_UC, n, False, ())
-    return _compare_residues(RELATION_VN_UC, n, left, right,
-                             itertools.permutations(range(left.mu), 2),
-                             lambda lam, i, j: lam[i][j])
+    return _compare_residues(RELATION_VN_UC, n, _parallel_residues(left, n),
+                             _parallel_residues(right, n))
 
 
-def _compare_residues(relation, n, left, right, pairs, residue):
-    """Verdict comparing residue(lambda, i, j) mod n of both diagrams over
-    the 0-based component pairs."""
-    lam_l, lam_r = linking_matrix(left), linking_matrix(right)
-    residues = tuple(((i + 1, j + 1), residue(lam_l, i, j) % n, residue(lam_r, i, j) % n)
-                     for i, j in pairs)
+def _twist_residues(d, n):
+    """{(i, j): (lambda_ij + lambda_ji) mod n} over 1-based i < j: what
+    ``decide_vn`` compares for odd n."""
+    lam = linking_matrix(d)
+    return {(i + 1, j + 1): (lam[i][j] + lam[j][i]) % n
+            for i, j in itertools.combinations(range(d.mu), 2)}
+
+
+def _parallel_residues(d, n):
+    """{(i, j): lambda_ij mod n} over ordered 1-based pairs: what
+    ``decide_vn_uc`` compares."""
+    lam = linking_matrix(d)
+    return {(i + 1, j + 1): lam[i][j] % n
+            for i, j in itertools.permutations(range(d.mu), 2)}
+
+
+def _compare_residues(relation, n, left, right):
+    """Verdict comparing two residue maps over the same pairs."""
+    residues = tuple((pair, a, right[pair]) for pair, a in left.items())
     return EquivalenceVerdict(relation, n, all(a == b for _, a, b in residues), residues)
 
 

@@ -10,6 +10,7 @@ by R1, R2, R3 and OC alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 LINK = "link"
 STRING_LINK = "stringlink"
@@ -31,8 +32,7 @@ class ParseError(DiagramError):
         super().__init__(message)
 
 
-@dataclass(frozen=True, order=True)
-class Passage:
+class Passage(NamedTuple):
     """One visit of a component through a classical crossing."""
 
     crossing: int
@@ -69,7 +69,7 @@ class Diagram:
             for psg in comp:
                 if not isinstance(psg, Passage):
                     raise DiagramError(f"not a passage: {psg!r}")
-                cid, role, sign = psg.crossing, psg.role, psg.sign
+                cid, role, sign = psg
                 if cid < 1:
                     raise DiagramError(f"crossing ids must be positive, got {cid}")
                 if role not in (OVER, UNDER):
@@ -319,14 +319,17 @@ def canonical_key(d):
     words = []
     choices = [{}]
     for comp, ahead in zip(comps, later):
+        # the rotations read every passage n times, and a plain tuple unpacks
+        # faster than a Passage
+        comp = tuple(map(tuple, comp))
         n = len(comp)
         rotations = range(1 if d.kind == STRING_LINK or n <= 1 else n)
         best, kept = None, {}
         for labels in choices:
             for r in rotations:
                 lab = labels.copy()
-                word = tuple((psg.role, psg.sign, lab.setdefault(psg.crossing, len(lab)))
-                             for psg in comp[r:] + comp[:r])
+                word = tuple((role, sign, lab.setdefault(cid, len(lab)))
+                             for cid, role, sign in comp[r:] + comp[:r])
                 if best is None or word < best:
                     best, kept = word, {}
                 if word == best:

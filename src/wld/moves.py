@@ -42,6 +42,11 @@ passage; the r2 flag tells whether strand 2 meets the two crossings in
 strand 1's order; the V(n) variant names the strand that is over at the
 first crossing.  A kind built directly with n = 1, as the arrow calculus
 does, keeps the block formats.
+
+Each rule is stated once: one count of a component's adjacent pairs and
+one of its gaps, one splice for both directions of an even twist, one
+dispatch on the direction (``_rule``), and an R3 table closed, in integer
+data, from the one triangle of the braid relation.
 """
 
 from __future__ import annotations
@@ -133,31 +138,27 @@ class MoveSite(tuple):
 # ---------------------------------------------------------------------------
 # position helpers
 
-def _adjacent_pairs(d, ci):
-    """(p, p_next) index pairs along component ci, honoring cyclicity.
+def _pair_count(d, ci):
+    """The number of adjacent pairs on component ci, each named by its first
+    position: every position of a link component longer than two, all but
+    the last elsewhere.  A cyclic component of length two has a single
+    unordered adjacency, not two."""
+    n = len(d.components[ci])
+    return n if d.kind == LINK and n > 2 else max(n - 1, 0)
 
-    A cyclic component of length two has a single unordered adjacency, not
-    two, so the wrap pair is dropped there.
-    """
-    comp = d.components[ci]
-    n = len(comp)
-    if n < 2:
-        return []
-    if d.kind == STRING_LINK:
-        return [(p, p + 1) for p in range(n - 1)]
-    if n == 2:
-        return [(0, 1)]
-    return [(p, (p + 1) % n) for p in range(n)]
+
+def _adjacent_pairs(d, ci):
+    """(p, p_next) index pairs along component ci, honoring cyclicity."""
+    n = len(d.components[ci])
+    return [(p, (p + 1) % n) for p in range(_pair_count(d, ci))]
 
 
 def _pair(d, ci, p):
     """The position after p on component ci if ``_adjacent_pairs`` lists
     that pair, else None."""
-    if not 0 <= ci < d.mu:
+    if not (0 <= ci < d.mu and 0 <= p < _pair_count(d, ci)):
         return None
-    n = len(d.components[ci])
-    last = n if d.kind == LINK and n > 2 else n - 1
-    return (p + 1) % n if 0 <= p < last else None
+    return (p + 1) % len(d.components[ci])
 
 
 def _run(d, ci, start, roles):
@@ -181,22 +182,21 @@ def _run(d, ci, start, roles):
     return positions, ids
 
 
-def _gaps(d, ci):
+def _gap_count(d, ci):
+    """The number of gaps on component ci: one before each position, plus
+    one after the last on a string link; an empty link component has one."""
     n = len(d.components[ci])
-    if d.kind == STRING_LINK:
-        return list(range(n + 1))
-    return list(range(n)) if n else [0]
+    return n + 1 if d.kind == STRING_LINK else max(n, 1)
 
 
 def _all_gaps(d):
-    return [(ci, g) for ci in range(d.mu) for g in _gaps(d, ci)]
+    return [(ci, g) for ci in range(d.mu) for g in range(_gap_count(d, ci))]
 
 
 def _check_gap(d, ci, gap):
     if not 0 <= ci < d.mu:
         raise MoveError(f"no component {ci}")
-    n = len(d.components[ci])
-    if not 0 <= gap < (n + 1 if d.kind == STRING_LINK else max(n, 1)):
+    if not 0 <= gap < _gap_count(d, ci):
         raise MoveError(f"gap {gap} out of range on component {ci}")
 
 
@@ -324,7 +324,7 @@ def _expand(d, kind, data):
     block2 = [Passage(p.crossing, _OPPOSITE[p.role], p.sign)
               for p in (block1[::-1] if backwards else block1)]
     if _splices(kind):
-        return _splice(d, (c1, g1), (c2, g2), block1, block2)
+        return d.with_components(_splice(d.components, (c1, g1), (c2, g2), block1, block2))
     return d.with_components(_insert_two(d.components, (c1, g1, block1), (c2, g2, block2)))
 
 
@@ -364,10 +364,11 @@ def _block_sites(d, kind):
     return out
 
 
-def _splice(d, gap_a, gap_b, block_a, block_b):
-    """Insert blocks at two cut points and reconnect the strands crosswise."""
+def _splice(components, gap_a, gap_b, block_a, block_b):
+    """Insert blocks at two cut points and reconnect the strands crosswise.
+    Returns new component lists."""
     (ca, ga), (cb, gb) = gap_a, gap_b
-    comps = [list(c) for c in d.components]
+    comps = [list(c) for c in components]
     if ca != cb:
         sa, sb = comps[ca], comps[cb]
         wa = sa[ga:] + sa[:ga]
@@ -376,7 +377,7 @@ def _splice(d, gap_a, gap_b, block_a, block_b):
         lo, hi = min(ca, cb), max(ca, cb)
         comps[lo] = merged
         del comps[hi]
-        return d.with_components(comps)
+        return comps
     s = comps[ca]
     if ga <= gb:
         # equal gaps: two cut points of one arc met in travel order, so the
@@ -388,77 +389,46 @@ def _splice(d, gap_a, gap_b, block_a, block_b):
         y = s[gb:ga]
     comps[ca] = y + block_a
     comps.insert(ca + 1, x + block_b)
-    return d.with_components(comps)
+    return comps
 
 
-def _delete_and_splice(d, run_a, run_b, n):
-    (ca, pa), (cb, pb) = run_a, run_b
-    comps = [list(c) for c in d.components]
+def _unsplice(d, positions, n):
+    """Delete an even twist's two blocks and reconnect the strands crosswise:
+    ``_splice`` with empty blocks, each component read from just after its
+    block.  On one component strand 1's cut is then gap 0 and strand 2's
+    the number of passages met between the blocks, so cut points that fall
+    together keep their travel order."""
+    (ca, pa), (cb, pb) = positions[0], positions[n]
+    comps = list(d.components)
+    sa = comps[ca][pa:] + comps[ca][:pa]
     if ca != cb:
-        la, lb = len(comps[ca]), len(comps[cb])
-        wa = [comps[ca][(pa + n + i) % la] for i in range(la - n)]
-        wb = [comps[cb][(pb + n + i) % lb] for i in range(lb - n)]
-        merged = wb + wa
-        lo, hi = min(ca, cb), max(ca, cb)
-        comps[lo] = merged
-        del comps[hi]
-        return d.with_components(comps)
-    s = comps[ca]
-    ln = len(s)
-    idx2 = {(pb + i) % ln for i in range(n)}
-    walk = []
-    b_index = None
-    pos = (pa + n) % ln
-    while pos != pa:
-        if pos == pb:
-            b_index = len(walk)
-        if pos not in idx2:
-            walk.append(s[pos])
-        pos = (pos + 1) % ln
-    if b_index is None:
-        b_index = len(walk)
-    comp1 = walk[b_index:]
-    comp2 = walk[:b_index]
-    comps[ca] = comp1
-    comps.insert(ca + 1, comp2)
-    return d.with_components(comps)
+        sb = comps[cb][pb:] + comps[cb][:pb]
+        comps[ca], comps[cb], gb = sa[n:], sb[n:], 0
+    else:
+        gb = (pb - pa) % len(sa) - n
+        comps[ca] = sa[n:n + gb] + sa[2 * n + gb:]
+    return d.with_components(_splice(comps, (ca, 0), (cb, gb), [], []))
 
 
 # ---------------------------------------------------------------------------
-# R3 pattern table, derived from plane triangle configurations
+# R3 pattern table, closed from the triangle of the braid relation
 #
-# Three lines at angles 0/60/120 degrees in generic position form a triangle.
-# Assigning the three code strands to the lines (6 ways), flipping each
-# direction (8 ways) and choosing who is over at each crossing (transitive
-# tournaments only -- one strand must be slidable across the opposite vertex)
-# determines travel orders and crossing signs.  The move swaps the two
-# passages of each of the three adjacent pairs, and the swapped configuration
-# is itself realizable (the slid triangle), so the table is closed under the
-# swap.
+# s1 s2 s1 = s2 s1 s2 gives one R3 triangle: the top strand passes over its
+# two crossings, the middle strand under the top one and then over the
+# bottom one, the bottom strand under both, every crossing positive.  Every
+# oriented R3 configuration comes from it by reversing strands and taking
+# the mirror image (Polyak, Minimal generating sets of Reidemeister moves,
+# 2010).  A reversed strand meets its two crossings backwards and negates
+# their signs; the mirror image negates every sign.  The move itself reads
+# every pair backwards, which is reversing all three strands, so the table
+# is closed under it.  It holds every order of the three pairs, so a site's
+# pairs match as they come.
 
-_SQRT3 = math.sqrt(3.0)
-_LINES = (((0.0, 0.0), (1.0, 0.0)),
-          ((1.0, 0.0), (0.5, _SQRT3 / 2)),
-          ((-1.0, 0.0), (-0.5, _SQRT3 / 2)))
-_PAIRS = ((0, 1), (0, 2), (1, 2))
-
-
-def _cross2(u, v):
-    return u[0] * v[1] - u[1] * v[0]
-
-
-def _line_params():
-    """params[i][j] = parameter along line i of its meeting with line j."""
-    params = {}
-    for i, j in itertools.combinations(range(3), 2):
-        (pi, di), (pj, dj) = _LINES[i], _LINES[j]
-        rel = (pj[0] - pi[0], pj[1] - pi[1])
-        denom = _cross2(di, dj)
-        ti = _cross2(rel, dj) / denom
-        tj = -_cross2((-rel[0], -rel[1]), di) / denom
-        params[(i, j)] = ti
-        params[(j, i)] = tj
-    return params
+# per strand (top, middle, bottom), its crossings in travel order, each
+# named by the two strands it joins, with the strand's role there
+_R3_SEED = ((((0, 1), OVER), ((0, 2), OVER)),
+            (((0, 1), UNDER), ((1, 2), OVER)),
+            (((0, 2), UNDER), ((1, 2), UNDER)))
 
 
 def _triple_key(edges):
@@ -477,45 +447,16 @@ def _triple_key(edges):
 
 
 def _r3_pattern_table():
-    params = _line_params()
     patterns = set()
-    for assign in itertools.permutations(range(3)):
-        for flips in itertools.product((1, -1), repeat=3):
-            dirs = []
-            for s in range(3):
-                _, dv = _LINES[assign[s]]
-                dirs.append((flips[s] * dv[0], flips[s] * dv[1]))
-            for overs in itertools.product((0, 1), repeat=3):
-                wins = [0, 0, 0]
-                over_of = {}
-                for m, (a, b) in enumerate(_PAIRS):
-                    ov = (a, b)[overs[m]]
-                    over_of[frozenset((a, b))] = ov
-                    wins[ov] += 1
-                if sorted(wins) != [0, 1, 2]:
-                    continue  # cyclic tournament: no strand can slide
-                signs = {}
-                for a, b in _PAIRS:
-                    ov = over_of[frozenset((a, b))]
-                    un = b if ov == a else a
-                    signs[frozenset((a, b))] = 1 if _cross2(dirs[ov], dirs[un]) > 0 else -1
-                edges = []
-                for s in range(3):
-                    others = [u for u in range(3) if u != s]
-                    def travel(u):
-                        return flips[s] * params[(assign[s], assign[u])]
-                    others.sort(key=travel)
-                    edge = []
-                    for u in others:
-                        key = frozenset((s, u))
-                        role = OVER if over_of[key] == s else UNDER
-                        edge.append((key, role, signs[key]))
-                    edges.append(tuple(edge))
-                # every order of the pairs, so a site's pairs match as
-                # they come
-                for config in (edges, [tuple(reversed(e)) for e in edges]):
-                    patterns.update(_triple_key(order)
-                                    for order in itertools.permutations(config))
+    # flips[s] is -1 where strand s is reversed and mirror -1 for the mirror
+    # image; the crossing of strands i and j then has sign
+    # mirror * flips[i] * flips[j]
+    for flips in itertools.product((1, -1), repeat=3):
+        for mirror in (1, -1):
+            edges = [tuple((c, role, mirror * flips[c[0]] * flips[c[1]])
+                           for c, role in pair[::flips[s]])
+                     for s, pair in enumerate(_R3_SEED)]
+            patterns.update(_triple_key(order) for order in itertools.permutations(edges))
     return frozenset(patterns)
 
 
@@ -530,9 +471,8 @@ def _match_r3(d, kind, site):
         q = _pair(d, ci, p)
         if q is None:
             return None
-        a, b = d.components[ci][p], d.components[ci][q]
         positions += [(ci, p), (ci, q)]
-        edges.append(((a.crossing, a.role, a.sign), (b.crossing, b.role, b.sign)))
+        edges.append((d.components[ci][p], d.components[ci][q]))
     crossings = {}
     for edge in edges:
         for cid, _, _ in edge:
@@ -662,21 +602,23 @@ _REDUCE = {
 # ---------------------------------------------------------------------------
 # find_sites and apply
 
-def _finder(d, kind):
-    """The site finder of a directed kind, or None if the kind has no sites
-    on d (an even twist on a string link)."""
+def _rule(d, kind):
+    """(site length, variant axes, finder, matcher) of a directed kind on d.
+    An expand kind has no matcher, and an even twist on a string link no
+    finder either: it splices strands, so it has no sites there."""
     if kind.family in _UNDIRECTED or kind.direction == REDUCE:
-        finder = _REDUCE[kind.family][2]
+        rule = _REDUCE[kind.family]
     elif kind.direction == EXPAND:
-        finder = _expand_sites
+        strands, axes = _EXPAND[kind.family]
+        rule = (2 * strands + len(axes), axes, _expand_sites, None)
     else:
         raise MoveError(f"move kind {kind} needs a direction")
-    return None if _splices(kind) and d.kind == STRING_LINK else finder
+    return rule[:2] + (None, None) if _splices(kind) and d.kind == STRING_LINK else rule
 
 
 def find_sites(d, kind):
     """All applicable sites of a move kind, deterministically sorted."""
-    finder = _finder(d, kind)
+    finder = _rule(d, kind)[2]
     return [] if finder is None else [MoveSite(site) for site in sorted(finder(d, kind))]
 
 
@@ -684,7 +626,7 @@ def count_sites(d, kind):
     """``len(find_sites(d, kind))`` without building the sites: an expand
     kind has one site per choice of a gap for each strand and a value on
     each variant axis."""
-    finder = _finder(d, kind)
+    finder = _rule(d, kind)[2]
     if finder is None:
         return 0
     if finder is _expand_sites:
@@ -696,16 +638,9 @@ def count_sites(d, kind):
 def apply(d, kind, site):
     """Apply one move at a site; raises MoveError if the site does not fit."""
     fam, data = kind.family, site.data
-    if fam in _UNDIRECTED or kind.direction == REDUCE:
-        length, axes, _, match = _REDUCE[fam]
-        _check_entries(_entries(fam, data), length, axes)
-    elif kind.direction == EXPAND:
-        strands, axes = _EXPAND[fam]
-        _check_entries(data, 2 * strands + len(axes), axes)
-        match = None
-    else:
-        raise MoveError(f"move kind {kind} needs a direction")
-    if _splices(kind) and d.kind == STRING_LINK:
+    length, axes, finder, match = _rule(d, kind)
+    _check_entries(_entries(fam, data), length, axes)
+    if finder is None:
         raise MoveError("even twist moves splice strands; links only")
     if match is None:
         return _expand(d, kind, data)
@@ -718,7 +653,7 @@ def apply(d, kind, site):
             comps[ci][p], comps[cj][q] = comps[cj][q], comps[ci][p]
         return d.with_components(comps)
     if _splices(kind):
-        return _delete_and_splice(d, positions[0], positions[kind.n], kind.n)
+        return _unsplice(d, positions, kind.n)
     return d.with_components(_delete_positions(d.components, positions))
 
 
@@ -734,7 +669,7 @@ def _sample_expand_site(d, kind, rng):
     site = ()
     for _ in range(strands):
         site += gaps[rng.randrange(len(gaps))]
-    if _splices(kind) and d.kind == STRING_LINK:
+    if _rule(d, kind)[2] is None:
         return None
     for axis in axes:
         site += (rng.choice(axis),)
@@ -764,10 +699,7 @@ def scramble(d, kinds, steps, seed):
                 site = _sample_expand_site(cur, concrete, rng)
                 if site is None:
                     continue
-                try:
-                    cur = apply(cur, concrete, site)
-                except MoveError:
-                    continue
+                cur = apply(cur, concrete, site)
                 break
             sites = find_sites(cur, concrete)
             if not sites:
@@ -805,10 +737,7 @@ def search_path(d, target, kinds, max_crossings, max_depth):
         for cur, path in frontier:
             for kind in kinds:
                 for site in find_sites(cur, kind):
-                    try:
-                        child = apply(cur, kind, site)
-                    except MoveError:
-                        continue
+                    child = apply(cur, kind, site)
                     if child.crossing_count > max_crossings:
                         continue
                     key = canonical_key(child)

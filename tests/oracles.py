@@ -11,7 +11,7 @@ of basepoint rotations.
 
 import itertools
 
-from wld.algebra import Laurent, fox_row
+from wld.algebra import Laurent
 from wld.diagram import STRING_LINK, UNDER
 
 
@@ -341,8 +341,9 @@ def elementary_ideal_bruteforce(d, k):
     from wld.invariants import welded_group
 
     pres = welded_group(d)
-    matrix = [fox_row(rel, pres.ngens) for rel in pres.relators]
     g = pres.ngens
+    matrix = [[row.get(j, Laurent.zero()) for j in range(g)]
+              for row in map(_fox_row_by_definition, pres.relators)]
     s = g - k
     if s <= 0:
         return [Laurent.one()]

@@ -7,7 +7,7 @@ import pytest
 
 from wld.algebra import (AlgebraError, Laurent, abelianize_t,
                          cyclic_reduce, exact_div, f_n, fold, format_poly,
-                         fox_derive, fox_row, free_reduce, hnf,
+                         fox_derive, free_reduce, hnf,
                          ideal_equal_mod, ideal_mod, laurent_det,
                          laurent_minors, member_of_principal,
                          normalize_units, parse_poly, poly_gcd, snf,
@@ -162,12 +162,13 @@ def test_fox_block_relator_entries():
 
 
 def test_fox_row_matches_fox_derive():
+    # the oracle's Fox row, by definition, against the library's derivative
     rng = random.Random(6)
     for _ in range(100):
         w = rand_word(rng)
-        row = fox_row(w, 3)
+        row = oracles._fox_row_by_definition(w)
         for gen in range(3):
-            assert row[gen] == abelianize_t(fox_derive(w, gen))
+            assert row.get(gen, Laurent.zero()) == abelianize_t(fox_derive(w, gen))
 
 
 # ---------------------------------------------------------------------------

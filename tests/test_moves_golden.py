@@ -310,3 +310,39 @@ SCRAMBLE_DIGESTS = [
     'ec4a2f7d300bf19d',
     'bb66b824dec3e68b',
 ]
+
+
+# even-twist reduce where the two blocks are adjacent, so that both cut
+# points fall on one gap once the blocks are gone: (diagram, site, output)
+# as an earlier implementation gave them
+EVEN_TWIST_ADJACENT = [
+    ("component: O1+ U2+ U1+ O2+ O3+ U3+\n", (0, 0, 0, 2),
+     "component: O3+ U3+\ncomponent:\n"),
+    ("component: U1+ O2+ O1+ U2+ O3+ U3+\n", (0, 2, 0, 0),
+     "component:\ncomponent: O3+ U3+\n"),
+    # strand 1's block wraps round the end of its component
+    ("component: U3+ O4+\ncomponent: U2+ U1+ O2+ O3+ O1+\ncomponent: U4+\n",
+     (1, 4, 1, 1),
+     "component: U3+ O4+\ncomponent: O3+\ncomponent:\ncomponent: U4+\n"),
+    ("component: U3+ O4+\ncomponent: U1+ O2+ O3+ O1+ U2+\ncomponent: U4+\n",
+     (1, 3, 1, 0),
+     "component: U3+ O4+\ncomponent: O3+\ncomponent:\ncomponent: U4+\n"),
+    # the blocks on two components, which merge
+    ("component: O1+ U2+ O3+\ncomponent: U3+ O4+\ncomponent: U1+ O2+ U4+\n",
+     (0, 0, 2, 0), "component: U4+ O3+\ncomponent: U3+ O4+\n"),
+]
+
+
+def test_even_twist_reduce_on_adjacent_blocks():
+    kind = MoveKind("v(n)", 2, REDUCE)
+    for text, site, want in EVEN_TWIST_ADJACENT:
+        d = parse(text)
+        assert find_sites(d, kind) == [MoveSite(site)], text
+        assert serialize(apply(d, kind, MoveSite(site))) == want, text
+
+
+def test_r3_pattern_table_matches_golden():
+    from wld.moves import _R3_PATTERNS
+    assert len(_R3_PATTERNS) == 96
+    assert hashlib.sha256(repr(sorted(_R3_PATTERNS)).encode()).hexdigest() == (
+        "8acecb7086e00857f5c96cc93a28c2e8a7bf5aef60cfaeb9d690fcf9e1d97cfd")
