@@ -1,18 +1,17 @@
 """Welded-link invariants and generalized virtualization moves."""
 
-from .diagram import (Arc, Diagram, DiagramError, ParseError, Passage, arcs,
+from .diagram import (Diagram, DiagramError, ParseError, Passage,
                       canonical_key, closure, linking_matrix, parse,
                       random_diagram, same_diagram, serialize)
 from .moves import (MoveKind, MoveSite, apply, count_sites, find_sites,
                     make_kind, parse_kinds, replay, scramble, search_path)
-from .algebra import (CyclicLattice, Laurent, f_n, format_poly, fox_derive,
-                      abelianize_t, hnf, ideal_equal_mod, ideal_mod,
-                      member_of_principal, normalize_units, parse_poly,
-                      poly_gcd, snf)
+from .algebra import (CyclicLattice, Laurent, f_n, format_poly, hnf,
+                      ideal_equal_mod, ideal_mod, member_of_principal,
+                      normalize_units, parse_poly, poly_gcd, snf)
 from .invariants import (FiniteGroupTable, GroupPresentation, abelianization,
                          alexander, coloring_count, core_group, hom_count,
                          welded_group)
-from .arrows import (WArrow, WArrowPresentation, apply_arrow_move, build_H,
+from .arrows import (WArrowPresentation, apply_arrow_move, build_H,
                      build_Hbar, find_arrow_sites, make_arrow_kind,
                      normalize_vn, normalize_vn_uc, stack, surgery, to_arrows,
                      trivial_string_link)

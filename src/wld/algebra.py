@@ -1,17 +1,16 @@
-"""Exact integer algebra: Laurent polynomials in t, free-group words with
-Fox derivatives, polynomial gcd, integer HNF/SNF, ideal arithmetic in
+"""Exact integer algebra: Laurent polynomials in t, free-group word
+reduction, polynomial gcd, integer HNF/SNF, ideal arithmetic in
 Z[t,t^-1]/(1-t^n) via shift-closed integer lattices, and minors of Laurent
 matrices.
 
 A Laurent polynomial is held in one dense form, a lowest exponent and a
-trimmed coefficient tuple, which gcd, division and residues read directly.
-The same form serves R_n = Z[t]/(t^n - 1): ``fold`` reduces a polynomial to
-its representative with exponents in [0, n).  ``laurent_minors`` computes
-the minors of every requested size of a sparse Laurent matrix (rows as
+trimmed coefficient tuple, which gcd and residues read directly.  The same
+form serves R_n = Z[t]/(t^n - 1): ``fold`` reduces a polynomial to its
+representative with exponents in [0, n).  ``laurent_minors`` computes the
+minors of every requested size of a sparse Laurent matrix (rows as
 {column: entry}) from one Laplace-expansion memo, over Z[t^+-1] or, given
-n, over R_n; ``laurent_det`` is its single full-size minor.  ``INTEGERS``,
-``LAURENT`` and ``cyclic_ring(n)`` hand unit-pivot elimination its three
-rings: Z, Z[t^+-1] and R_n.
+n, over R_n.  ``INTEGERS``, ``LAURENT`` and ``cyclic_ring(n)`` hand
+unit-pivot elimination its three rings: Z, Z[t^+-1] and R_n.
 """
 
 from __future__ import annotations
@@ -323,32 +322,8 @@ def poly_gcd(polys):
     return normalize_units(Laurent._trimmed(0, acc))
 
 
-def exact_div(p, q):
-    """Exact division of Laurent polynomials; raises if not divisible."""
-    if q.is_zero():
-        raise AlgebraError("division by zero polynomial")
-    if p.is_zero():
-        return Laurent.zero()
-    a, b = list(p.coeffs), q.coeffs
-    db, lead = len(b) - 1, b[-1]
-    if len(a) <= db:
-        raise AlgebraError("not divisible")
-    out = [0] * (len(a) - db)
-    for k in range(len(out) - 1, -1, -1):
-        c, rem = divmod(a[k + db], lead)
-        if rem:
-            raise AlgebraError("not divisible")
-        if c:
-            out[k] = c
-            for i, y in enumerate(b, k):
-                a[i] -= c * y
-    if any(a):
-        raise AlgebraError("not divisible")
-    return Laurent._trimmed(p.low - q.low, out)
-
-
 # ---------------------------------------------------------------------------
-# free-group words and the Fox derivative
+# free-group words
 
 def free_reduce(word):
     """Freely reduce a word given as ((generator, +-1), ...)."""
@@ -365,54 +340,11 @@ def word_inverse(word):
     return tuple((g, -e) for g, e in reversed(word))
 
 
-def word_mul(*words):
-    out = ()
-    for w in words:
-        out = free_reduce(out + tuple(w))
-    return out
-
-
-def word_pow(word, k):
-    if k < 0:
-        return word_pow(word_inverse(word), -k)
-    out = ()
-    for _ in range(k):
-        out = word_mul(out, word)
-    return out
-
-
 def cyclic_reduce(word):
     w = list(free_reduce(word))
     while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:
         w = w[1:-1]
     return tuple(w)
-
-
-def fox_derive(word, gen):
-    """Fox free derivative d(word)/d(x_gen) as a list of (+-1, prefix word).
-
-    Satisfies dx/dx = 1, d(x^-1)/dx = -x^-1 and the product rule
-    d(uv)/dx = du/dx + u dv/dx.
-    """
-    terms = []
-    prefix = ()
-    for g, e in free_reduce(word):
-        if g == gen:
-            if e == 1:
-                terms.append((1, prefix))
-            else:
-                terms.append((-1, word_mul(prefix, ((g, -1),))))
-        prefix = word_mul(prefix, ((g, e),))
-    return terms
-
-
-def abelianize_t(terms):
-    """Send every generator to t: formal Z[F]-sums become Laurent polynomials."""
-    out = {}
-    for coeff, prefix in terms:
-        e = sum(ex for _, ex in prefix)
-        out[e] = out.get(e, 0) + coeff
-    return Laurent(out)
 
 
 # ---------------------------------------------------------------------------
@@ -700,7 +632,7 @@ def f_n(p, n):
 
 
 # ---------------------------------------------------------------------------
-# minors and determinants of Laurent matrices
+# minors of Laurent matrices
 
 def laurent_minors(rows, sizes, n=None):
     """Every nonzero s x s minor of a sparse Laurent matrix, for s in ``sizes``.
@@ -756,11 +688,3 @@ def _extend_minors(rows, level, first, mul):
                     nxt[key] = term if got is None else got + term
     return {key: p for key, p in nxt.items() if p.coeffs}
 
-
-def laurent_det(matrix):
-    """Determinant of a square Laurent matrix: its one full-size minor in
-    ``laurent_minors``, a cofactor expansion memoized on column subsets."""
-    size = len(matrix)
-    rows = [{j: p for j, p in enumerate(row) if p.coeffs} for row in matrix]
-    full = tuple(range(size))
-    return laurent_minors(rows, [size]).get((full, full), Laurent.zero())

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .classify import _parallel_residues, _twist_residues
 from .diagram import (OVER, STRING_LINK, UNDER, Diagram, DiagramError,
-                      ParseError, Passage, closure)
+                      ParseError, Passage, closure, parallel_residues,
+                      twist_residues)
 from .diagram import parse as parse_diagram
 from .moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
                     _adjacent_pairs, find_sites)
@@ -46,16 +46,6 @@ ARROW_MOVE_NAMES = (
 )
 _NOOP_MOVES = ("ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar11", "ar12")
 _PARAMETRIC_MOVES = ("a(n)", "a^n", "abar(n)", "abar^n")
-
-
-@dataclass(frozen=True)
-class WArrow:
-    """One w-arrow: endpoint slots on the base, and the sign of the
-    classical crossing its surgery produces."""
-
-    tail: tuple  # (component, slot index)
-    head: tuple
-    sign: int
 
 
 @dataclass(frozen=True)
@@ -107,17 +97,6 @@ class WArrowPresentation:
 
     def arrow_ids(self):
         return sorted(dict(self.signs))
-
-    @property
-    def arrows(self):
-        """WArrow views with (component, slot) endpoint coordinates."""
-        where = {}
-        for ci, strand in enumerate(self.strands):
-            for slot, (aid, role) in enumerate(strand):
-                where[(aid, role)] = (ci, slot)
-        sm = self.sign_map
-        return [WArrow(where[(aid, TAIL)], where[(aid, HEAD)], sm[aid])
-                for aid in self.arrow_ids()]
 
 
 def trivial_string_link(mu):
@@ -394,7 +373,7 @@ def normalize_vn(p, n):
         raise DiagramError("normalize_vn needs odd n >= 1")
     if p.kind != STRING_LINK:
         raise DiagramError("normalize_vn expects a string-link presentation")
-    return _twist_residues(closure(surgery(p)), n)
+    return twist_residues(closure(surgery(p)), n)
 
 
 def normalize_vn_uc(p, n):
@@ -404,6 +383,6 @@ def normalize_vn_uc(p, n):
         raise DiagramError("normalize_vn_uc needs n >= 1")
     if p.kind != STRING_LINK:
         raise DiagramError("normalize_vn_uc expects a string-link presentation")
-    res = _parallel_residues(closure(surgery(p)), n)
+    res = parallel_residues(closure(surgery(p)), n)
     pairs = [(i, j) for i, j in res if i < j]
     return {(i, j): res[i, j] for i, j in pairs}, {(i, j): res[j, i] for i, j in pairs}

@@ -16,8 +16,9 @@ import itertools
 from dataclasses import dataclass
 
 from .algebra import ideal_mod
-from .diagram import (LINK, Diagram, DiagramError, Passage,
-                      linking_matrix, parse)
+from .arrows import build_H, build_Hbar, surgery
+from .diagram import (LINK, Diagram, DiagramError, Passage, closure,
+                      parallel_residues, parse, twist_residues)
 from .invariants import elementary_ideals
 
 RELATION_VN = "vn"
@@ -104,8 +105,8 @@ def decide_vn(left, right, n, any_order=False):
         return _best_over_orders(left, right, n, decide_vn)
     if left.mu != right.mu:
         return EquivalenceVerdict(RELATION_VN, n, False, ())
-    return _compare_residues(RELATION_VN, n, _twist_residues(left, n),
-                             _twist_residues(right, n))
+    return _compare_residues(RELATION_VN, n, twist_residues(left, n),
+                             twist_residues(right, n))
 
 
 def decide_vn_uc(left, right, n, any_order=False):
@@ -118,24 +119,8 @@ def decide_vn_uc(left, right, n, any_order=False):
         return _best_over_orders(left, right, n, decide_vn_uc)
     if left.mu != right.mu:
         return EquivalenceVerdict(RELATION_VN_UC, n, False, ())
-    return _compare_residues(RELATION_VN_UC, n, _parallel_residues(left, n),
-                             _parallel_residues(right, n))
-
-
-def _twist_residues(d, n):
-    """{(i, j): (lambda_ij + lambda_ji) mod n} over 1-based i < j: what
-    ``decide_vn`` compares for odd n."""
-    lam = linking_matrix(d)
-    return {(i + 1, j + 1): (lam[i][j] + lam[j][i]) % n
-            for i, j in itertools.combinations(range(d.mu), 2)}
-
-
-def _parallel_residues(d, n):
-    """{(i, j): lambda_ij mod n} over ordered 1-based pairs: what
-    ``decide_vn_uc`` compares."""
-    lam = linking_matrix(d)
-    return {(i + 1, j + 1): lam[i][j] % n
-            for i, j in itertools.permutations(range(d.mu), 2)}
+    return _compare_residues(RELATION_VN_UC, n, parallel_residues(left, n),
+                             parallel_residues(right, n))
 
 
 def _compare_residues(relation, n, left, right):
@@ -232,8 +217,6 @@ def named(name):
         if suffix.isdigit() and int(suffix) >= 1:
             return Diagram(tuple(() for _ in range(int(suffix))), LINK)
     if key.startswith(("h-closure:", "hbar-closure:")):
-        from .arrows import build_H, build_Hbar, surgery
-        from .diagram import closure
         head, _, params = key.partition(":")
         parts = [s.strip() for s in params.split(",")]
         if len(parts) == 4 and all(s.lstrip("-").isdigit() for s in parts):

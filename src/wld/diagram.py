@@ -9,6 +9,7 @@ by R1, R2, R3 and OC alone.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -193,21 +194,6 @@ def closure(d):
     return Diagram(d.components, LINK)
 
 
-@dataclass(frozen=True)
-class Arc:
-    """Maximal run of a component between consecutive under-passages.
-
-    ``positions`` is the half-open run from just after one under-passage up
-    to and including the next one, so arcs partition the component.  On a
-    component with no under-passages the single closed arc carries all
-    positions.  String-link strands additionally get a leading arc from the
-    bottom endpoint and a (possibly passage-free) trailing arc to the top.
-    """
-
-    component: int
-    positions: tuple
-
-
 def _walk_start(kind, comp):
     """Where to start reading ``comp`` so that each arc is one stretch of
     the walk: just after the last under-passage of a link component, else
@@ -220,27 +206,11 @@ def _walk_start(kind, comp):
     return 0
 
 
-def arcs(d):
-    """Arc decomposition, ordered by component then along the orientation."""
-    out = []
-    for ci, comp in enumerate(d.components):
-        first = len(out)
-        start = _walk_start(d.kind, comp)
-        run = []
-        for p in [*range(start, len(comp)), *range(start)]:
-            run.append(p)
-            if comp[p].role == UNDER:
-                out.append(Arc(ci, tuple(run)))
-                run = []
-        if d.kind == STRING_LINK or len(out) == first:
-            out.append(Arc(ci, tuple(run)))
-    return out
-
-
 def arc_components(d):
-    """The component of every arc, in the order of ``arcs``: a link
-    component has one arc per under-passage (one if it has none), a
-    string-link strand one more."""
+    """The component of every arc.  An arc runs from just after one
+    under-passage to the next; arcs are numbered 0, 1, ... component by
+    component, each read from its ``_walk_start``.  A link component has one
+    per under-passage (one if it has none), a string-link strand one more."""
     extra = d.kind == STRING_LINK
     out = []
     for ci, comp in enumerate(d.components):
@@ -251,13 +221,14 @@ def arc_components(d):
 
 def crossing_arcs(d):
     """Per crossing id, in increasing order: (over-arc, under-in arc,
-    under-out arc, sign), arcs numbered as in ``arcs``.
+    under-out arc, sign), arcs numbered as in ``arc_components``.
 
     One walk labels them: every component is read from its ``_walk_start``
-    and the arc index goes up after each under-passage.  The last
-    under-passage of a link component leads back into its first arc; a
-    string-link strand ends in one more arc, as does a link component with
-    no under-passage (its only arc).
+    and the arc index goes up after each under-passage, so the under-in
+    arc ends at the crossing and the under-out arc starts just after it.
+    The last under-passage of a link component leads back into its first
+    arc; a string-link strand ends in one more arc, as does a link
+    component with no under-passage (its only arc).
     """
     over, under, out, sign = {}, {}, {}, {}
     arc = 0
@@ -289,6 +260,22 @@ def linking_matrix(d):
         if co != cu:
             mat[co][cu] += sign
     return mat
+
+
+def twist_residues(d, n):
+    """{(i, j): (lambda_ij + lambda_ji) mod n} over 1-based i < j: what
+    ``decide_vn`` compares for odd n."""
+    lam = linking_matrix(d)
+    return {(i + 1, j + 1): (lam[i][j] + lam[j][i]) % n
+            for i, j in itertools.combinations(range(d.mu), 2)}
+
+
+def parallel_residues(d, n):
+    """{(i, j): lambda_ij mod n} over ordered 1-based pairs: what
+    ``decide_vn_uc`` compares."""
+    lam = linking_matrix(d)
+    return {(i + 1, j + 1): lam[i][j] % n
+            for i, j in itertools.permutations(range(d.mu), 2)}
 
 
 def canonical_key(d):

@@ -1,9 +1,9 @@
 """Invariants of welded link diagrams.
 
-Ordered linking numbers, Wirtinger-style welded group presentations, core
-group presentations, elementary ideals / Alexander polynomials via the Fox
-derivative (over Z[t^+-1], or their images in Z[t]/(t^n - 1) straight from
-the crossing table), homomorphism and coloring counts, and abelianizations.
+Wirtinger-style welded group presentations, core group presentations,
+elementary ideals / Alexander polynomials via the Fox derivative (over
+Z[t^+-1], or their images in Z[t]/(t^n - 1) straight from the crossing
+table), homomorphism and coloring counts, and abelianizations.
 
 Wirtinger convention: at a positive crossing with over-arc y, under-in arc
 x and under-out arc z the relator is z^-1 y x y^-1; a negative crossing
@@ -25,8 +25,6 @@ from . import diagram as dg
 from .algebra import (INTEGERS, LAURENT, AlgebraError, Laurent, cyclic_reduce,
                       cyclic_ring, fold, free_reduce, laurent_minors, poly_gcd,
                       snf, word_inverse)
-
-linking_matrix = dg.linking_matrix
 
 WELDED = "welded-group"
 CORE = "core-group"
@@ -231,6 +229,8 @@ def elementary_ideals(d, kmax, n=None):
     the minors, which generate the image of E^k (Fitting ideals commute
     with base change); both the elimination and the minors run in R_n.
     """
+    if kmax < 0:
+        raise AlgebraError(f"E^k needs k >= 0, got {kmax}")
     rows, g = _alexander_rows(d, n)
     reduced, pivots = _pivot_reduce(rows, cyclic_ring(n) if n else LAURENT)
     # size 0 yields the 0 x 0 minor 1, the whole ring; a size beyond the

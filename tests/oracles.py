@@ -5,13 +5,13 @@ the minor-gcd characterization, lattice equality via gcds of maximal minors,
 arcs as explicit runs between under-passages with position maps, Alexander
 rows as Fox derivatives of the Wirtinger relators over those runs, colorings
 by exhaustive enumeration, elementary ideals by enumerating every minor of
-the raw Alexander matrix, and the canonical key by trying every combination
-of basepoint rotations.
+the raw Alexander matrix, the canonical key by trying every combination of
+basepoint rotations, and divisibility by exact Laurent long division.
 """
 
 import itertools
 
-from wld.algebra import Laurent
+from wld.algebra import AlgebraError, Laurent
 from wld.diagram import STRING_LINK, UNDER
 
 
@@ -329,6 +329,30 @@ def laurent_det_bruteforce(matrix):
             prod = prod * matrix[i][j]
         total = total + (prod if sign > 0 else -prod)
     return total
+
+
+def exact_div(p, q):
+    """Exact division of Laurent polynomials; raises if not divisible."""
+    if q.is_zero():
+        raise AlgebraError("division by zero polynomial")
+    if p.is_zero():
+        return Laurent.zero()
+    a, b = list(p.coeffs), q.coeffs
+    db, lead = len(b) - 1, b[-1]
+    if len(a) <= db:
+        raise AlgebraError("not divisible")
+    out = [0] * (len(a) - db)
+    for k in range(len(out) - 1, -1, -1):
+        c, rem = divmod(a[k + db], lead)
+        if rem:
+            raise AlgebraError("not divisible")
+        if c:
+            out[k] = c
+            for i, y in enumerate(b, k):
+                a[i] -= c * y
+    if any(a):
+        raise AlgebraError("not divisible")
+    return Laurent._trimmed(p.low - q.low, out)
 
 
 def fold_bruteforce(p, n):

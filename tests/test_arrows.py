@@ -46,8 +46,8 @@ def test_to_arrows_surgery_round_trip():
 def test_to_arrows_counts_and_signs():
     tre = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
     p = to_arrows(tre)
-    assert len(p.arrows) == 3
-    assert all(a.sign == 1 for a in p.arrows)
+    assert p.arrow_ids() == [1, 2, 3]
+    assert all(sign == 1 for _, sign in p.signs)
 
 
 def test_build_H_calibration():
@@ -128,7 +128,7 @@ def test_ar10_deletes_reversed_adjacency():
     sites = find_arrow_sites(p, make_arrow_kind("ar10", direction=REDUCE))
     assert sites
     out = apply_arrow_move(p, make_arrow_kind("ar10", direction=REDUCE), sites[0])
-    assert not out.arrows
+    assert not out.arrow_ids()
 
 
 def test_ar7_is_oc_under_surgery():

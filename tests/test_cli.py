@@ -246,8 +246,9 @@ def test_readme_command_walkthrough(tmp_path, capsys):
      "-o", "{unwritable}"],
     ["examples", "trefoil", "-o", "{unwritable}"],
     ["multiplex", "{trefoil}", "--m", "2", "-o", "{unwritable}"],
+    ["invariants", "{trefoil}", "--kmax", "-1"],
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
-        "examples-write", "multiplex-write"])
+        "examples-write", "multiplex-write", "invariants-negative-kmax"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
     paths = {"missing": str(tmp_path / "missing.gc"), "trefoil": trefoil_file,
              "unwritable": str(tmp_path / "no-such-dir" / "x.gc")}

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from wld.arrows import build_H, build_Hbar, stack, surgery
-from wld.diagram import (Diagram, DiagramError, ParseError, arcs,
+from wld.diagram import (Diagram, DiagramError, ParseError, arc_components,
                          canonical_key, closure, linking_matrix, parse,
                          random_diagram, same_diagram, serialize)
 
@@ -120,31 +120,33 @@ def test_closure_preserves_passages():
 
 
 def test_arcs_trefoil():
-    assert len(arcs(parse(TREFOIL))) == 3
+    assert arc_components(parse(TREFOIL)) == (0, 0, 0)
 
 
 def test_arcs_unknot():
-    assert len(arcs(parse("component:\n"))) == 1
+    assert arc_components(parse("component:\n")) == (0,)
 
 
 def test_arcs_hopf():
-    by_comp = {}
-    for arc in arcs(parse(HOPF)):
-        by_comp[arc.component] = by_comp.get(arc.component, 0) + 1
-    assert by_comp == {0: 1, 1: 1}
+    assert arc_components(parse(HOPF)) == (0, 1)
+
+
+def assert_arcs_partition(d, extra):
+    """Each component has ``extra`` more arcs than under-passages (at least
+    one), and the reference runs of its arcs cover its positions once."""
+    ref_arcs, _, _ = oracles.arc_data_reference(d)
+    assert arc_components(d) == tuple(c for c, _ in ref_arcs)
+    for ci, comp in enumerate(d.components):
+        unders = sum(1 for p in comp if p.role == "U")
+        assert arc_components(d).count(ci) == max(1, unders + extra)
+        covered = sorted(pos for c, run in ref_arcs if c == ci for pos in run)
+        assert covered == list(range(len(comp)))
 
 
 def test_arcs_partition_links():
     rng = random.Random(4)
     for _ in range(100):
-        d = random_diagram(rng)
-        decomposition = arcs(d)
-        for ci, comp in enumerate(d.components):
-            mine = [a for a in decomposition if a.component == ci]
-            unders = sum(1 for p in comp if p.role == "U")
-            assert len(mine) == max(1, unders)
-            covered = sorted(pos for a in mine for pos in a.positions)
-            assert covered == list(range(len(comp)))
+        assert_arcs_partition(random_diagram(rng), 0)
 
 
 def test_linking_matrix_hopf():
@@ -164,7 +166,7 @@ def test_basepoint_rotation_invariance():
         rotated = Diagram((comp[r:] + comp[:r],), "link")
         assert same_diagram(d, rotated)
         assert linking_matrix(rotated) == linking_matrix(d)
-        assert len(arcs(rotated)) == len(arcs(d))
+        assert len(arc_components(rotated)) == len(arc_components(d))
 
 
 def test_canonical_key_detects_difference():
@@ -187,16 +189,9 @@ def test_diagram_requires_component():
 def test_arcs_partition_string_links():
     rng = random.Random(14)
     for _ in range(60):
-        d = random_diagram(rng, kind="stringlink")
-        decomposition = arcs(d)
-        for ci, comp in enumerate(d.components):
-            mine = [a for a in decomposition if a.component == ci]
-            unders = sum(1 for p in comp if p.role == "U")
-            # open strands carry a leading arc and a possibly passage-free
-            # trailing arc
-            assert len(mine) == unders + 1
-            covered = sorted(pos for a in mine for pos in a.positions)
-            assert covered == list(range(len(comp)))
+        # open strands carry a leading arc and a possibly passage-free
+        # trailing arc
+        assert_arcs_partition(random_diagram(rng, kind="stringlink"), 1)
 
 
 def _closed_stack(p, q):

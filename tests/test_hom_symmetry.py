@@ -7,7 +7,7 @@ import random
 import pytest
 
 from wld.classify import named
-from wld.diagram import arcs, random_diagram
+from wld.diagram import arc_components, random_diagram
 from wld.invariants import (FiniteGroupTable, GroupPresentation, builtin_group,
                             core_group, hom_count, simplify_presentation,
                             symmetric_group, welded_group)
@@ -108,7 +108,7 @@ def test_components_follow_the_surviving_arcs():
     diagrams = [random_diagram(rng, max_crossings=8, max_mu=3) for _ in range(30)]
     for d in diagrams + list(v_scrambled()):
         pres = welded_group(d)
-        assert pres.components == tuple(arc.component for arc in arcs(d))
+        assert pres.components == arc_components(d)
         # label every generator by itself to read off the survivors
         labelled = GroupPresentation(pres.ngens, pres.relators, pres.marking,
                                      tuple(range(pres.ngens)))

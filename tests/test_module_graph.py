@@ -1,0 +1,50 @@
+"""The package's internal imports form an acyclic graph, all at module level."""
+
+import ast
+import graphlib
+from pathlib import Path
+
+import wld
+
+PACKAGE = Path(wld.__file__).parent
+MODULES = {path.stem: ast.parse(path.read_text(), str(path))
+           for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def imported_modules(node):
+    """The ``wld`` modules an import statement names, relative or absolute."""
+    if isinstance(node, ast.Import):
+        return {alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("wld.")}
+    if not isinstance(node, ast.ImportFrom):
+        return set()
+    if node.level:
+        base = node.module
+    elif node.module == "wld" or (node.module or "").startswith("wld."):
+        base = node.module.partition(".")[2]
+    else:
+        return set()
+    if base:
+        return {base.split(".")[0]}
+    return {alias.name for alias in node.names if alias.name in MODULES}
+
+
+def test_internal_import_graph_is_acyclic():
+    graph = {name: set().union(*map(imported_modules, ast.walk(tree)))
+             for name, tree in MODULES.items()}
+    assert graph["classify"] >= {"arrows", "diagram"}
+    try:
+        tuple(graphlib.TopologicalSorter(graph).static_order())
+    except graphlib.CycleError as exc:
+        raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def test_no_function_imports_a_wld_module():
+    local = []
+    for name, tree in MODULES.items():
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                local += [f"{name}.{func.name} imports {sorted(mods)}"
+                          for node in ast.walk(func)
+                          if (mods := imported_modules(node))]
+    assert not local, local
