@@ -1,7 +1,7 @@
 """Exact integer algebra: Laurent polynomials in t, free-group word
-reduction, polynomial gcd, integer HNF/SNF, ideal arithmetic in
-Z[t,t^-1]/(1-t^n) via shift-closed integer lattices, and minors of Laurent
-matrices.
+reduction, polynomial gcd, integer Hermite forms (``hnf``, which ``snf`` and
+lattice membership also read), ideal arithmetic in Z[t,t^-1]/(1-t^n) via
+shift-closed integer lattices, and minors of Laurent matrices.
 
 A Laurent polynomial is held in one dense form, a lowest exponent and a
 trimmed coefficient tuple, which gcd and residues read directly.  The same
@@ -18,6 +18,7 @@ from __future__ import annotations
 import bisect
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -207,54 +208,31 @@ def format_poly(p):
     return " ".join(parts)
 
 
+_SIGN_SPLIT = re.compile(r"(?<!\^)([+-])")
+_TERM = re.compile(r"(\d*)(t(?:\^(-?\d+))?)?")
+
+
 def parse_poly(text):
-    """Parse strings like "1 - t + t^2" or "t^-1 + 1"."""
+    """Parse strings like "1 - t + t^2", "t^-1 + 1" or "3*t^2".
+
+    The text, spaces removed, splits at each sign not preceded by ``^``;
+    each term, ``*`` removed, is a coefficient, ``t`` with an optional
+    ``^exponent``, or both.  Anything else raises ``AlgebraError``.
+    """
     s = text.replace(" ", "")
     if not s:
         raise AlgebraError("empty polynomial string")
-    if s == "0":
-        return Laurent.zero()
-    tokens = []
-    i = 0
-    sign = 1
-    if s[0] in "+-":
-        sign = -1 if s[0] == "-" else 1
-        i = 1
-    cur = ""
-    while i <= len(s):
-        ch = s[i] if i < len(s) else None
-        splits = ch in ("+", "-") and not cur.endswith("^")
-        if splits or ch is None:
-            if not cur:
-                raise AlgebraError(f"cannot parse polynomial {text!r}")
-            tokens.append((sign, cur))
-            if ch is None:
-                break
-            sign = -1 if ch == "-" else 1
-            cur = ""
-        else:
-            cur += ch
-        i += 1
+    if s[0] not in "+-":
+        s = "+" + s
+    pieces = _SIGN_SPLIT.split(s)  # "", sign, term, sign, term, ...
     terms = []
-    for sign, tok in tokens:
-        tok = tok.replace("*", "")
-        if "t" not in tok:
-            if not tok.lstrip("-").isdigit():
-                raise AlgebraError(f"bad term {tok!r} in {text!r}")
-            terms.append((0, sign * int(tok)))
-            continue
-        coeff_s, _, rest = tok.partition("t")
-        coeff = int(coeff_s) if coeff_s else 1
-        if rest == "":
-            exp = 1
-        elif rest.startswith("^"):
-            exp_s = rest[1:]
-            if not exp_s.lstrip("-").isdigit():
-                raise AlgebraError(f"bad exponent in {tok!r}")
-            exp = int(exp_s)
-        else:
-            raise AlgebraError(f"bad term {tok!r} in {text!r}")
-        terms.append((exp, sign * coeff))
+    for sign, body in zip(pieces[1::2], pieces[2::2]):
+        body = body.replace("*", "")
+        m = _TERM.fullmatch(body) if body else None
+        if m is None:
+            raise AlgebraError(f"bad term {body!r} in {text!r}")
+        coeff, var, exp = m.groups()
+        terms.append((int(exp or 1) if var else 0, int(sign + (coeff or "1"))))
     return Laurent(terms)
 
 
@@ -421,66 +399,27 @@ def _reduce_above_pivots(basis):
 
 
 def snf(rows):
-    """Smith invariant factors d1 | d2 | ... (positive, zero factors dropped)."""
-    mat = [list(r) for r in rows]
-    mat = [r for r in mat if any(r)]
-    if not mat:
-        return []
-    m, n = len(mat), len(mat[0])
-    factors = []
-    top = 0
-    while top < m and top < n:
-        pivot = None
-        for i in range(top, m):
-            for j in range(top, n):
-                if mat[i][j] and (pivot is None or abs(mat[i][j]) < abs(mat[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        mat[top], mat[i] = mat[i], mat[top]
-        for r in mat:
-            r[top], r[j] = r[j], r[top]
-        dirty = False
-        for i in range(top + 1, m):
-            if mat[i][top]:
-                q = mat[i][top] // mat[top][top]
-                mat[i] = [a - q * b for a, b in zip(mat[i], mat[top])]
-                if mat[i][top]:
-                    dirty = True
-        for j in range(top + 1, n):
-            if mat[top][j]:
-                q = mat[top][j] // mat[top][top]
-                for r in mat:
-                    r[j] -= q * r[top]
-                if mat[top][j]:
-                    dirty = True
-        if dirty:
-            continue
-        p = abs(mat[top][top])
-        bad = None
-        for i in range(top + 1, m):
-            for j in range(top + 1, n):
-                if mat[i][j] % p:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            mat[top] = [a + b for a, b in zip(mat[top], mat[bad])]
-            continue
-        factors.append(p)
-        top += 1
+    """Smith invariant factors d1 | d2 | ... (positive, zero factors dropped).
+
+    Alternates row Hermite forms of the matrix and of its transpose (Kannan
+    and Bachem 1979) until each row holds one nonzero entry; the steps are
+    unimodular, so the diagonal left has the Smith form that gcd/lcm steps
+    chain it into.  This ends: each first pivot is the gcd of the first row
+    before it, so it never grows; once it stops shrinking it divides that
+    row, the first row and column stay cleared, and the same holds for the
+    rest.
+    """
+    mat = hnf(rows)
+    while any(sum(map(bool, row)) > 1 for row in mat):
+        mat = hnf(zip(*mat))
     chained = []
-    for d in factors:
+    # the one nonzero entry of an HNF row is its positive pivot
+    for d in map(max, mat):
         for k, prev in enumerate(chained):
             if d % prev:
-                g = math.gcd(d, prev)
-                lcm = d * prev // g
-                chained[k] = g
-                d = lcm
+                chained[k], d = math.gcd(d, prev), math.lcm(d, prev)
         chained.append(d)
-    return sorted(chained)
+    return chained
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +438,8 @@ class CyclicLattice:
     basis: tuple
 
     def contains(self, vec):
-        v = list(vec)
-        for row in self.basis:
-            lead = next((j for j, a in enumerate(row) if a), None)
-            if lead is None:
-                continue
-            if v[lead] % row[lead] == 0:
-                q = v[lead] // row[lead]
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        # an HNF is unique, so vec adds nothing exactly when it keeps the basis
+        return hnf(self.basis + (tuple(vec),)) == list(self.basis)
 
 
 def poly_residue(p, n):
@@ -595,18 +527,13 @@ def cyclic_ring(n):
     return Ring(Laurent.is_unit, neg_inverse, mul)
 
 
-def _shift_vec(vec):
-    return [vec[-1]] + vec[:-1]
-
-
 def ideal_mod(gens, n):
-    """Image in Z[t]/(t^n - 1) of the ideal generated by ``gens``."""
+    """Image in Z[t]/(t^n - 1) of the ideal generated by ``gens``: the
+    lattice spanned by the cyclic shifts of their residues."""
     rows = []
     for p in gens:
         vec = poly_residue(p, n)
-        for _ in range(n):
-            rows.append(tuple(vec))
-            vec = _shift_vec(vec)
+        rows.extend(tuple(vec[-s:] + vec[:-s]) for s in range(n))
     return CyclicLattice(n, tuple(hnf(rows)))
 
 

@@ -26,6 +26,7 @@ act on the presentation directly.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .diagram import (OVER, STRING_LINK, UNDER, Diagram, DiagramError,
@@ -178,6 +179,10 @@ def _check_pair(mu, i, j):
 # ---------------------------------------------------------------------------
 # text format
 
+_ARROW_LINE = re.compile(r"arrow:\s*(\S+)\s+(\S+)\s+([+-])")
+_ARROW_POSITION = re.compile(r"(\d+)\.(\d+)")
+
+
 def parse_presentation(text):
     """Parse the ``arrows`` file format.
 
@@ -210,20 +215,20 @@ def parse_presentation(text):
     slots = [{} for _ in range(base.mu)]
     signs = {}
     for aid, (lineno, line) in enumerate(arrow_lines, start=1):
-        fields = line[len("arrow:"):].split()
-        if len(fields) != 3 or fields[2] not in "+-":
+        m = _ARROW_LINE.fullmatch(line)
+        if m is None:
             raise ParseError(f"bad arrow line {line!r}", lineno)
-        for role, field in ((TAIL, fields[0]), (HEAD, fields[1])):
-            comp_s, _, slot_s = field.partition(".")
-            if not (comp_s.isdigit() and slot_s.isdigit()):
+        for role, field in ((TAIL, m[1]), (HEAD, m[2])):
+            pos = _ARROW_POSITION.fullmatch(field)
+            if pos is None:
                 raise ParseError(f"bad arrow position {field!r}", lineno)
-            comp, slot = int(comp_s), int(slot_s)
+            comp, slot = int(pos[1]), int(pos[2])
             if not 1 <= comp <= base.mu:
                 raise ParseError(f"component {comp} out of range", lineno)
             if slot in slots[comp - 1]:
                 raise ParseError(f"slot {field} used twice", lineno)
             slots[comp - 1][slot] = (aid, role)
-        signs[aid] = 1 if fields[2] == "+" else -1
+        signs[aid] = 1 if m[3] == "+" else -1
     strands = tuple(tuple(v for _, v in sorted(comp.items())) for comp in slots)
     return WArrowPresentation(strands, tuple(sorted(signs.items())), base.kind)
 

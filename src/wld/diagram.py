@@ -10,6 +10,7 @@ by R1, R2, R3 and OC alone.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -148,11 +149,8 @@ def parse(text):
         header_allowed = False
         if not line.startswith("component:"):
             raise ParseError(f"expected 'component:' line, got {line!r}", lineno)
-        body = line[len("component:"):].strip()
-        passages = []
-        for tok in body.split():
-            passages.append(_parse_token(tok, lineno))
-        components.append(tuple(passages))
+        body = line[len("component:"):]
+        components.append(tuple(_parse_token(tok, lineno) for tok in body.split()))
     if not components:
         raise ParseError("no components found")
     try:
@@ -161,13 +159,15 @@ def parse(text):
         raise ParseError(str(exc)) from exc
 
 
+_TOKEN = re.compile(rf"([{OVER}{UNDER}])(\d+)([+-])")
+
+
 def _parse_token(tok, lineno):
-    if len(tok) < 3 or tok[0] not in (OVER, UNDER) or tok[-1] not in "+-":
+    m = _TOKEN.fullmatch(tok)
+    cid = int(m[2]) if m else 0
+    if cid < 1:
         raise ParseError(f"unknown token {tok!r}", lineno)
-    digits = tok[1:-1]
-    if not digits.isdigit() or int(digits) < 1:
-        raise ParseError(f"unknown token {tok!r}", lineno)
-    return Passage(int(digits), tok[0], 1 if tok[-1] == "+" else -1)
+    return Passage(cid, m[1], 1 if m[3] == "+" else -1)
 
 
 def serialize(d):

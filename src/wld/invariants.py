@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import functools
 import heapq
-import itertools
 import math
+import re
 import operator
 from collections import Counter
 from dataclasses import dataclass
@@ -318,68 +318,49 @@ class FiniteGroupTable:
         return f"FiniteGroupTable({self.name!r}, order={self.order})"
 
 
+def _permutation_group(name, gens):
+    """The group generated by permutations of range(n) (tuples of images),
+    its elements numbered in sorted order, identity first; the product of
+    p and q is p after q."""
+    elements, size = {tuple(range(len(gens[0])))}, 0
+    while size < len(elements):
+        size = len(elements)
+        elements |= {tuple(p[i] for i in g) for p in elements for g in gens}
+    perms = sorted(elements)
+    index = {p: i for i, p in enumerate(perms)}
+    return FiniteGroupTable(name, [[index[tuple(p[i] for i in q)] for q in perms]
+                                   for p in perms])
+
+
 def cyclic_group(n):
-    return FiniteGroupTable(f"z{n}", [[(i + j) % n for j in range(n)] for i in range(n)])
+    """Z/n from the n-cycle i -> i + 1; element i is its i-th power."""
+    if n < 1:
+        raise GroupTableError(f"z{n}: need n >= 1")
+    return _permutation_group(f"z{n}", [tuple(range(1, n)) + (0,)])
 
 
 def dihedral_group(n):
-    """Dihedral group of order 2n: elements (r^i, r^i s)."""
-    size = 2 * n
-
-    def mul(a, b):
-        ia, sa = a % n, a // n
-        ib, sb = b % n, b // n
-        if sa == 0:
-            return ((ia + ib) % n) + n * sb
-        return ((ia - ib) % n) + n * (1 - sb)
-
-    return FiniteGroupTable(f"d{n}", [[mul(a, b) for b in range(size)] for a in range(size)])
+    """Dihedral group of order 2n, n >= 3: the symmetries of an n-gon, from
+    the n-cycle i -> i + 1 and the reflection i -> -i mod n, numbered as
+    permutations of the vertices in sorted order."""
+    if n < 3:
+        raise GroupTableError(f"d{n}: need n >= 3")
+    return _permutation_group(f"d{n}", [tuple(range(1, n)) + (0,),
+                                        tuple(-i % n for i in range(n))])
 
 
 def symmetric_group(n):
-    perms = sorted(itertools.permutations(range(n)))
-    index = {p: i for i, p in enumerate(perms)}
-    table = [[index[tuple(p[q[i]] for i in range(n))] for q in perms] for p in perms]
-    return FiniteGroupTable(f"s{n}", table)
+    """S_n, n >= 2, from the n-cycle and (0 1), numbered in sorted order."""
+    if n < 2:
+        raise GroupTableError(f"s{n}: need n >= 2")
+    return _permutation_group(f"s{n}", [tuple(range(1, n)) + (0,),
+                                        (1, 0) + tuple(range(2, n))])
 
 
 def quaternion_group():
-    """Q8 = {+-1, +-i, +-j, +-k}."""
-    names = ["1", "-1", "i", "-i", "j", "-j", "k", "-k"]
-    mul_t = {
-        ("1", x): x for x in names
-    }
-    for x in names:
-        mul_t[(x, "1")] = x
-
-    def neg(x):
-        return x[1:] if x.startswith("-") else "-" + x
-
-    base = {("i", "i"): "-1", ("j", "j"): "-1", ("k", "k"): "-1",
-            ("i", "j"): "k", ("j", "k"): "i", ("k", "i"): "j",
-            ("j", "i"): "-k", ("k", "j"): "-i", ("i", "k"): "-j"}
-
-    def mul(a, b):
-        if a == "1":
-            return b
-        if b == "1":
-            return a
-        sign = 1
-        if a.startswith("-"):
-            sign, a = -sign, a[1:]
-        if b.startswith("-"):
-            sign, b = -sign, b[1:]
-        if a == "1":
-            out = b
-        elif b == "1":
-            out = a
-        else:
-            out = base[(a, b)]
-        return neg(out) if sign < 0 else out
-
-    idx = {x: i for i, x in enumerate(names)}
-    table = [[idx[mul(a, b)] for b in names] for a in names]
-    return FiniteGroupTable("q8", table)
+    """Q8 = {+-1, +-i, +-j, +-k} as left multiplication by i and by j on the
+    units numbered 1, i, j, k, -1, -i, -j, -k."""
+    return _permutation_group("q8", [(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)])
 
 
 def builtin_group(name):
@@ -391,23 +372,19 @@ def builtin_group(name):
     return _builtin_group(name.lower())
 
 
+_FAMILIES = {"z": (cyclic_group, range(2, 13)), "d": (dihedral_group, range(3, 9)),
+             "s": (symmetric_group, range(3, 5))}
+
+
 @functools.cache
 def _builtin_group(name):
-    if name.startswith("z") and name[1:].isdigit():
-        n = int(name[1:])
-        if 2 <= n <= 12:
-            return cyclic_group(n)
-    if name.startswith("d") and name[1:].isdigit():
-        n = int(name[1:])
-        if 3 <= n <= 8:
-            return dihedral_group(n)
-    if name == "s3":
-        return symmetric_group(3)
-    if name == "s4":
-        return symmetric_group(4)
     if name == "q8":
         return quaternion_group()
-    raise GroupTableError(f"unknown group name {name!r}")
+    m = re.fullmatch(r"([zds])(\d+)", name)
+    if m is None or int(m[2]) not in _FAMILIES[m[1]][1]:
+        raise GroupTableError(f"unknown group name {name!r}")
+    build, _ = _FAMILIES[m[1]]
+    return build(int(m[2]))
 
 
 def load_group_csv(path):
@@ -531,15 +508,21 @@ def hom_count(p, group):
     class and each count is weighted by the class size.  Generators that
     ``components`` marks as conjugate take images in one class: once one of
     them is assigned, the later ones run over the members of its image's
-    class only.
+    class only.  A generator in no relator and alone in its component takes
+    every value: it multiplies the count by the group order.
     """
     simp = simplify_presentation(p)
-    ngens = simp.ngens
-    if ngens == 0:
-        return 1
     gens_in = [{g for g, _ in rel} for rel in simp.relators]
-    order_of_gens = sorted(range(ngens), key=lambda g: min(
+    in_relator = set().union(*gens_in)
+    per_component = Counter(simp.components)
+    free = {g for g in range(simp.ngens) if g not in in_relator
+            and (not simp.components or per_component[simp.components[g]] == 1)}
+    factor = group.order ** len(free)
+    order_of_gens = sorted((g for g in range(simp.ngens) if g not in free), key=lambda g: min(
         (len(r) for r, gens in zip(simp.relators, gens_in) if g in gens), default=10 ** 9))
+    ngens = len(order_of_gens)
+    if ngens == 0:
+        return factor
     rank = {g: i for i, g in enumerate(order_of_gens)}
     # a relator is checked at the level of its last generator, each letter
     # g^e as (the table of right multiplication by x^e, g)
@@ -560,7 +543,7 @@ def hom_count(p, group):
     classes = group.classes
     class_of = group.class_of
     every = range(group.order)
-    assign = [0] * ngens
+    assign = [0] * simp.ngens
 
     def fits(level):
         for rel in ready_at[level]:
@@ -588,7 +571,7 @@ def hom_count(p, group):
         assign[order_of_gens[0]] = members[0]
         if fits(0):
             total += len(members) * rec(1)
-    return total
+    return factor * total
 
 
 def coloring_count(d, n):

@@ -61,8 +61,14 @@ def test_parse_examples():
     assert parse_poly("1 - t + t^2") == Laurent([(0, 1), (1, -1), (2, 1)])
     assert parse_poly("0") == Laurent.zero()
     assert parse_poly("-2t^3") == Laurent([(3, -2)])
+    assert parse_poly("3*t^-2 - 0t + 4") == Laurent([(-2, 3), (0, 4)])
+
+
+@pytest.mark.parametrize("text", ["t^", "", "1 +", "+-t", "t^+1", "tt", "**",
+                                  "at", "^t", "t^\u00b2", "1^t", "2^-3"])
+def test_parse_rejects_malformed_text(text):
     with pytest.raises(AlgebraError):
-        parse_poly("t^")
+        parse_poly(text)
 
 
 def test_ring_axioms_spot():

@@ -8,7 +8,7 @@ from wld.arrows import (ArrowSite, WArrowPresentation,
                         normalize_vn_uc, parse_presentation,
                         serialize_presentation, stack, surgery, to_arrows,
                         trivial_string_link)
-from wld.diagram import (DiagramError, closure, linking_matrix, parse,
+from wld.diagram import (DiagramError, ParseError, closure, linking_matrix, parse,
                          random_diagram, same_diagram)
 from wld.invariants import alexander, panel, welded_group, hom_count
 from wld.moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
@@ -94,6 +94,18 @@ def test_presentation_rejects_non_positive_arrow_ids():
     # arrow ids become crossing ids under surgery, which must be positive
     with pytest.raises(DiagramError):
         WArrowPresentation((((0, "T"), (0, "H")),), ((0, 1),), "link")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("arrow: 1.1 2.1 +-", "bad arrow line"),
+    ("arrow: 1.1 2.1", "bad arrow line"),
+    ("arrow: 1.\u00b2 2.1 +", "bad arrow position '1.\u00b2'"),
+    ("arrow: 1.1 2.1.1 -", "bad arrow position '2.1.1'"),
+])
+def test_presentation_rejects_bad_arrow_lines(line, message):
+    with pytest.raises(ParseError) as err:
+        parse_presentation(f"arrows\nstringlink\ncomponent:\ncomponent:\n{line}\n")
+    assert message in str(err.value) and err.value.line == 5
 
 
 def test_presentation_format_example():

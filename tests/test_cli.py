@@ -168,6 +168,14 @@ def test_homs_matches_library(capsys, trefoil_file):
                                      builtin_group("s3"))
 
 
+def test_homs_of_a_large_unlink(capsys, tmp_path):
+    # every generator is free: no backtracking, so no recursion 1500 deep
+    path = tmp_path / "unlink-1500.gc"
+    path.write_text(serialize(named("unlink-1500")))
+    code, doc = run_json(capsys, ["homs", str(path), "--group", "z2", "--json"])
+    assert code == 0 and doc["count"] == 2 ** 1500
+
+
 def test_homs_core_and_table(capsys, trefoil_file, tmp_path):
     table = tmp_path / "z3.csv"
     table.write_text("0,1,2\n1,2,0\n2,0,1\n")
@@ -247,11 +255,16 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     ["examples", "trefoil", "-o", "{unwritable}"],
     ["multiplex", "{trefoil}", "--m", "2", "-o", "{unwritable}"],
     ["invariants", "{trefoil}", "--kmax", "-1"],
+    ["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"],
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
-        "examples-write", "multiplex-write", "invariants-negative-kmax"])
+        "examples-write", "multiplex-write", "invariants-negative-kmax",
+        "arrow-sign-plus-minus"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
+    bad_arrow_sign = tmp_path / "bad-sign.arrows"
+    bad_arrow_sign.write_text("arrows\nstringlink\ncomponent:\ncomponent:\narrow: 1.1 2.1 +-\n")
     paths = {"missing": str(tmp_path / "missing.gc"), "trefoil": trefoil_file,
-             "unwritable": str(tmp_path / "no-such-dir" / "x.gc")}
+             "unwritable": str(tmp_path / "no-such-dir" / "x.gc"),
+             "bad_arrow_sign": str(bad_arrow_sign)}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err

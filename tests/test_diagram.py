@@ -47,6 +47,13 @@ def test_parse_unknown_token():
         parse("component: X1+\n")
 
 
+@pytest.mark.parametrize("tok", ["O\u00b2+", "O0+", "O1+-", "O1", "o1+"])
+def test_parse_names_a_malformed_token_and_its_line(tok):
+    with pytest.raises(ParseError) as err:
+        parse(f"component:\ncomponent: {tok} U1+\n")
+    assert str(err.value) == f"line 2: unknown token {tok!r}"
+
+
 def test_parse_reports_line_number():
     with pytest.raises(ParseError) as err:
         parse("component:\ncomponent: Q9+\n")

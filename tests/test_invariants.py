@@ -1,3 +1,4 @@
+import math
 import random
 import signal
 
@@ -262,6 +263,41 @@ def test_builtin_group_orders():
     assert builtin_group("d8").order == 16
     with pytest.raises(GroupTableError):
         builtin_group("z99")
+    # below these sizes the generators would give a smaller group
+    for build, n in ((cyclic_group, 0), (dihedral_group, 2), (symmetric_group, 1)):
+        with pytest.raises(GroupTableError):
+            build(n)
+
+
+def _element_order_counts(group):
+    counts = {}
+    for x in range(group.order):
+        k, y = 1, x
+        while y != group.identity:
+            k, y = k + 1, group.mul(y, x)
+        counts[k] = counts.get(k, 0) + 1
+    return counts
+
+
+def _cyclic_order_counts(n):
+    # Z/n has phi(d) elements of order d for every divisor d of n
+    return {d: sum(math.gcd(k, d) == 1 for k in range(d))
+            for d in range(1, n + 1) if n % d == 0}
+
+
+def test_builtin_groups_have_the_element_orders_of_their_type():
+    # orders and class sizes alone do not tell d4 from q8, and the
+    # exhaustive hom-count oracle reads the same tables
+    want = {f"z{n}": _cyclic_order_counts(n) for n in range(2, 13)}
+    for n in range(3, 9):
+        # n reflections of order 2 besides the rotations, a copy of Z/n
+        rotations = _cyclic_order_counts(n)
+        want[f"d{n}"] = {**rotations, 2: rotations.get(2, 0) + n}
+    want["s3"] = {1: 1, 2: 3, 3: 2}
+    want["s4"] = {1: 1, 2: 9, 3: 8, 4: 6}
+    want["q8"] = {1: 1, 2: 1, 4: 6}
+    for name, counts in want.items():
+        assert _element_order_counts(builtin_group(name)) == counts, name
 
 
 def test_group_table_validation():
@@ -282,6 +318,32 @@ def test_hom_count_free_group():
     free = GroupPresentation(1, (), WELDED)
     for g in panel():
         assert hom_count(free, g) == g.order
+
+
+def test_hom_count_factors_out_free_generators():
+    # a split unknot component gives a generator in no relator, alone in
+    # its component; the trefoil's arcs share one component
+    d = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\ncomponent:\n")
+    for pres in (welded_group(d), core_group(d)):
+        assert pres.ngens == 4
+        for g in (symmetric_group(3), dihedral_group(4), quaternion_group()):
+            assert hom_count(pres, g) == oracles.hom_count_exhaustive(pres, g)
+
+
+def test_hom_count_of_a_large_unlink_is_immediate():
+    pres = welded_group(named("unlink-40"))
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("hom_count still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        count = hom_count(pres, builtin_group("z2"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert count == 2 ** 40
 
 
 def test_hom_count_against_exhaustive():

@@ -1,7 +1,8 @@
 """Property tests of the dense Laurent polynomial against a dict-of-terms
-reference: {exponent: nonzero coefficient}."""
+reference: {exponent: nonzero coefficient}.  Each test runs a derandomized
+search, so the suite stays deterministic."""
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from wld.algebra import Laurent, format_poly, parse_poly
 
@@ -26,6 +27,7 @@ def ref_mul(a, b):
     return reference((ea + eb, ca * cb) for ea, ca in a.items() for eb, cb in b.items())
 
 
+@settings(derandomize=True)
 @given(PAIRS)
 def test_constructor_normalizes_pairs(pairs):
     p = Laurent(pairs)
@@ -38,6 +40,7 @@ def test_constructor_normalizes_pairs(pairs):
         assert p.coeff(p.min_exp()) and p.coeff(p.max_exp())
 
 
+@settings(derandomize=True)
 @given(PAIRS, PAIRS)
 def test_ring_operations_match_reference(a, b):
     p, q = Laurent(a), Laurent(b)
@@ -50,6 +53,7 @@ def test_ring_operations_match_reference(a, b):
     assert terms(p.shift(4)) == {e + 4: c for e, c in ra.items()}
 
 
+@settings(derandomize=True)
 @given(PAIRS, PAIRS)
 def test_equality_and_hash_agree(a, b):
     p, q = Laurent(a), Laurent(b)
@@ -60,6 +64,7 @@ def test_equality_and_hash_agree(a, b):
         assert hash(p) == hash(q)
 
 
+@settings(derandomize=True)
 @given(PAIRS)
 def test_parse_format_round_trip(pairs):
     p = Laurent(pairs)

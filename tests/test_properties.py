@@ -5,11 +5,15 @@ the suite stays deterministic.  Diagrams are drawn through a Hypothesis
 controlled ``random.Random`` handed to ``random_diagram``.
 """
 
+import functools
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wld.algebra import ideal_mod, snf
-from wld.diagram import LINK, STRING_LINK, random_diagram
+from wld.arrows import (build_H, build_Hbar, parse_presentation,
+                        serialize_presentation, stack)
+from wld.diagram import LINK, STRING_LINK, Diagram, canonical_key, random_diagram
 from wld.invariants import GroupPresentation, abelianization, elementary_ideals
 from wld.moves import make_kind, scramble
 
@@ -73,3 +77,37 @@ def test_z_elimination_then_snf_matches_the_minor_oracle(mat):
 def test_z_elimination_then_snf_matches_dense_snf(mat):
     assert abelianization(_presentation(mat)) == _abelianization_from(
         snf(mat), len(mat[0]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_diagrams((LINK, STRING_LINK), max_crossings=7), st.data())
+def test_canonical_key_is_the_least_code_under_rotation_and_relabelling(d, data):
+    ids = d.crossing_ids()
+    labels = data.draw(st.lists(st.integers(1, 99), min_size=len(ids),
+                                max_size=len(ids), unique=True))
+    relabel = dict(zip(ids, labels))
+    comps = []
+    for comp in d.components:
+        comp = tuple(p._replace(crossing=relabel[p.crossing]) for p in comp)
+        if comp and d.kind == LINK:
+            r = data.draw(st.integers(0, len(comp) - 1))
+            comp = comp[r:] + comp[:r]
+        comps.append(comp)
+    key = canonical_key(d)
+    assert key == canonical_key(Diagram(tuple(comps), d.kind))
+    assert key == oracles.canonical_key_bruteforce(d)
+
+
+def _arrow_blocks(mu):
+    pairs = [(i, j) for i in range(1, mu + 1) for j in range(i + 1, mu + 1)]
+    return st.builds(lambda build, pair, a: build(mu, *pair, a),
+                     st.sampled_from((build_H, build_Hbar)), st.sampled_from(pairs),
+                     st.integers(-3, 3))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda mu: st.lists(_arrow_blocks(mu), min_size=1,
+                                                      max_size=4)))
+def test_presentation_text_round_trips(blocks):
+    p = functools.reduce(stack, blocks)
+    assert parse_presentation(serialize_presentation(p)) == p
