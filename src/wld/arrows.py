@@ -3,10 +3,11 @@
 A presentation is a crossing-free base diagram together with signed
 w-arrows.  Surgery turns each arrow into one classical crossing: over at
 the tail, under at the head, with the arrow's sign.  On Gauss codes the
-base carries no passages, so a presentation is just the per-strand order of
-arrow endpoints plus the signs; twists are absorbed into the sign, which is
-calibrated so that the closure of H_ij(a) has ordered linking numbers
-(a, 0) and that of Hbar_ij(b) has (0, b).
+base carries no passages, so a presentation is held as its surgery
+diagram, which records the order of arrow ends along each strand and the
+signs; twists are absorbed into the sign, which is calibrated so that the
+closure of H_ij(a) has ordered linking numbers (a, 0) and that of
+Hbar_ij(b) has (0, b).
 
 Arrow move catalog: AR1-AR6 involve only virtual crossings and twist pairs
 and act trivially on this data; AR7 exchanges adjacent tails (surgery image
@@ -18,10 +19,10 @@ Abar(n), Abar^n insert or delete the arrow blocks whose surgery images are
 the V(n)/V^n twist and parallel blocks.
 
 These moves run on ``wld.moves`` through surgery: the sites of an arrow
-move are the sites of its surgery image, and applying it applies the image
-and reads the result back with ``to_arrows``.  The head-tail exchange, the
-ends exchange and the head-tail reversal have no Gauss-code counterpart and
-act on the presentation directly.
+move are the sites of its surgery image, and applying it applies the
+image, which ``to_arrows`` wraps without converting.  The head-tail
+exchange, the ends exchange and the head-tail reversal have no Gauss-code
+counterpart and permute or flip passages of the surgery diagram directly.
 """
 
 from __future__ import annotations
@@ -37,9 +38,6 @@ from .moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
                     _adjacent_pairs, find_sites)
 from .moves import apply as apply_move
 
-TAIL = "T"
-HEAD = "H"
-
 ARROW_MOVE_NAMES = (
     "ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar7", "ar8", "ar9", "ar10",
     "ar11", "ar12", "heads-exchange", "head-tail-exchange", "h", "hprime",
@@ -51,83 +49,39 @@ _PARAMETRIC_MOVES = ("a(n)", "a^n", "abar(n)", "abar^n")
 
 @dataclass(frozen=True)
 class WArrowPresentation:
-    """Crossing-free base plus ordered arrow endpoints.
+    """Signed w-arrows on a crossing-free base, held as their surgery image.
 
-    ``strands[c]`` lists endpoint tokens ``(arrow_id, TAIL|HEAD)`` along
-    component ``c``; ``signs`` maps arrow id to the crossing sign.
+    Arrow ``a`` is crossing ``a`` of ``diagram``: its tail is the over
+    passage, its head the under passage, and its sign the crossing sign.
     """
 
-    strands: tuple
-    signs: tuple  # sorted tuple of (arrow_id, sign)
-    kind: str = STRING_LINK
+    diagram: Diagram
 
-    def __post_init__(self):
-        object.__setattr__(self, "strands", tuple(tuple(s) for s in self.strands))
-        sign_map = dict(self.signs)
-        object.__setattr__(self, "signs", tuple(sorted(sign_map.items())))
-        seen = {}
-        for ci, strand in enumerate(self.strands):
-            for tok in strand:
-                aid, role = tok
-                if role not in (TAIL, HEAD):
-                    raise DiagramError(f"bad arrow token {tok!r}")
-                if aid < 1:  # arrow ids are the crossing ids of the surgery
-                    raise DiagramError(f"arrow ids must be positive, got {aid}")
-                roles = seen.setdefault(aid, set())
-                if role in roles:
-                    raise DiagramError(f"arrow {aid} has two {role} ends")
-                roles.add(role)
-        for aid, roles in seen.items():
-            if roles != {TAIL, HEAD}:
-                raise DiagramError(f"arrow {aid} is missing an endpoint")
-            if aid not in sign_map:
-                raise DiagramError(f"arrow {aid} has no sign")
-        for aid, sign in sign_map.items():
-            if aid not in seen:
-                raise DiagramError(f"sign given for unknown arrow {aid}")
-            if sign not in (1, -1):
-                raise DiagramError(f"bad sign for arrow {aid}")
+    @property
+    def kind(self):
+        return self.diagram.kind
 
     @property
     def mu(self):
-        return len(self.strands)
-
-    @property
-    def sign_map(self):
-        return dict(self.signs)
+        return self.diagram.mu
 
     def arrow_ids(self):
-        return sorted(dict(self.signs))
+        return self.diagram.crossing_ids()
 
 
 def trivial_string_link(mu):
-    return WArrowPresentation(tuple(() for _ in range(mu)), (), STRING_LINK)
+    return WArrowPresentation(Diagram(((),) * mu, STRING_LINK))
 
 
 def surgery(p):
     """Replace every arrow by one classical crossing (over at its tail)."""
-    comps = []
-    for strand in p.strands:
-        seq = []
-        sm = p.sign_map
-        for aid, role in strand:
-            seq.append(Passage(aid, OVER if role == TAIL else UNDER, sm[aid]))
-        comps.append(tuple(seq))
-    return Diagram(tuple(comps), p.kind)
+    return p.diagram
 
 
 def to_arrows(d):
     """Arrow presentation of a diagram: one arrow per classical crossing,
     tail at the over passage, head at the under passage, same sign."""
-    strands = []
-    signs = {}
-    for comp in d.components:
-        strand = []
-        for psg in comp:
-            strand.append((psg.crossing, TAIL if psg.role == OVER else HEAD))
-            signs[psg.crossing] = psg.sign
-        strands.append(tuple(strand))
-    return WArrowPresentation(tuple(strands), tuple(sorted(signs.items())), d.kind)
+    return WArrowPresentation(d)
 
 
 def stack(p, q):
@@ -137,13 +91,9 @@ def stack(p, q):
     if p.mu != q.mu:
         raise DiagramError("stacking needs equal strand counts")
     offset = max(p.arrow_ids(), default=0)
-    strands = []
-    for sp, sq in zip(p.strands, q.strands):
-        strands.append(tuple(sp) + tuple((aid + offset, role) for aid, role in sq))
-    signs = dict(p.signs)
-    for aid, sign in q.signs:
-        signs[aid + offset] = sign
-    return WArrowPresentation(tuple(strands), tuple(sorted(signs.items())), STRING_LINK)
+    return WArrowPresentation(Diagram(tuple(
+        sp + tuple(psg._replace(crossing=psg.crossing + offset) for psg in sq)
+        for sp, sq in zip(p.diagram.components, q.diagram.components)), STRING_LINK))
 
 
 def build_H(mu, i, j, a):
@@ -162,13 +112,13 @@ def build_Hbar(mu, i, j, b):
 
 def _arrow_block(mu, tail, head, count):
     """|count| parallel arrows of sign sign(count) from strand ``tail`` to
-    strand ``head`` (1-based) on ``mu`` strands."""
+    strand ``head`` (1-based), on a string link of ``mu`` components."""
     sign = 1 if count >= 0 else -1
     ids = range(1, abs(count) + 1)
-    strands = [()] * mu
-    strands[tail - 1] = tuple((k, TAIL) for k in ids)
-    strands[head - 1] = tuple((k, HEAD) for k in ids)
-    return WArrowPresentation(tuple(strands), tuple((k, sign) for k in ids), STRING_LINK)
+    comps = [()] * mu
+    comps[tail - 1] = tuple(Passage(k, OVER, sign) for k in ids)
+    comps[head - 1] = tuple(Passage(k, UNDER, sign) for k in ids)
+    return WArrowPresentation(Diagram(tuple(comps), STRING_LINK))
 
 
 def _check_pair(mu, i, j):
@@ -213,12 +163,12 @@ def parse_presentation(text):
     if base.crossing_count:
         raise ParseError("presentation base must be crossing-free")
     slots = [{} for _ in range(base.mu)]
-    signs = {}
     for aid, (lineno, line) in enumerate(arrow_lines, start=1):
         m = _ARROW_LINE.fullmatch(line)
         if m is None:
             raise ParseError(f"bad arrow line {line!r}", lineno)
-        for role, field in ((TAIL, m[1]), (HEAD, m[2])):
+        sign = 1 if m[3] == "+" else -1
+        for role, field in ((OVER, m[1]), (UNDER, m[2])):
             pos = _ARROW_POSITION.fullmatch(field)
             if pos is None:
                 raise ParseError(f"bad arrow position {field!r}", lineno)
@@ -227,10 +177,9 @@ def parse_presentation(text):
                 raise ParseError(f"component {comp} out of range", lineno)
             if slot in slots[comp - 1]:
                 raise ParseError(f"slot {field} used twice", lineno)
-            slots[comp - 1][slot] = (aid, role)
-        signs[aid] = 1 if m[3] == "+" else -1
-    strands = tuple(tuple(v for _, v in sorted(comp.items())) for comp in slots)
-    return WArrowPresentation(strands, tuple(sorted(signs.items())), base.kind)
+            slots[comp - 1][slot] = Passage(aid, role, sign)
+    return WArrowPresentation(Diagram(
+        tuple(tuple(v for _, v in sorted(comp.items())) for comp in slots), base.kind))
 
 
 def serialize_presentation(p):
@@ -238,13 +187,8 @@ def serialize_presentation(p):
     if p.kind == STRING_LINK:
         lines.append("stringlink")
     lines.extend("component:" for _ in range(p.mu))
-    where = {}
-    for ci, strand in enumerate(p.strands):
-        for slot, (aid, role) in enumerate(strand, start=1):
-            where[(aid, role)] = f"{ci + 1}.{slot}"
-    for aid in p.arrow_ids():
-        sign = "+" if p.sign_map[aid] > 0 else "-"
-        lines.append(f"arrow: {where[(aid, TAIL)]} {where[(aid, HEAD)]} {sign}")
+    for (ct, qt), (ch, qh), sign in p.diagram.crossing_table().values():
+        lines.append(f"arrow: {ct + 1}.{qt + 1} {ch + 1}.{qh + 1} {'+' if sign > 0 else '-'}")
     return "\n".join(lines) + "\n"
 
 
@@ -312,7 +256,7 @@ def find_arrow_sites(p, kind):
         return [ArrowSite(())]
     if name == "head-tail-reversal":
         return [ArrowSite((aid,)) for aid in p.arrow_ids()]
-    d = surgery(p)
+    d = p.diagram
     if name in _EXCHANGES:
         return _exchange_sites(d, name)
     sites = find_sites(d, _gauss_kind(kind))
@@ -342,13 +286,14 @@ def apply_arrow_move(p, kind, site):
         return p
     if name == "head-tail-reversal":
         (aid,) = site.data
-        if aid not in p.sign_map:
+        if aid not in p.arrow_ids():
             raise MoveError(f"no arrow {aid}")
-        strands = tuple(tuple((a, (HEAD if ro == TAIL else TAIL) if a == aid else ro)
-                              for a, ro in strand)
-                        for strand in p.strands)
-        return WArrowPresentation(strands, p.signs, p.kind)
-    d = surgery(p)
+        # the arrow's tail and head swap: its crossing's passages swap roles
+        return WArrowPresentation(p.diagram.with_components(
+            tuple(psg._replace(role=OVER if psg.role == UNDER else UNDER)
+                  if psg.crossing == aid else psg for psg in comp)
+            for comp in p.diagram.components))
+    d = p.diagram
     if name in _EXCHANGES:
         if site not in _exchange_sites(d, name):
             raise MoveError(f"site is not a {name} pair")
@@ -356,12 +301,12 @@ def apply_arrow_move(p, kind, site):
         comps = [list(c) for c in d.components]
         r = (q + 1) % len(comps[ci])
         comps[ci][q], comps[ci][r] = comps[ci][r], comps[ci][q]
-        return to_arrows(d.with_components(comps))
+        return WArrowPresentation(d.with_components(comps))
     out = apply_move(d, _gauss_kind(kind), site)
     # the R1 move has checked the site, so the kink's first passage exists
     if name in _KINK_FIRST and _kink_first(d, kind, site) != _KINK_FIRST[name]:
         raise MoveError(f"site is not an {name} kink")
-    return to_arrows(out)
+    return WArrowPresentation(out)
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +323,7 @@ def normalize_vn(p, n):
         raise DiagramError("normalize_vn needs odd n >= 1")
     if p.kind != STRING_LINK:
         raise DiagramError("normalize_vn expects a string-link presentation")
-    return twist_residues(closure(surgery(p)), n)
+    return twist_residues(closure(p.diagram), n)
 
 
 def normalize_vn_uc(p, n):
@@ -388,6 +333,6 @@ def normalize_vn_uc(p, n):
         raise DiagramError("normalize_vn_uc needs n >= 1")
     if p.kind != STRING_LINK:
         raise DiagramError("normalize_vn_uc expects a string-link presentation")
-    res = parallel_residues(closure(surgery(p)), n)
+    res = parallel_residues(closure(p.diagram), n)
     pairs = [(i, j) for i, j in res if i < j]
     return {(i, j): res[i, j] for i, j in pairs}, {(i, j): res[j, i] for i, j in pairs}

@@ -112,9 +112,9 @@ class Diagram:
         (c, p) of the under passage, sign)."""
         over, under, sign = {}, {}, {}
         for ci, comp in enumerate(self.components):
-            for p, psg in enumerate(comp):
-                (over if psg.role == OVER else under)[psg.crossing] = (ci, p)
-                sign[psg.crossing] = psg.sign
+            for p, (cid, role, s) in enumerate(comp):
+                (over if role == OVER else under)[cid] = (ci, p)
+                sign[cid] = s
         return {cid: (over[cid], under[cid], sign[cid]) for cid in sorted(sign)}
 
     def with_components(self, components):

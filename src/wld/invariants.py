@@ -393,8 +393,14 @@ def load_group_csv(path):
             text = fh.read()
     except OSError as exc:
         raise GroupTableError(f"cannot read {path}: {exc.strerror}") from exc
-    rows = [[int(x) for x in line.strip().split(",")]
-            for line in text.splitlines() if line.strip()]
+    rows = []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        try:
+            if line.strip():
+                rows.append([int(x) for x in line.split(",")])
+        except ValueError:
+            raise GroupTableError(f"{path}: line {lineno}: entries must be integers, "
+                                  f"got {line.strip()!r}") from None
     return FiniteGroupTable(str(path), rows)
 
 
@@ -503,50 +509,58 @@ def hom_count(p, group):
     """Exact number of homomorphisms from the presented group into ``group``.
 
     Backtracking over generator images with relator pruning, run on the
-    Tietze-simplified presentation.  Hom(pi, G) is closed under conjugation
-    by G, so the first generator runs over one representative per conjugacy
+    Tietze-simplified presentation.  Generators that share a relator or a
+    ``components`` index fall into one part.  The presented group is the
+    free product of its parts, so the count is the product of the parts'
+    counts; a generator in no relator and alone in its component is a part
+    that counts |G|.  Hom(part, G) is closed under conjugation by G, so a
+    part's first generator runs over one representative per conjugacy
     class and each count is weighted by the class size.  Generators that
     ``components`` marks as conjugate take images in one class: once one of
     them is assigned, the later ones run over the members of its image's
-    class only.  A generator in no relator and alone in its component takes
-    every value: it multiplies the count by the group order.
+    class only.
     """
     simp = simplify_presentation(p)
     gens_in = [{g for g, _ in rel} for rel in simp.relators]
-    in_relator = set().union(*gens_in)
-    per_component = Counter(simp.components)
-    free = {g for g in range(simp.ngens) if g not in in_relator
-            and (not simp.components or per_component[simp.components[g]] == 1)}
-    factor = group.order ** len(free)
-    order_of_gens = sorted((g for g in range(simp.ngens) if g not in free), key=lambda g: min(
+    order = sorted(range(simp.ngens), key=lambda g: min(
         (len(r) for r, gens in zip(simp.relators, gens_in) if g in gens), default=10 ** 9))
-    ngens = len(order_of_gens)
-    if ngens == 0:
-        return factor
-    rank = {g: i for i, g in enumerate(order_of_gens)}
-    # a relator is checked at the level of its last generator, each letter
+    rank = {g: i for i, g in enumerate(order)}
+    # a relator is checked once its last generator is assigned, each letter
     # g^e as (the table of right multiplication by x^e, g)
     table = group.table
     by_inverse = tuple(tuple(row[x] for x in group.inverse) for row in table)
-    ready_at = [[] for _ in range(ngens)]
+    ready_at = [[] for _ in range(simp.ngens)]
     for rel, gens in zip(simp.relators, gens_in):
-        ready_at[max(rank[g] for g in gens)].append(
+        ready_at[max(gens, key=rank.__getitem__)].append(
             tuple((table if e == 1 else by_inverse, g) for g, e in rel))
-    # anchor[level]: the generator first assigned in this level's component
+    # anchor[g]: the generator assigned first in g's component, if not g;
+    # root[g] leads to g's part (union-find)
+    anchor = [None] * simp.ngens
+    root = list(range(simp.ngens))
     first_of = {}
-    anchor = [None] * ngens
-    if simp.components:
-        for level, g in enumerate(order_of_gens):
+    for g in order:
+        if simp.components:
             first = first_of.setdefault(simp.components[g], g)
-            anchor[level] = first if first != g else None
+            anchor[g] = first if first != g else None
+
+    def find(g):
+        while root[g] != g:
+            root[g] = root[root[g]]
+            g = root[g]
+        return g
+
+    for gens in gens_in + [(first_of[c], g) for g, c in enumerate(simp.components)]:
+        r = find(min(gens))
+        for g in gens:
+            root[find(g)] = r
     ident = group.identity
     classes = group.classes
     class_of = group.class_of
     every = range(group.order)
     assign = [0] * simp.ngens
 
-    def fits(level):
-        for rel in ready_at[level]:
+    def fits(gen):
+        for rel in ready_at[gen]:
             acc = ident
             for tab, g in rel:
                 acc = tab[acc][assign[g]]
@@ -554,24 +568,30 @@ def hom_count(p, group):
                 return False
         return True
 
-    def rec(level):
-        if level == ngens:
+    def rec(part, level):
+        if level == len(part):
             return 1
-        gen = order_of_gens[level]
-        first = anchor[level]
+        gen = part[level]
+        first = anchor[gen]
         total = 0
         for val in every if first is None else classes[class_of[assign[first]]]:
             assign[gen] = val
-            if fits(level):
-                total += rec(level + 1)
+            if fits(gen):
+                total += rec(part, level + 1)
         return total
 
-    total = 0
-    for members in classes:
-        assign[order_of_gens[0]] = members[0]
-        if fits(0):
-            total += len(members) * rec(1)
-    return factor * total
+    def count(part):
+        total = 0
+        for members in classes:
+            assign[part[0]] = members[0]
+            if fits(part[0]):
+                total += len(members) * rec(part, 1)
+        return total
+
+    parts = {}
+    for g in order:
+        parts.setdefault(find(g), []).append(g)
+    return math.prod(map(count, parts.values()))
 
 
 def coloring_count(d, n):

@@ -2,14 +2,13 @@ import random
 
 import pytest
 
-from wld.arrows import (ArrowSite, WArrowPresentation,
-                        apply_arrow_move, build_H, build_Hbar,
+from wld.arrows import (ArrowSite, apply_arrow_move, build_H, build_Hbar,
                         find_arrow_sites, make_arrow_kind, normalize_vn,
                         normalize_vn_uc, parse_presentation,
                         serialize_presentation, stack, surgery, to_arrows,
                         trivial_string_link)
-from wld.diagram import (DiagramError, ParseError, closure, linking_matrix, parse,
-                         random_diagram, same_diagram)
+from wld.diagram import (Diagram, DiagramError, ParseError, Passage, closure,
+                         linking_matrix, parse, random_diagram, same_diagram)
 from wld.invariants import alexander, panel, welded_group, hom_count
 from wld.moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
                        find_sites, make_kind, scramble, apply as apply_move)
@@ -47,7 +46,7 @@ def test_to_arrows_counts_and_signs():
     tre = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
     p = to_arrows(tre)
     assert p.arrow_ids() == [1, 2, 3]
-    assert all(sign == 1 for _, sign in p.signs)
+    assert all(psg.sign == 1 for comp in surgery(p).components for psg in comp)
 
 
 def test_build_H_calibration():
@@ -93,7 +92,7 @@ def test_presentation_parse_rejects_crossing_base():
 def test_presentation_rejects_non_positive_arrow_ids():
     # arrow ids become crossing ids under surgery, which must be positive
     with pytest.raises(DiagramError):
-        WArrowPresentation((((0, "T"), (0, "H")),), ((0, 1),), "link")
+        to_arrows(Diagram(((Passage(0, "O", 1), Passage(0, "U", 1)),), "link"))
 
 
 @pytest.mark.parametrize("line, message", [
@@ -119,7 +118,7 @@ def test_presentation_format_example():
 # arrow moves
 
 def test_ar8_deletes_isolated_arrow():
-    p = WArrowPresentation((((1, "T"), (1, "H")),), ((1, 1),), "stringlink")
+    p = to_arrows(parse("stringlink\ncomponent: O1+ U1+\n"))
     sites = find_arrow_sites(p, make_arrow_kind("ar8", direction=REDUCE))
     assert len(sites) == 1
     out = apply_arrow_move(p, make_arrow_kind("ar8", direction=REDUCE), sites[0])
@@ -127,7 +126,7 @@ def test_ar8_deletes_isolated_arrow():
 
 
 def test_ar8_surgery_is_r1():
-    p = WArrowPresentation((((1, "T"), (1, "H")),), ((1, -1),), "link")
+    p = to_arrows(parse("component: O1- U1-\n"))
     d = surgery(p)
     sites = find_arrow_sites(p, make_arrow_kind("ar8", direction=REDUCE))
     out = apply_arrow_move(p, make_arrow_kind("ar8", direction=REDUCE), sites[0])
@@ -136,7 +135,7 @@ def test_ar8_surgery_is_r1():
 
 
 def test_ar10_deletes_reversed_adjacency():
-    p = WArrowPresentation((((1, "H"), (1, "T")),), ((1, 1),), "link")
+    p = to_arrows(parse("component: U1+ O1+\n"))
     sites = find_arrow_sites(p, make_arrow_kind("ar10", direction=REDUCE))
     assert sites
     out = apply_arrow_move(p, make_arrow_kind("ar10", direction=REDUCE), sites[0])
@@ -229,8 +228,8 @@ def test_abar_n_reversed_heads():
     base = trivial_string_link(2)
     kind = make_arrow_kind("abar^n", 2, EXPAND)
     out = apply_arrow_move(base, kind, ArrowSite((0, 0, 1, 0, 1)))
-    heads = [aid for aid, role in out.strands[1] if role == "H"]
-    tails = [aid for aid, role in out.strands[0] if role == "T"]
+    heads = [psg.crossing for psg in surgery(out).components[1] if psg.role == "U"]
+    tails = [psg.crossing for psg in surgery(out).components[0] if psg.role == "O"]
     assert heads == list(reversed(tails))
     assert lam_pair(out) == (2, 0)
 
@@ -344,8 +343,8 @@ def test_abar_n_odd_twist_block():
     out = apply_arrow_move(base, kind, ArrowSite((0, 0, 1, 0, 1, 1)))
     li, lj = lam_pair(out)
     assert li + lj == 3
-    ids2 = [aid for aid, _ in out.strands[1]]
-    ids1 = [aid for aid, _ in out.strands[0]]
+    ids2 = [psg.crossing for psg in surgery(out).components[1]]
+    ids1 = [psg.crossing for psg in surgery(out).components[0]]
     assert ids2 == list(reversed(ids1))
     back = find_arrow_sites(out, make_arrow_kind("abar(n)", 3, REDUCE))
     assert any(apply_arrow_move(out, make_arrow_kind("abar(n)", 3, REDUCE), s) == base
@@ -383,10 +382,8 @@ REDUCE_CONTRACT_KINDS = (
 def _contract_presentations():
     """Small seeded presentations with planted reduce sites, plus tails 1,2
     adjacent on strand 1 whose heads are separated on strand 2."""
-    out = [WArrowPresentation(
-        (((1, "T"), (2, "T")), ((1, "H"), (3, "T"), (3, "H"), (2, "H"))),
-        ((1, 1), (2, 1), (3, -1)), kind)
-        for kind in ("stringlink", "link")]
+    out = [to_arrows(parse(header + "component: O1+ O2+\ncomponent: U1+ O3- U3- U2+\n"))
+           for header in ("stringlink\n", "")]
     plants = ([("r1", 0), ("r2", 0), ("vbar(n)", 1), ("vbar(n)", 3)]
               + [(family, n) for family in ("v^n", "vbar^n", "v(n)")
                  for n in (1, 2, 3, 4)])
@@ -404,7 +401,7 @@ def _reduce_site_grid(p, name):
     """Every reduce site tuple of the kind's shape, one position past each
     strand end included."""
     positions = [(ci, q) for ci in range(p.mu)
-                 for q in range(len(p.strands[ci]) + 1)]
+                 for q in range(len(surgery(p).components[ci]) + 1)]
     if name in ("ar8", "ar10"):
         return [ArrowSite(pos) for pos in positions]
     pairs = [a + b for a in positions for b in positions]

@@ -247,24 +247,29 @@ def test_readme_command_walkthrough(tmp_path, capsys):
         capsys.readouterr()
 
 
-@pytest.mark.parametrize("argv", [
-    ["normal-form", "{missing}", "--relation", "vn", "--n", "3"],
-    ["homs", "{trefoil}", "--group", "table:{missing}"],
-    ["scramble", "{trefoil}", "--moves", "r1", "--steps", "1", "--seed", "1",
-     "-o", "{unwritable}"],
-    ["examples", "trefoil", "-o", "{unwritable}"],
-    ["multiplex", "{trefoil}", "--m", "2", "-o", "{unwritable}"],
-    ["invariants", "{trefoil}", "--kmax", "-1"],
-    ["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"],
+@pytest.mark.parametrize("argv, fragment", [
+    (["normal-form", "{missing}", "--relation", "vn", "--n", "3"], ""),
+    (["homs", "{trefoil}", "--group", "table:{missing}"], ""),
+    (["scramble", "{trefoil}", "--moves", "r1", "--steps", "1", "--seed", "1",
+      "-o", "{unwritable}"], ""),
+    (["examples", "trefoil", "-o", "{unwritable}"], ""),
+    (["multiplex", "{trefoil}", "--m", "2", "-o", "{unwritable}"], ""),
+    (["invariants", "{trefoil}", "--kmax", "-1"], ""),
+    (["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"], ""),
+    (["homs", "{trefoil}", "--group", "table:{bad_table}"], "{bad_table}: line 2: "),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
-        "arrow-sign-plus-minus"])
-def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv):
+        "arrow-sign-plus-minus", "group-table-entry"])
+def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
+                                                fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"
     bad_arrow_sign.write_text("arrows\nstringlink\ncomponent:\ncomponent:\narrow: 1.1 2.1 +-\n")
+    bad_table = tmp_path / "bad.csv"
+    bad_table.write_text("0,1\n1,x\n")
     paths = {"missing": str(tmp_path / "missing.gc"), "trefoil": trefoil_file,
              "unwritable": str(tmp_path / "no-such-dir" / "x.gc"),
-             "bad_arrow_sign": str(bad_arrow_sign)}
+             "bad_arrow_sign": str(bad_arrow_sign), "bad_table": str(bad_table)}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
+    assert fragment.format(**paths) in err, err
     assert err.startswith("error: ") and err.count("\n") == 1, err

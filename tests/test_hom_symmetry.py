@@ -7,7 +7,7 @@ import random
 import pytest
 
 from wld.classify import named
-from wld.diagram import arc_components, random_diagram
+from wld.diagram import Diagram, arc_components, random_diagram
 from wld.invariants import (FiniteGroupTable, GroupPresentation, builtin_group,
                             core_group, hom_count, simplify_presentation,
                             symmetric_group, welded_group)
@@ -75,6 +75,30 @@ def test_hom_count_against_exhaustive_with_conjugate_generators():
                 if g.order ** simp.ngens <= EXHAUSTIVE_LIMIT:
                     assert hom_count(pres, g) == oracles.hom_count_exhaustive(simp, g)
     assert repeated >= 10
+
+
+def side_by_side(d, e):
+    """The split union of two diagrams of one kind, e's crossings renumbered."""
+    offset = max(d.crossing_ids(), default=0)
+    shifted = tuple(tuple(psg._replace(crossing=psg.crossing + offset) for psg in comp)
+                    for comp in e.components)
+    return Diagram(d.components + shifted, d.kind)
+
+
+def test_hom_count_of_side_by_side_copies_against_exhaustive():
+    rng = random.Random(27)
+    groups = [builtin_group(name) for name in ("s3", "d4", "q8")]
+    checked = 0
+    for _ in range(30):
+        d = random_diagram(rng, max_crossings=3, max_mu=2)
+        e = random_diagram(rng, max_crossings=3, max_mu=2)
+        for pres in (welded_group(side_by_side(d, e)), core_group(side_by_side(d, e))):
+            simp = simplify_presentation(pres)
+            for g in groups:
+                if g.order ** simp.ngens <= EXHAUSTIVE_LIMIT:
+                    assert hom_count(pres, g) == oracles.hom_count_exhaustive(simp, g)
+                    checked += 1
+    assert checked >= 60
 
 
 def test_conjugacy_classes_of_tables():

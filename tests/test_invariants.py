@@ -314,6 +314,14 @@ def test_load_group_csv(tmp_path):
     assert table.order == 3 and table.identity == 0
 
 
+def test_load_group_csv_names_the_file_and_line_of_a_bad_entry(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("0,1\n\n1,x\n")
+    with pytest.raises(GroupTableError) as err:
+        load_group_csv(path)
+    assert f"{path}: line 3: " in str(err.value) and "'1,x'" in str(err.value)
+
+
 def test_hom_count_free_group():
     free = GroupPresentation(1, (), WELDED)
     for g in panel():
@@ -344,6 +352,26 @@ def test_hom_count_of_a_large_unlink_is_immediate():
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
     assert count == 2 ** 40
+
+
+def test_hom_count_of_split_hopf_links_multiplies_the_parts():
+    # every Hopf link is a part of its own with 4 homomorphisms into z2;
+    # one search over all 24 arcs would cost the product of the parts
+    text = "".join(f"component: O{2 * k + 1}+ U{2 * k + 2}+\n"
+                   f"component: U{2 * k + 1}+ O{2 * k + 2}+\n" for k in range(12))
+    pres = welded_group(parse(text))
+
+    def on_alarm(signum, frame):
+        raise TimeoutError("hom_count still running after 1 s")
+
+    previous = signal.signal(signal.SIGALRM, on_alarm)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        count = hom_count(pres, builtin_group("z2"))
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert count == 4 ** 12
 
 
 def test_hom_count_against_exhaustive():

@@ -13,8 +13,12 @@ from hypothesis import strategies as st
 from wld.algebra import ideal_mod, snf
 from wld.arrows import (build_H, build_Hbar, parse_presentation,
                         serialize_presentation, stack)
-from wld.diagram import LINK, STRING_LINK, Diagram, canonical_key, random_diagram
-from wld.invariants import GroupPresentation, abelianization, elementary_ideals
+from wld.diagram import (LINK, STRING_LINK, Diagram, canonical_key, linking_matrix,
+                         parallel_residues, parse, random_diagram, serialize,
+                         twist_residues)
+from wld.invariants import (GroupPresentation, abelianization, builtin_group,
+                            coloring_count, elementary_ideals, hom_count,
+                            welded_group)
 from wld.moves import make_kind, scramble
 
 import oracles
@@ -111,3 +115,36 @@ def _arrow_blocks(mu):
 def test_presentation_text_round_trips(blocks):
     p = functools.reduce(stack, blocks)
     assert parse_presentation(serialize_presentation(p)) == p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_diagrams((LINK, STRING_LINK), max_crossings=8))
+def test_diagram_text_round_trips(d):
+    assert parse(serialize(d)) == d
+
+
+def _welded_invariants(d):
+    return (linking_matrix(d), coloring_count(d, 3), coloring_count(d, 5),
+            hom_count(welded_group(d), builtin_group("s3")))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_diagrams(), st.integers(1, 12), st.integers(0, 10 ** 6))
+def test_welded_invariants_are_invariant_under_welded_scrambles(d, steps, seed):
+    assert _welded_invariants(scramble(d, WELDED, steps, seed)) == _welded_invariants(d)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_diagrams(), st.sampled_from((3, 5, 7)), st.integers(1, 12),
+       st.integers(0, 10 ** 6))
+def test_twist_residues_are_invariant_under_v_n_scrambles(d, n, steps, seed):
+    kinds = WELDED + [make_kind("v(n)", n), make_kind("vbar(n)", n)]
+    assert twist_residues(scramble(d, kinds, steps, seed), n) == twist_residues(d, n)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_diagrams(), st.sampled_from((2, 3, 4, 5)), st.integers(1, 12),
+       st.integers(0, 10 ** 6))
+def test_parallel_residues_are_invariant_under_v_n_uc_scrambles(d, n, steps, seed):
+    kinds = WELDED + [make_kind("uc"), make_kind("v^n", n), make_kind("vbar^n", n)]
+    assert parallel_residues(scramble(d, kinds, steps, seed), n) == parallel_residues(d, n)
