@@ -4,18 +4,21 @@ lattice membership also read), ideal arithmetic in Z[t,t^-1]/(1-t^n) via
 shift-closed integer lattices, and minors of Laurent matrices.
 
 A Laurent polynomial is held in one dense form, a lowest exponent and a
-trimmed coefficient tuple, which gcd and residues read directly.  The same
-form serves R_n = Z[t]/(t^n - 1): ``fold`` reduces a polynomial to its
-representative with exponents in [0, n).  ``laurent_minors`` computes the
-minors of every requested size of a sparse Laurent matrix (rows as
-{column: entry}) from one Laplace-expansion memo, over Z[t^+-1] or, given
-n, over R_n.  ``INTEGERS``, ``LAURENT`` and ``cyclic_ring(n)`` hand
-unit-pivot elimination its three rings: Z, Z[t^+-1] and R_n.
+trimmed coefficient tuple, which gcd reads directly.  The same form serves
+R_n = Z[t]/(t^n - 1): ``fold``, the one residue map, reduces a polynomial
+to its representative with exponents in [0, n), which ``ideal_mod`` and
+``member_of_principal`` read.  ``INTEGERS``, ``LAURENT`` and
+``cyclic_ring(n)`` are the rings Z, Z[t^+-1] and R_n that unit-pivot
+elimination and ``laurent_minors`` multiply in; ``cyclic_ring`` holds the
+one check that a modulus n is at least 1.  ``laurent_minors`` computes the
+minors of every requested size of a sparse matrix (rows as {column:
+entry}) from one Laplace-expansion memo.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import operator
 import re
@@ -442,22 +445,16 @@ class CyclicLattice:
         return hnf(self.basis + (tuple(vec),)) == list(self.basis)
 
 
-def poly_residue(p, n):
-    """Coefficient vector of p modulo t^n - 1 (exponents folded mod n)."""
-    if n < 1:
-        raise AlgebraError("modulus n must be >= 1")
-    vec = [0] * n
-    for e, c in enumerate(p.coeffs, p.low):
-        vec[e % n] += c
-    return vec
-
-
 def fold(p, n):
     """p modulo t^n - 1: the Laurent polynomial with exponents in [0, n)
-    that represents p in R_n = Z[t]/(t^n - 1)."""
+    that represents p in R_n = Z[t]/(t^n - 1); ``cyclic_ring`` checks n."""
+    cyclic_ring(n)
     if 0 <= p.low and p.low + len(p.coeffs) <= n:
         return p
-    return Laurent._trimmed(0, poly_residue(p, n))
+    slots = [0] * n
+    for e, c in enumerate(p.coeffs, p.low):
+        slots[e % n] += c
+    return Laurent._trimmed(0, slots)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +484,17 @@ LAURENT = Ring(Laurent.is_unit, lambda u: Laurent._raw(-u.low, (-u.coeffs[0],)),
                Laurent.__mul__)
 
 
+@functools.cache
 def cyclic_ring(n):
     """R_n = Z[t]/(t^n - 1) on folded polynomials (see ``fold``), with the
-    units +-t^a.
+    units +-t^a; built once per n, and only for n >= 1.
 
     The product of two folded polynomials adds the coefficient products
     straight into n slots, exponent e going to slot e mod n; a monomial
     factor c t^a only rotates the other factor by a and scales it by c.
     """
+    if n < 1:
+        raise AlgebraError(f"modulus n must be >= 1, got {n}")
     raw, trimmed = Laurent._raw, Laurent._trimmed
 
     def neg_inverse(u):
@@ -529,10 +529,13 @@ def cyclic_ring(n):
 
 def ideal_mod(gens, n):
     """Image in Z[t]/(t^n - 1) of the ideal generated by ``gens``: the
-    lattice spanned by the cyclic shifts of their residues."""
+    lattice spanned by the cyclic shifts of their folded coefficients."""
+    cyclic_ring(n)
     rows = []
     for p in gens:
-        vec = poly_residue(p, n)
+        q = fold(p, n)
+        vec = [0] * q.low + list(q.coeffs)
+        vec += [0] * (n - len(vec))
         rows.extend(tuple(vec[-s:] + vec[:-s]) for s in range(n))
     return CyclicLattice(n, tuple(hnf(rows)))
 
@@ -544,7 +547,7 @@ def ideal_equal_mod(gens_a, gens_b, n):
 
 def member_of_principal(p, n):
     """Is p in the ideal of Z[t^{+-1}] generated by 1 - t^n?"""
-    return not any(poly_residue(p, n))
+    return not fold(p, n)
 
 
 def f_n(p, n):
@@ -553,15 +556,14 @@ def f_n(p, n):
     Z-linear and vanishing on the ideal (1 - t^n), so a nonzero value
     certifies non-membership.
     """
-    if n < 1:
-        raise AlgebraError("modulus n must be >= 1")
-    return sum(c for e, c in enumerate(p.coeffs, p.low) if e % n in (0, 2 % n))
+    q = fold(p, n)
+    return sum(c for e, c in enumerate(q.coeffs, q.low) if e in (0, 2 % n))
 
 
 # ---------------------------------------------------------------------------
 # minors of Laurent matrices
 
-def laurent_minors(rows, sizes, n=None):
+def laurent_minors(rows, sizes, ring=LAURENT):
     """Every nonzero s x s minor of a sparse Laurent matrix, for s in ``sizes``.
 
     ``rows`` is a list of {column: nonzero Laurent} dicts; columns are any
@@ -572,15 +574,12 @@ def laurent_minors(rows, sizes, n=None):
     the rows below it, so each level is built from the one before and every
     smaller minor is computed once.  A minor is kept only while some
     requested size can still be reached from it, which makes a single full
-    determinant a walk over column subsets of the bottom rows.  Given n,
-    the entries are folded and the products taken in R_n (see
-    ``cyclic_ring``), so the minors are the images of the Z[t^+-1] minors
-    in R_n.
+    determinant a walk over column subsets of the bottom rows.  Products
+    are ``ring.mul``: over ``LAURENT`` the minors lie in Z[t^+-1]; over
+    ``cyclic_ring(n)``, whose entries must be folded, they are the images
+    in R_n of the minors of any matrix that folds to ``rows``.
     """
-    mul = Laurent.__mul__
-    if n:
-        mul = cyclic_ring(n).mul
-        rows = [{c: q for c, p in row.items() if (q := fold(p, n))} for row in rows]
+    mul = ring.mul
     sizes = {s for s in sizes if 0 <= s <= len(rows)}
     out = {}
     level = {((), ()): Laurent.one()}

@@ -20,9 +20,10 @@ the V(n)/V^n twist and parallel blocks.
 
 These moves run on ``wld.moves`` through surgery: the sites of an arrow
 move are the sites of its surgery image, and applying it applies the
-image, which ``to_arrows`` wraps without converting.  The head-tail
-exchange, the ends exchange and the head-tail reversal have no Gauss-code
-counterpart and permute or flip passages of the surgery diagram directly.
+image, which ``to_arrows`` wraps without converting.  The head-tail and
+ends exchanges have no Gauss-code counterpart: they are adjacent-pair
+moves of ``wld.moves`` with their own pair test, swapping the pair as OC
+and UC do.  The head-tail reversal flips the roles of one crossing.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from .diagram import (OVER, STRING_LINK, UNDER, Diagram, DiagramError,
                       ParseError, Passage, closure, parallel_residues,
                       twist_residues)
 from .diagram import parse as parse_diagram
-from .moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
-                    _adjacent_pairs, find_sites)
+from .moves import (_PARAMETRIC, EXPAND, REDUCE, MoveError, MoveKind,
+                    MoveSite, _check_entries, _pair_move, _swap_pairs,
+                    find_sites)
 from .moves import apply as apply_move
 
 ARROW_MOVE_NAMES = (
@@ -44,7 +46,6 @@ ARROW_MOVE_NAMES = (
     "head-tail-reversal", "ends-exchange", "a(n)", "a^n", "abar(n)", "abar^n",
 )
 _NOOP_MOVES = ("ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar11", "ar12")
-_PARAMETRIC_MOVES = ("a(n)", "a^n", "abar(n)", "abar^n")
 
 
 @dataclass(frozen=True)
@@ -206,13 +207,9 @@ def make_arrow_kind(name, n=None, direction=None):
     name = name.lower()
     if name not in ARROW_MOVE_NAMES:
         raise MoveError(f"unknown arrow move {name!r}")
-    if name in _PARAMETRIC_MOVES:
-        if n is None or n < 1:
-            raise MoveError(f"{name} needs n >= 1")
-        if name == "abar(n)" and n % 2 == 0:
-            raise MoveError("abar(n) is defined for odd n only")
-    else:
-        n = 0
+    # the surgery image's MoveKind checks n; a move without one ignores it
+    family = _GAUSS_FAMILY.get(name)
+    n = MoveKind(family, n or 0).n if family in _PARAMETRIC else 0
     return ArrowMoveKind(name, n, direction or "")
 
 
@@ -227,7 +224,13 @@ _GAUSS_FAMILY = {
 # AR8 and AR10 are the R1 kinks whose first passage is the tail (over) or
 # the head (under); an expand site (ci, g, role, sign) names that role.
 _KINK_FIRST = {"ar8": OVER, "ar10": UNDER}
-_EXCHANGES = ("head-tail-exchange", "ends-exchange")
+# exchanges of adjacent ends of two distinct arrows, one tail and one head
+# for the head-tail exchange: (finder, matcher) of ``moves._pair_move``
+_EXCHANGES = {
+    "head-tail-exchange": _pair_move(lambda a, b: a.crossing != b.crossing
+                                     and a.role != b.role),
+    "ends-exchange": _pair_move(lambda a, b: a.crossing != b.crossing),
+}
 
 
 def _gauss_kind(kind):
@@ -258,23 +261,11 @@ def find_arrow_sites(p, kind):
         return [ArrowSite((aid,)) for aid in p.arrow_ids()]
     d = p.diagram
     if name in _EXCHANGES:
-        return _exchange_sites(d, name)
+        return [ArrowSite(site) for site in _EXCHANGES[name][0](d, kind)]
     sites = find_sites(d, _gauss_kind(kind))
     if name in _KINK_FIRST:
         return [s for s in sites if _kink_first(d, kind, s) == _KINK_FIRST[name]]
     return sites
-
-
-def _exchange_sites(d, name):
-    """Adjacent endpoints of two distinct arrows; the head-tail exchange
-    also needs one tail and one head."""
-    out = []
-    for ci, comp in enumerate(d.components):
-        for q, r in _adjacent_pairs(d, ci):
-            a, b = comp[q], comp[r]
-            if a.crossing != b.crossing and (name == "ends-exchange" or a.role != b.role):
-                out.append(ArrowSite((ci, q)))
-    return out
 
 
 def apply_arrow_move(p, kind, site):
@@ -295,13 +286,11 @@ def apply_arrow_move(p, kind, site):
             for comp in p.diagram.components))
     d = p.diagram
     if name in _EXCHANGES:
-        if site not in _exchange_sites(d, name):
+        _check_entries(site.data, 2)
+        positions = _EXCHANGES[name][1](d, kind, site.data)
+        if positions is None:
             raise MoveError(f"site is not a {name} pair")
-        ci, q = site.data
-        comps = [list(c) for c in d.components]
-        r = (q + 1) % len(comps[ci])
-        comps[ci][q], comps[ci][r] = comps[ci][r], comps[ci][q]
-        return WArrowPresentation(d.with_components(comps))
+        return WArrowPresentation(_swap_pairs(d, positions))
     out = apply_move(d, _gauss_kind(kind), site)
     # the R1 move has checked the site, so the kink's first passage exists
     if name in _KINK_FIRST and _kink_first(d, kind, site) != _KINK_FIRST[name]:

@@ -13,6 +13,7 @@ ideals E^k in Z[t]/(t^n - 1), compared as lattices.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .algebra import ideal_mod
@@ -214,12 +215,12 @@ def named(name):
         return parse(_FIXED[key])
     if key.startswith("unlink-"):
         suffix = key[len("unlink-"):]
-        if suffix.isdigit() and int(suffix) >= 1:
+        if re.fullmatch(r"\d+", suffix) and int(suffix) >= 1:
             return Diagram(tuple(() for _ in range(int(suffix))), LINK)
     if key.startswith(("h-closure:", "hbar-closure:")):
         head, _, params = key.partition(":")
         parts = [s.strip() for s in params.split(",")]
-        if len(parts) == 4 and all(s.lstrip("-").isdigit() for s in parts):
+        if len(parts) == 4 and all(re.fullmatch(r"-?\d+", s) for s in parts):
             mu, i, j, a = (int(s) for s in parts)
             builder = build_H if head == "h-closure" else build_Hbar
             return closure(surgery(builder(mu, i, j, a)))

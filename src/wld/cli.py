@@ -13,7 +13,7 @@ import json
 import sys
 
 from . import arrows, classify, invariants, moves
-from .algebra import AlgebraError, format_poly
+from .algebra import format_poly
 from .diagram import (DiagramError, STRING_LINK, closure, linking_matrix,
                       parse, serialize)
 
@@ -43,7 +43,8 @@ def _emit(args, payload, text_lines):
 
 def _group_from_spec(spec):
     if spec.startswith("table:"):
-        return invariants.load_group_csv(spec[len("table:"):])
+        path = spec[len("table:"):]
+        return invariants.parse_group_csv(_read_text(path), path)
     return invariants.builtin_group(spec)
 
 
@@ -293,7 +294,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DiagramError, AlgebraError, invariants.GroupTableError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -26,9 +26,6 @@ from .algebra import (INTEGERS, LAURENT, AlgebraError, Laurent, cyclic_reduce,
                       cyclic_ring, fold, free_reduce, laurent_minors, poly_gcd,
                       snf, word_inverse)
 
-WELDED = "welded-group"
-CORE = "core-group"
-
 
 @dataclass(frozen=True)
 class GroupPresentation:
@@ -42,7 +39,6 @@ class GroupPresentation:
 
     ngens: int
     relators: tuple
-    marking: str = WELDED
     components: tuple = ()
 
 
@@ -61,7 +57,7 @@ def welded_group(d):
         if word:
             relators.append(word)
     components = dg.arc_components(d)
-    return GroupPresentation(len(components), tuple(relators), WELDED, components)
+    return GroupPresentation(len(components), tuple(relators), components)
 
 
 def core_group(d):
@@ -73,7 +69,7 @@ def core_group(d):
         word = free_reduce(((y, 1), (x, -1), (y, 1), (z, -1)))
         if word:
             relators.append(word)
-    return GroupPresentation(len(dg.arc_components(d)), tuple(relators), CORE)
+    return GroupPresentation(len(dg.arc_components(d)), tuple(relators))
 
 
 def abelianization(p):
@@ -113,7 +109,7 @@ def _alexander_rows(d, n=None):
     entries of coinciding arcs summed; it cancels exactly when all three
     arcs coincide (a trivial relator), and is then left out.  Given n, the
     entries are folded into R_n (see ``fold``)."""
-    entries = {sign: tuple(fold(p, n) for p in ps) if n else ps
+    entries = {sign: ps if n is None else tuple(fold(p, n) for p in ps)
                for sign, ps in _FOX_ENTRIES.items()}
     rows = []
     for y, x, z, sign in dg.crossing_arcs(d).values():
@@ -223,21 +219,23 @@ def elementary_ideals(d, kmax, n=None):
     pivots are eliminated first (see ``_pivot_reduce``), and the minors of
     every size needed come from one ``laurent_minors`` memo.
 
-    Given n, the lists hold folded polynomials generating the images of the
-    E^k in R_n = Z[t]/(t^n - 1).  Determinants commute with the ring map
-    Z[t^+-1] -> R_n, so the minors of the folded matrix are the images of
-    the minors, which generate the image of E^k (Fitting ideals commute
-    with base change); both the elimination and the minors run in R_n.
+    Given n >= 1 (n = None means Z[t^+-1]), the lists hold folded
+    polynomials generating the images of the E^k in R_n = Z[t]/(t^n - 1).
+    Determinants commute with the ring map Z[t^+-1] -> R_n, so the minors
+    of the folded matrix are the images of the minors, which generate the
+    image of E^k (Fitting ideals commute with base change); both the
+    elimination and the minors run in R_n.
     """
     if kmax < 0:
         raise AlgebraError(f"E^k needs k >= 0, got {kmax}")
+    ring = LAURENT if n is None else cyclic_ring(n)
     rows, g = _alexander_rows(d, n)
-    reduced, pivots = _pivot_reduce(rows, cyclic_ring(n) if n else LAURENT)
+    reduced, pivots = _pivot_reduce(rows, ring)
     # size 0 yields the 0 x 0 minor 1, the whole ring; a size beyond the
     # rows left yields no minor, the zero ideal, as g - k > len(rows) does
     sizes = [max(g - k - pivots, 0) for k in range(kmax + 1)]
     by_size = {}
-    for (rset, _cols), minor in laurent_minors(reduced, sizes, n).items():
+    for (rset, _cols), minor in laurent_minors(reduced, sizes, ring).items():
         by_size.setdefault(len(rset), []).append(minor)
     return [list(by_size.get(s, ())) for s in sizes]
 
@@ -387,21 +385,18 @@ def _builtin_group(name):
     return build(int(m[2]))
 
 
-def load_group_csv(path):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise GroupTableError(f"cannot read {path}: {exc.strerror}") from exc
+def parse_group_csv(text, name):
+    """The group of a CSV multiplication table, one row per nonblank line;
+    ``name`` (the file it came from) names the table and its errors."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             if line.strip():
                 rows.append([int(x) for x in line.split(",")])
         except ValueError:
-            raise GroupTableError(f"{path}: line {lineno}: entries must be integers, "
+            raise GroupTableError(f"{name}: line {lineno}: entries must be integers, "
                                   f"got {line.strip()!r}") from None
-    return FiniteGroupTable(str(path), rows)
+    return FiniteGroupTable(str(name), rows)
 
 
 PANEL_NAMES = ("z2", "z3", "z5", "s3", "d4", "q8")
@@ -482,7 +477,7 @@ def simplify_presentation(p):
         seen.add(key)
         out.append(rel)
     components = tuple(p.components[g] for g in alive) if p.components else ()
-    return GroupPresentation(len(alive), tuple(out), p.marking, components)
+    return GroupPresentation(len(alive), tuple(out), components)
 
 
 _generator = operator.itemgetter(0)

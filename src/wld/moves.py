@@ -54,6 +54,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import re
 from dataclasses import dataclass
 
 from .diagram import (LINK, OVER, STRING_LINK, UNDER, DiagramError,
@@ -111,7 +112,7 @@ def parse_kind(text):
     text = text.strip().lower()
     if ":" in text:
         name, _, param = text.partition(":")
-        if not param.lstrip("-").isdigit():
+        if not re.fullmatch(r"-?\d+", param):
             raise MoveError(f"bad move parameter in {text!r}")
         return make_kind(name, int(param))
     return make_kind(text)
@@ -238,6 +239,14 @@ def _insert_two(components, first, second):
     for ci, g, block in ((second, first) if g2 > g1 else (first, second)):
         comps[ci][g:g] = block
     return comps
+
+
+def _swap_pairs(d, positions):
+    """Swap the passages at positions 2k and 2k + 1, pair by pair."""
+    comps = [list(c) for c in d.components]
+    for (ci, p), (cj, q) in zip(positions[::2], positions[1::2]):
+        comps[ci][p], comps[cj][q] = comps[cj][q], comps[ci][p]
+    return d.with_components(comps)
 
 
 def _delete_positions(components, removals):
@@ -648,10 +657,7 @@ def apply(d, kind, site):
     if positions is None:
         raise MoveError(f"site {data} does not fit a {kind} move")
     if fam in _UNDIRECTED:
-        comps = [list(c) for c in d.components]
-        for (ci, p), (cj, q) in zip(positions[::2], positions[1::2]):
-            comps[ci][p], comps[cj][q] = comps[cj][q], comps[ci][p]
-        return d.with_components(comps)
+        return _swap_pairs(d, positions)
     if _splices(kind):
         return _unsplice(d, positions, kind.n)
     return d.with_components(_delete_positions(d.components, positions))

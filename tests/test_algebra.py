@@ -5,10 +5,11 @@ from contextlib import contextmanager
 
 import pytest
 
-from wld.algebra import (AlgebraError, Laurent, cyclic_reduce, f_n, fold,
-                         format_poly, free_reduce, hnf, ideal_equal_mod,
-                         ideal_mod, laurent_minors, member_of_principal,
-                         normalize_units, parse_poly, poly_gcd, snf)
+from wld.algebra import (AlgebraError, Laurent, cyclic_reduce, cyclic_ring,
+                         f_n, fold, format_poly, free_reduce, hnf,
+                         ideal_equal_mod, ideal_mod, laurent_minors,
+                         member_of_principal, normalize_units, parse_poly,
+                         poly_gcd, snf)
 
 import oracles
 from oracles import exact_div
@@ -295,8 +296,8 @@ def test_ideal_mod_against_bruteforce_lattice_equality():
 
 
 def _shift_rows(p, n):
-    from wld.algebra import poly_residue
-    vec = poly_residue(p, n)
+    q = fold(p, n)
+    vec = [q.coeff(e) for e in range(n)]
     rows = []
     for _ in range(n):
         rows.append(list(vec))
@@ -352,7 +353,8 @@ def test_folded_laurent_minors_match_folded_bruteforce():
                         det = oracles.fold_bruteforce(oracles.laurent_det_bruteforce(sub), n)
                         if not det.is_zero():
                             want[(rset, cset)] = det
-            assert laurent_minors(rows, sizes, n) == want
+            folded = [{j: q for j, p in row.items() if (q := fold(p, n))} for row in rows]
+            assert laurent_minors(folded, sizes, cyclic_ring(n)) == want
             assert all(fold(p, n) == oracles.fold_bruteforce(p, n)
                        for row in mat for p in row)
 

@@ -427,3 +427,62 @@ def test_arrow_reduce_applies_exactly_at_listed_sites(name, n):
                 with pytest.raises(MoveError):
                     apply_arrow_move(p, kind, site)
     assert listed_total > 0
+
+
+# ---------------------------------------------------------------------------
+# contract: an exchange applies exactly at the sites find_arrow_sites lists,
+# and swaps that adjacent pair
+
+EXCHANGES = ("head-tail-exchange", "ends-exchange")
+
+
+def _exchange_presentations():
+    """The reduce-contract presentations, random links and string links with
+    up to three components, and stacks of H/Hbar blocks."""
+    rng = random.Random(47)
+    out = _contract_presentations()
+    for k in range(24):
+        kind = "link" if k % 2 else "stringlink"
+        out.append(to_arrows(random_diagram(rng, max_crossings=6, max_mu=3, kind=kind)))
+    out += [stack(build_H(3, 1, 2, 2), build_Hbar(3, 1, 3, -2)),
+            stack(build_Hbar(2, 1, 2, 3), build_H(2, 1, 2, -1))]
+    return out
+
+
+@pytest.mark.parametrize("name", EXCHANGES)
+def test_arrow_exchange_applies_exactly_at_listed_sites(name):
+    kind = make_arrow_kind(name)
+    listed_total = 0
+    for p in _exchange_presentations():
+        comps = surgery(p).components
+        listed = set(find_arrow_sites(p, kind))
+        listed_total += len(listed)
+        grid = [ArrowSite((ci, q)) for ci in range(-1, p.mu + 1)
+                for q in range(-1, len(comps[ci % p.mu]) + 1)]
+        assert listed <= set(grid)
+        grid += [ArrowSite(()), ArrowSite((0,)), ArrowSite((0, 0, 0))]
+        for site in grid:
+            if site not in listed:
+                with pytest.raises(MoveError):
+                    apply_arrow_move(p, kind, site)
+                continue
+            ci, q = site
+            r = (q + 1) % len(comps[ci])
+            a, b = comps[ci][q], comps[ci][r]
+            assert a.crossing != b.crossing
+            assert name == "ends-exchange" or a.role != b.role
+            swapped = [list(c) for c in comps]
+            swapped[ci][q], swapped[ci][r] = b, a
+            out = surgery(apply_arrow_move(p, kind, site))
+            assert out.components == tuple(map(tuple, swapped)) and out.kind == p.kind
+    assert listed_total > 0
+
+
+@pytest.mark.parametrize("name", EXCHANGES)
+def test_arrow_exchange_rejects_bool_site_entries(name):
+    # (True, 0) equals the listed (1, 0), but a bool is not a position
+    p = to_arrows(parse("component:\ncomponent: O1+ U2+ U1+ O2+\n"))
+    kind = make_arrow_kind(name)
+    assert ArrowSite((1, 0)) in find_arrow_sites(p, kind)
+    with pytest.raises(MoveError):
+        apply_arrow_move(p, kind, ArrowSite((True, 0)))

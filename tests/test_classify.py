@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -197,8 +198,11 @@ def test_named_corpus():
     assert named("unlink-4").mu == 4
     lam = linking_matrix(named("hbar-closure:2,1,2,-2"))
     assert lam[0][1] == 0 and lam[1][0] == -2
-    with pytest.raises(DiagramError):
-        named("nonsense")
+    assert named(" H-closure: 2, 1 ,2,-2 ") == named("h-closure:2,1,2,-2")
+    # str.isdigit accepts "²", which int() cannot read
+    for name in ("nonsense", "unlink-²", "h-closure:²,1,2,2", "h-closure:--2,1,2,2"):
+        with pytest.raises(DiagramError, match=re.escape(repr(name))):
+            named(name)
 
 
 def test_named_validated_by_invariants():

@@ -248,8 +248,9 @@ def test_readme_command_walkthrough(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, fragment", [
-    (["normal-form", "{missing}", "--relation", "vn", "--n", "3"], ""),
-    (["homs", "{trefoil}", "--group", "table:{missing}"], ""),
+    (["normal-form", "{missing}", "--relation", "vn", "--n", "3"],
+     "cannot read {missing}"),
+    (["homs", "{trefoil}", "--group", "table:{missing}"], "cannot read {missing}"),
     (["scramble", "{trefoil}", "--moves", "r1", "--steps", "1", "--seed", "1",
       "-o", "{unwritable}"], ""),
     (["examples", "trefoil", "-o", "{unwritable}"], ""),

@@ -134,8 +134,7 @@ def test_components_follow_the_surviving_arcs():
         pres = welded_group(d)
         assert pres.components == arc_components(d)
         # label every generator by itself to read off the survivors
-        labelled = GroupPresentation(pres.ngens, pres.relators, pres.marking,
-                                     tuple(range(pres.ngens)))
+        labelled = GroupPresentation(pres.ngens, pres.relators, tuple(range(pres.ngens)))
         survivors = simplify_presentation(labelled).components
         assert list(survivors) == sorted(set(survivors))
         simp = simplify_presentation(pres)

@@ -4,17 +4,17 @@ import signal
 
 import pytest
 
-from wld.algebra import (AlgebraError, Laurent, ideal_equal_mod, ideal_mod,
-                         parse_poly, poly_gcd)
+from wld.algebra import (AlgebraError, Laurent, f_n, fold, ideal_equal_mod,
+                         ideal_mod, member_of_principal, parse_poly, poly_gcd)
 from wld.classify import named
 from wld.diagram import (LINK, STRING_LINK, Diagram, arc_components,
                          crossing_arcs, linking_matrix, parse, random_diagram)
-from wld.invariants import (GroupPresentation, GroupTableError, WELDED,
+from wld.invariants import (GroupPresentation, GroupTableError,
                             _alexander_rows, abelianization, alexander,
                             alexander_polynomials,
                             builtin_group, coloring_count, core_group,
                             cyclic_group, dihedral_group, elementary_ideals,
-                            hom_count, load_group_csv, panel,
+                            hom_count, panel, parse_group_csv,
                             quaternion_group, simplify_presentation,
                             symmetric_group, welded_group)
 from wld.moves import EXPAND, MoveSite, apply, make_kind, scramble
@@ -307,10 +307,24 @@ def test_group_table_validation():
         FiniteGroupTable("bad", [[0, 1], [0, 1]])
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_modulus_below_one_is_an_error(n):
+    # only n = None means Z[t^+-1]; any other n < 1 raises, whatever the input
+    with pytest.raises(AlgebraError):
+        elementary_ideals(TREFOIL, 1, n)
+    for p in (Laurent.zero(), Laurent.one(), parse_poly("t^-1 - 1 + t")):
+        for residue_map in (fold, f_n, member_of_principal):
+            with pytest.raises(AlgebraError):
+                residue_map(p, n)
+    for gens in ([], [Laurent.zero()], [parse_poly("1 - t + t^2")]):
+        with pytest.raises(AlgebraError):
+            ideal_mod(gens, n)
+
+
 def test_load_group_csv(tmp_path):
     path = tmp_path / "z3.csv"
     path.write_text("0,1,2\n1,2,0\n2,0,1\n")
-    table = load_group_csv(path)
+    table = parse_group_csv(path.read_text(), path)
     assert table.order == 3 and table.identity == 0
 
 
@@ -318,12 +332,12 @@ def test_load_group_csv_names_the_file_and_line_of_a_bad_entry(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("0,1\n\n1,x\n")
     with pytest.raises(GroupTableError) as err:
-        load_group_csv(path)
+        parse_group_csv(path.read_text(), path)
     assert f"{path}: line 3: " in str(err.value) and "'1,x'" in str(err.value)
 
 
 def test_hom_count_free_group():
-    free = GroupPresentation(1, (), WELDED)
+    free = GroupPresentation(1, ())
     for g in panel():
         assert hom_count(free, g) == g.order
 

@@ -1,4 +1,5 @@
-"""The package's internal imports form an acyclic graph, all at module level."""
+"""The package's internal imports form an acyclic graph, all at module level,
+and only the command-line front end opens files."""
 
 import ast
 import graphlib
@@ -37,6 +38,15 @@ def test_internal_import_graph_is_acyclic():
         tuple(graphlib.TopologicalSorter(graph).static_order())
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {exc.args[1]}") from None
+
+
+def test_only_the_cli_opens_files():
+    opens = sorted(f"{name}:{node.lineno}" for name, tree in MODULES.items()
+                   if name != "cli" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call)
+                   and "open" in (getattr(node.func, "id", None),
+                                  getattr(node.func, "attr", None)))
+    assert not opens, opens
 
 
 def test_no_function_imports_a_wld_module():

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -6,7 +7,7 @@ from wld.diagram import (linking_matrix, parse, random_diagram,
                          same_diagram)
 from wld.moves import (EXPAND, FAMILIES, REDUCE, MoveError, MoveKind,
                        MoveSite, apply, count_sites, find_sites, make_kind,
-                       parse_kinds, replay, scramble, search_path)
+                       parse_kind, parse_kinds, replay, scramble, search_path)
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
 HOPF = parse("component: O1+ U2+\ncomponent: U1+ O2+\n")
@@ -37,6 +38,11 @@ def test_kind_normalization():
         make_kind("v^n", 0)
     with pytest.raises(MoveError):
         make_kind("bogus")
+    assert parse_kind(" V^N:2 ") == make_kind("v^n", 2)
+    # str.isdigit accepts "²", which int() cannot read
+    for text in ("v^n:²", "v^n:--2", "v(n):x"):
+        with pytest.raises(MoveError, match=re.escape(repr(text))):
+            parse_kind(text)
 
 
 def test_move_kind_validates_on_construction():
