@@ -78,44 +78,11 @@ class Laurent:
             lo += 1
         return Laurent._raw(low + lo, tuple(coeffs[lo:hi]))
 
-    @classmethod
-    def zero(cls):
-        return cls._raw(0, ())
-
-    @classmethod
-    def one(cls):
-        return cls._raw(0, (1,))
-
-    @classmethod
-    def monomial(cls, coeff, exp=0):
-        return cls._raw(exp, (coeff,)) if coeff else cls._raw(0, ())
-
-    @classmethod
-    def t(cls, exp=1):
-        return cls._raw(exp, (1,))
-
-    def is_zero(self):
-        return not self.coeffs
-
     def __bool__(self):
         return bool(self.coeffs)
 
     def is_unit(self):
         return len(self.coeffs) == 1 and self.coeffs[0] in (1, -1)
-
-    def min_exp(self):
-        if not self.coeffs:
-            raise AlgebraError("zero polynomial has no exponents")
-        return self.low
-
-    def max_exp(self):
-        if not self.coeffs:
-            raise AlgebraError("zero polynomial has no exponents")
-        return self.low + len(self.coeffs) - 1
-
-    def coeff(self, e):
-        i = e - self.low
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else 0
 
     def _combine(self, other, op):
         """op(self, other) coefficientwise, op being + or -."""
@@ -143,14 +110,9 @@ class Laurent:
         return Laurent._raw(self.low, tuple(-c for c in self.coeffs))
 
     def __mul__(self, other):
-        a = self.coeffs
-        if isinstance(other, int):
-            if not other or not a:
-                return Laurent.zero()
-            return Laurent._raw(self.low, tuple(c * other for c in a))
-        b = other.coeffs
+        a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Laurent.zero()
+            return Laurent._raw(0, ())
         low = self.low + other.low
         # the product of the end coefficients is nonzero, so no trimming
         if len(b) == 1:
@@ -164,11 +126,6 @@ class Laurent:
                 for k, y in enumerate(b, i):
                     out[k] += x * y
         return Laurent._raw(low, tuple(out))
-
-    __rmul__ = __mul__
-
-    def shift(self, k):
-        return Laurent._raw(self.low + k, self.coeffs) if self.coeffs else self
 
     def __eq__(self, other):
         return (isinstance(other, Laurent) and self.low == other.low
@@ -186,14 +143,14 @@ class Laurent:
 
 def normalize_units(p):
     """Multiply by +-t^r so the lowest exponent is 0 with positive coefficient."""
-    if p.is_zero():
+    if not p:
         return p
-    q = p.shift(-p.low)
+    q = Laurent._raw(0, p.coeffs)
     return -q if q.coeffs[0] < 0 else q
 
 
 def format_poly(p):
-    if p.is_zero():
+    if not p:
         return "0"
     parts = []
     for e, c in enumerate(p.coeffs, p.low):
@@ -212,7 +169,8 @@ def format_poly(p):
 
 
 _SIGN_SPLIT = re.compile(r"(?<!\^)([+-])")
-_TERM = re.compile(r"(\d*)(t(?:\^(-?\d+))?)?")
+# numbers have at most 640 digits, the bound of ``diagram.DIGITS``
+_TERM = re.compile(r"(\d{0,640})(t(?:\^(-?\d{1,640}))?)?")
 
 
 def parse_poly(text):
@@ -295,7 +253,7 @@ def poly_gcd(polys):
     """
     acc = []
     for p in polys:
-        if p.is_zero():
+        if not p:
             continue
         acc = _dense_gcd(acc, p.coeffs)
         if acc == [1]:
@@ -540,11 +498,6 @@ def ideal_mod(gens, n):
     return CyclicLattice(n, tuple(hnf(rows)))
 
 
-def ideal_equal_mod(gens_a, gens_b, n):
-    """Do two generator lists span the same ideal modulo (1 - t^n)?"""
-    return ideal_mod(gens_a, n) == ideal_mod(gens_b, n)
-
-
 def member_of_principal(p, n):
     """Is p in the ideal of Z[t^{+-1}] generated by 1 - t^n?"""
     return not fold(p, n)
@@ -582,7 +535,7 @@ def laurent_minors(rows, sizes, ring=LAURENT):
     mul = ring.mul
     sizes = {s for s in sizes if 0 <= s <= len(rows)}
     out = {}
-    level = {((), ()): Laurent.one()}
+    level = {((), ()): Laurent._raw(0, (1,))}
     for size in range(max(sizes, default=-1) + 1):
         if size:
             # a new first row r leaves room above it for the rows the

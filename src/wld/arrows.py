@@ -31,7 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .diagram import (OVER, STRING_LINK, UNDER, Diagram, DiagramError,
+from .diagram import (DIGITS, OVER, STRING_LINK, UNDER, Diagram, DiagramError,
                       ParseError, Passage, closure, parallel_residues,
                       twist_residues)
 from .diagram import parse as parse_diagram
@@ -131,7 +131,7 @@ def _check_pair(mu, i, j):
 # text format
 
 _ARROW_LINE = re.compile(r"arrow:\s*(\S+)\s+(\S+)\s+([+-])")
-_ARROW_POSITION = re.compile(r"(\d+)\.(\d+)")
+_ARROW_POSITION = re.compile(rf"({DIGITS})\.({DIGITS})")
 
 
 def parse_presentation(text):

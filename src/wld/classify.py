@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .algebra import ideal_mod
 from .arrows import build_H, build_Hbar, surgery
-from .diagram import (LINK, Diagram, DiagramError, Passage, closure,
+from .diagram import (DIGITS, LINK, Diagram, DiagramError, Passage, closure,
                       parallel_residues, parse, twist_residues)
 from .invariants import elementary_ideals
 
@@ -215,12 +215,12 @@ def named(name):
         return parse(_FIXED[key])
     if key.startswith("unlink-"):
         suffix = key[len("unlink-"):]
-        if re.fullmatch(r"\d+", suffix) and int(suffix) >= 1:
+        if re.fullmatch(DIGITS, suffix) and int(suffix) >= 1:
             return Diagram(tuple(() for _ in range(int(suffix))), LINK)
     if key.startswith(("h-closure:", "hbar-closure:")):
         head, _, params = key.partition(":")
         parts = [s.strip() for s in params.split(",")]
-        if len(parts) == 4 and all(re.fullmatch(r"-?\d+", s) for s in parts):
+        if len(parts) == 4 and all(re.fullmatch(rf"-?{DIGITS}", s) for s in parts):
             mu, i, j, a = (int(s) for s in parts)
             builder = build_H if head == "h-closure" else build_Hbar
             return closure(surgery(builder(mu, i, j, a)))

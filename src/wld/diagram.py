@@ -20,6 +20,10 @@ STRING_LINK = "stringlink"
 OVER = "O"
 UNDER = "U"
 
+# a number in text has at most 640 digits, the least limit ``int`` can be
+# held to (``sys.set_int_max_str_digits``), so reading one never fails
+DIGITS = r"\d{1,640}"
+
 class DiagramError(ValueError):
     """Structurally invalid diagram, or an operation misapplied to one."""
 
@@ -121,8 +125,7 @@ class Diagram:
         return Diagram(tuple(tuple(c) for c in components), self.kind)
 
     def fresh_crossing_id(self):
-        ids = self.crossing_ids()
-        return (ids[-1] + 1) if ids else 1
+        return max([p.crossing for comp in self.components for p in comp], default=0) + 1
 
     def __str__(self):
         return serialize(self)
@@ -159,7 +162,7 @@ def parse(text):
         raise ParseError(str(exc)) from exc
 
 
-_TOKEN = re.compile(rf"([{OVER}{UNDER}])(\d+)([+-])")
+_TOKEN = re.compile(rf"([{OVER}{UNDER}])({DIGITS})([+-])")
 
 
 def _parse_token(tok, lineno):

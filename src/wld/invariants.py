@@ -97,8 +97,8 @@ def abelianization(p):
 # entries (x, z, y) of the Fox row of z^-1 y x y^-1 times t (positive
 # crossing) and of z^-1 y^-1 x y times t^2 (negative crossing)
 _FOX_ENTRIES = {
-    1: (Laurent.t(), Laurent.monomial(-1), Laurent._raw(0, (1, -1))),
-    -1: (Laurent.one(), Laurent.monomial(-1, 1), Laurent._raw(0, (-1, 1))),
+    1: (Laurent({1: 1}), Laurent({0: -1}), Laurent({0: 1, 1: -1})),
+    -1: (Laurent({0: 1}), Laurent({1: -1}), Laurent({0: -1, 1: 1})),
 }
 
 
@@ -309,9 +309,6 @@ class FiniteGroupTable:
         self.classes = tuple(classes)
         self.class_of = tuple(class_of)
 
-    def mul(self, a, b):
-        return self.table[a][b]
-
     def __repr__(self):
         return f"FiniteGroupTable({self.name!r}, order={self.order})"
 
@@ -378,7 +375,7 @@ _FAMILIES = {"z": (cyclic_group, range(2, 13)), "d": (dihedral_group, range(3, 9
 def _builtin_group(name):
     if name == "q8":
         return quaternion_group()
-    m = re.fullmatch(r"([zds])(\d+)", name)
+    m = re.fullmatch(rf"([zds])({dg.DIGITS})", name)
     if m is None or int(m[2]) not in _FAMILIES[m[1]][1]:
         raise GroupTableError(f"unknown group name {name!r}")
     build, _ = _FAMILIES[m[1]]
@@ -397,13 +394,6 @@ def parse_group_csv(text, name):
             raise GroupTableError(f"{name}: line {lineno}: entries must be integers, "
                                   f"got {line.strip()!r}") from None
     return FiniteGroupTable(str(name), rows)
-
-
-PANEL_NAMES = ("z2", "z3", "z5", "s3", "d4", "q8")
-
-
-def panel():
-    return [builtin_group(name) for name in PANEL_NAMES]
 
 
 # -- Tietze simplification keeps backtracking feasible on scrambled diagrams.
@@ -513,7 +503,8 @@ def hom_count(p, group):
     class and each count is weighted by the class size.  Generators that
     ``components`` marks as conjugate take images in one class: once one of
     them is assigned, the later ones run over the members of its image's
-    class only.
+    class only.  A part too deep for the interpreter's recursion limit
+    raises ``AlgebraError``.
     """
     simp = simplify_presentation(p)
     gens_in = [{g for g, _ in rel} for rel in simp.relators]
@@ -577,10 +568,14 @@ def hom_count(p, group):
 
     def count(part):
         total = 0
-        for members in classes:
-            assign[part[0]] = members[0]
-            if fits(part[0]):
-                total += len(members) * rec(part, 1)
+        try:
+            for members in classes:
+                assign[part[0]] = members[0]
+                if fits(part[0]):
+                    total += len(members) * rec(part, 1)
+        except RecursionError:
+            raise AlgebraError(f"hom_count: a part of {len(part)} generators is too "
+                               "deep for the interpreter's recursion limit") from None
         return total
 
     parts = {}

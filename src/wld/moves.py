@@ -57,7 +57,7 @@ import random
 import re
 from dataclasses import dataclass
 
-from .diagram import (LINK, OVER, STRING_LINK, UNDER, DiagramError,
+from .diagram import (DIGITS, LINK, OVER, STRING_LINK, UNDER, DiagramError,
                       Passage, canonical_key)
 
 EXPAND = "expand"
@@ -112,7 +112,7 @@ def parse_kind(text):
     text = text.strip().lower()
     if ":" in text:
         name, _, param = text.partition(":")
-        if not re.fullmatch(r"-?\d+", param):
+        if not re.fullmatch(rf"-?{DIGITS}", param):
             raise MoveError(f"bad move parameter in {text!r}")
         return make_kind(name, int(param))
     return make_kind(text)

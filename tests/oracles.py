@@ -255,7 +255,7 @@ def alexander_rows_reference(d, n=None):
             p = p * unit
             if n:
                 p = fold_bruteforce(p, n)
-            if not p.is_zero():
+            if p:
                 row[g] = p
         rows.append(row)
     return rows, len(arc_data_reference(d)[0])
@@ -320,11 +320,11 @@ def hom_count_exhaustive(pres, group):
 def laurent_det_bruteforce(matrix):
     n = len(matrix)
     if n == 0:
-        return Laurent.one()
-    total = Laurent.zero()
+        return Laurent({0: 1})
+    total = Laurent()
     for perm in itertools.permutations(range(n)):
         sign = _perm_sign(perm)
-        prod = Laurent.one()
+        prod = Laurent({0: 1})
         for i, j in enumerate(perm):
             prod = prod * matrix[i][j]
         total = total + (prod if sign > 0 else -prod)
@@ -333,10 +333,10 @@ def laurent_det_bruteforce(matrix):
 
 def exact_div(p, q):
     """Exact division of Laurent polynomials; raises if not divisible."""
-    if q.is_zero():
+    if not q:
         raise AlgebraError("division by zero polynomial")
-    if p.is_zero():
-        return Laurent.zero()
+    if not p:
+        return Laurent()
     a, b = list(p.coeffs), q.coeffs
     db, lead = len(b) - 1, b[-1]
     if len(a) <= db:
@@ -352,7 +352,7 @@ def exact_div(p, q):
                 a[i] -= c * y
     if any(a):
         raise AlgebraError("not divisible")
-    return Laurent._trimmed(p.low - q.low, out)
+    return Laurent(enumerate(out, p.low - q.low))
 
 
 def fold_bruteforce(p, n):
@@ -366,11 +366,11 @@ def elementary_ideal_bruteforce(d, k):
 
     pres = welded_group(d)
     g = pres.ngens
-    matrix = [[row.get(j, Laurent.zero()) for j in range(g)]
+    matrix = [[row.get(j, Laurent()) for j in range(g)]
               for row in map(_fox_row_by_definition, pres.relators)]
     s = g - k
     if s <= 0:
-        return [Laurent.one()]
+        return [Laurent({0: 1})]
     if s > len(matrix):
         return []
     out = []
@@ -378,6 +378,6 @@ def elementary_ideal_bruteforce(d, k):
         for cols in itertools.combinations(range(g), s):
             sub = [[matrix[r][c] for c in cols] for r in rows]
             det = laurent_det_bruteforce(sub)
-            if not det.is_zero():
+            if det:
                 out.append(det)
     return out

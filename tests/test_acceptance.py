@@ -6,18 +6,19 @@ report.  Every tolerance here is exact integer/polynomial equality.
 
 import random
 
-from wld.algebra import Laurent, f_n, hnf, ideal_equal_mod, member_of_principal, \
-    parse_poly, snf
+from wld.algebra import (Laurent, f_n, hnf, ideal_mod, member_of_principal,
+                         parse_poly, snf)
 from wld.arrows import build_H, build_Hbar, surgery, to_arrows
 from wld.classify import decide_vn, decide_vn_uc, multiplex, named, obstruct_vn
 from wld.diagram import (Diagram, arc_components, closure, linking_matrix,
                          parse, random_diagram, same_diagram, serialize)
 from wld.invariants import (alexander, builtin_group, coloring_count,
-                            core_group, elementary_ideals, hom_count, panel)
+                            core_group, elementary_ideals, hom_count)
 from wld.moves import (EXPAND, MoveSite, _all_gaps, apply, make_kind,
                        replay, scramble, search_path)
 
 import oracles
+from support import PANEL
 
 WELDED_KINDS = [make_kind("r1"), make_kind("r2"), make_kind("r3"), make_kind("oc")]
 
@@ -30,7 +31,7 @@ def test_criterion_1_trefoil_polynomial():
     _, delta = alexander(named("trefoil"), 1)
     assert delta == parse_poly("1 - t + t^2")
     _, delta_u = alexander(named("unknot"), 1)
-    assert delta_u == Laurent.one()
+    assert delta_u == Laurent({0: 1})
     report(1, "Delta^1(trefoil) = 1 - t + t^2 and Delta^1(unknot) = 1, exact")
 
 
@@ -49,11 +50,11 @@ def test_criterion_2_trefoil_obstruction():
         assert cert is not None and cert.k == 1 and cert.reason == "ideal", n
         for eps in (1, -1):
             for r in range(n):
-                diff = tre_poly - Laurent.monomial(eps, r)
-                assert not member_of_principal(diff, n)  # HNF-lattice route
+                diff = tre_poly - Laurent({r: eps})
+                assert not member_of_principal(diff, n)  # residue route
                 assert f_n(diff, n) != 0                 # functional route
     report(2, "ideal certificates at k=1: trefoil vs unknot for n=2..12 except "
-              "5, 7, 11, figure-eight vs unknot for n=2..12; lattice and f_n "
+              "5, 7, 11, figure-eight vs unknot for n=2..12; residue and f_n "
               "routes agree that 1 - t + t^2 - eps t^r is never in (1 - t^n)")
 
 
@@ -134,7 +135,7 @@ def test_criterion_7_ideal_invariance_under_vn():
         before = elementary_ideals(d, 3)
         after = elementary_ideals(d2, 3)
         for k in range(4):
-            assert ideal_equal_mod(before[k], after[k], n), (checked, n, k)
+            assert ideal_mod(before[k], n) == ideal_mod(after[k], n), (checked, n, k)
         checked += 1
     report(7, "E^k = E^k mod (1 - t^n) for k in 0..3 after one V^n move, "
               "50 random diagrams, n in {2,3}")
@@ -162,7 +163,7 @@ def test_criterion_9_multiplexing_core_trivialization():
     for m in (2, 4):
         km = multiplex(trefoil, (m,))
         assert km.crossing_count == 3 * m
-        for g in panel():
+        for g in map(builtin_group, PANEL):
             assert hom_count(core_group(km), g) == g.order, (m, g.name)
         deltas[m] = alexander(km, 1)[1]
     k2 = multiplex(trefoil, (2,))
@@ -200,8 +201,8 @@ def test_criterion_10_oracle_equivalence():
                   for _ in range(rng.randint(0, 5)))
         rows = [oracles._fox_row_by_definition(w) for w in (u + v, u, v)]
         for gen in range(3):
-            duv, du, dv = (row.get(gen, Laurent.zero()) for row in rows)
-            assert duv == du + Laurent.t(sum(e for _, e in u)) * dv
+            duv, du, dv = (row.get(gen, Laurent()) for row in rows)
+            assert duv == du + Laurent({sum(e for _, e in u): 1}) * dv
     report(10, "hnf/snf match brute-force minor oracles (100 matrices); "
                "coloring counts match exhaustive enumeration (25 small diagrams); "
                "Fox product rule holds on 500 random word pairs")

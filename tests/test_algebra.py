@@ -1,18 +1,16 @@
 import itertools
 import random
-import signal
-from contextlib import contextmanager
 
 import pytest
 
 from wld.algebra import (AlgebraError, Laurent, cyclic_reduce, cyclic_ring,
-                         f_n, fold, format_poly, free_reduce, hnf,
-                         ideal_equal_mod, ideal_mod, laurent_minors,
-                         member_of_principal, normalize_units, parse_poly,
-                         poly_gcd, snf)
+                         f_n, fold, format_poly, free_reduce, hnf, ideal_mod,
+                         laurent_minors, member_of_principal, normalize_units,
+                         parse_poly, poly_gcd, snf)
 
 import oracles
 from oracles import exact_div
+from support import time_limit
 
 
 def rand_poly(rng, max_terms=4, max_coeff=4, max_exp=5):
@@ -37,8 +35,8 @@ def test_mul_difference_of_squares():
 def test_normalize_units_examples():
     p = Laurent([(3, -1), (4, 1), (5, -1)])
     assert normalize_units(p) == parse_poly("1 - t + t^2")
-    assert normalize_units(Laurent.one()) == Laurent.one()
-    assert normalize_units(Laurent.zero()) == Laurent.zero()
+    assert normalize_units(Laurent({0: 1})) == Laurent({0: 1})
+    assert normalize_units(Laurent()) == Laurent()
 
 
 def test_normalize_units_idempotent_and_unit_invariant():
@@ -47,7 +45,7 @@ def test_normalize_units_idempotent_and_unit_invariant():
         p = rand_poly(rng)
         q = normalize_units(p)
         assert normalize_units(q) == q
-        assert normalize_units(-p.shift(rng.randint(-3, 3))) == q
+        assert normalize_units(-p * Laurent({rng.randint(-3, 3): 1})) == q
 
 
 def test_parse_format_round_trip():
@@ -60,13 +58,14 @@ def test_parse_format_round_trip():
 def test_parse_examples():
     assert parse_poly("t^-1 + 1") == Laurent([(-1, 1), (0, 1)])
     assert parse_poly("1 - t + t^2") == Laurent([(0, 1), (1, -1), (2, 1)])
-    assert parse_poly("0") == Laurent.zero()
+    assert parse_poly("0") == Laurent()
     assert parse_poly("-2t^3") == Laurent([(3, -2)])
     assert parse_poly("3*t^-2 - 0t + 4") == Laurent([(-2, 3), (0, 4)])
 
 
 @pytest.mark.parametrize("text", ["t^", "", "1 +", "+-t", "t^+1", "tt", "**",
-                                  "at", "^t", "t^\u00b2", "1^t", "2^-3"])
+                                  "at", "^t", "t^\u00b2", "1^t", "2^-3",
+                                  pytest.param("t^" + "9" * 5000, id="t^9...9")])
 def test_parse_rejects_malformed_text(text):
     with pytest.raises(AlgebraError):
         parse_poly(text)
@@ -86,7 +85,7 @@ def test_exact_div():
     for _ in range(50):
         a = rand_poly(rng)
         b = rand_poly(rng)
-        if b.is_zero():
+        if not b:
             continue
         assert exact_div(a * b, b) == a
     with pytest.raises(AlgebraError):
@@ -99,8 +98,8 @@ def test_exact_div():
 def test_poly_gcd_examples():
     assert poly_gcd([parse_poly("1 - t + t^2")]) == parse_poly("1 - t + t^2")
     assert poly_gcd([parse_poly("1 - t^2"), parse_poly("1 - t^3")]) == parse_poly("1 - t")
-    assert poly_gcd([Laurent.zero(), parse_poly("-t^2 + t^3")]) == parse_poly("1 - t")
-    assert poly_gcd([]) == Laurent.zero()
+    assert poly_gcd([Laurent(), parse_poly("-t^2 + t^3")]) == parse_poly("1 - t")
+    assert poly_gcd([]) == Laurent()
 
 
 def test_poly_gcd_divides_and_is_maximal():
@@ -109,13 +108,13 @@ def test_poly_gcd_divides_and_is_maximal():
         g = rand_poly(rng, max_terms=3)
         a, b = rand_poly(rng, max_terms=3), rand_poly(rng, max_terms=3)
         got = poly_gcd([g * a, g * b])
-        if (g * a).is_zero() and (g * b).is_zero():
-            assert got.is_zero()
+        if not g * a and not g * b:
+            assert not got
             continue
-        if g.is_zero():
+        if not g:
             continue
         for p in (g * a, g * b):
-            if not p.is_zero():
+            if p:
                 exact_div(p, got)  # must not raise
 
 
@@ -136,13 +135,13 @@ def test_cyclic_reduce():
 
 
 def fox(word, gen):
-    return oracles._fox_row_by_definition(word).get(gen, Laurent.zero())
+    return oracles._fox_row_by_definition(word).get(gen, Laurent())
 
 
 def test_fox_axioms():
-    assert fox(((0, 1),), 0) == Laurent.one()
-    assert fox(((0, -1),), 0) == Laurent.monomial(-1, -1)
-    assert fox(((0, 1),), 1) == Laurent.zero()
+    assert fox(((0, 1),), 0) == Laurent({0: 1})
+    assert fox(((0, -1),), 0) == Laurent({-1: -1})
+    assert fox(((0, 1),), 1) == Laurent()
 
 
 def test_fox_product_rule():
@@ -150,7 +149,7 @@ def test_fox_product_rule():
     for _ in range(500):
         u, v = rand_word(rng), rand_word(rng)
         for gen in range(3):
-            prefix = Laurent.t(sum(e for _, e in u))
+            prefix = Laurent({sum(e for _, e in u): 1})
             assert fox(u + v, gen) == fox(u, gen) + prefix * fox(v, gen)
 
 
@@ -160,7 +159,7 @@ def test_fox_block_relator_entries():
         w = ((0, 1),) + ((2, 1),) * n + ((1, -1),) + ((2, -1),) * n
         assert fox(w, 1) == Laurent([(n, -1)])
         assert fox(w, 2) == Laurent([(n, 1), (0, -1)])
-        assert fox(w, 0) == Laurent.one()
+        assert fox(w, 0) == Laurent({0: 1})
 
 
 # ---------------------------------------------------------------------------
@@ -224,10 +223,10 @@ def test_snf_divisibility_chain():
 def test_member_of_principal_shifted_generators():
     rng = random.Random(11)
     for n in range(1, 13):
-        gen = Laurent.one() - Laurent.t(n)
+        gen = Laurent({0: 1}) - Laurent({n: 1})
         for _ in range(10):
             s = rng.randint(-6, 6)
-            assert member_of_principal(gen.shift(s), n)
+            assert member_of_principal(gen * Laurent({s: 1}), n)
             p = rand_poly(rng)
             assert member_of_principal(p * gen, n)
 
@@ -237,9 +236,9 @@ def test_member_routes_agree():
     for _ in range(100):
         n = rng.randint(1, 8)
         p = rand_poly(rng)
-        gen = Laurent.one() - Laurent.t(n)
+        gen = Laurent({0: 1}) - Laurent({n: 1})
         direct = member_of_principal(p, n)
-        via_lattice = ideal_equal_mod([p, gen], [gen], n)
+        via_lattice = ideal_mod([p, gen], n) == ideal_mod([gen], n)
         assert direct == via_lattice
 
 
@@ -257,7 +256,7 @@ def test_f_n_vanishes_on_ideal():
         n = rng.randint(2, 10)
         p = rand_poly(rng)
         s = rng.randint(-5, 5)
-        gen = (Laurent.one() - Laurent.t(n)).shift(s)
+        gen = (Laurent({0: 1}) - Laurent({n: 1})) * Laurent({s: 1})
         assert f_n(p * gen, n) == 0
 
 
@@ -266,7 +265,7 @@ def test_trefoil_poly_never_unit_mod_ideal():
     for n in range(2, 13):
         for eps in (1, -1):
             for r in range(n):
-                diff = tre - Laurent.monomial(eps, r)
+                diff = tre - Laurent({r: eps})
                 assert not member_of_principal(diff, n)
                 assert f_n(diff, n) != 0
 
@@ -289,7 +288,7 @@ def test_ideal_mod_against_bruteforce_lattice_equality():
         n = rng.randint(1, 4)
         a = [rand_poly(rng, max_exp=3) for _ in range(2)]
         b = [rand_poly(rng, max_exp=3) for _ in range(2)]
-        mine = ideal_equal_mod(a, b, n)
+        mine = ideal_mod(a, n) == ideal_mod(b, n)
         rows_a = [r for p in a for r in _shift_rows(p, n)]
         rows_b = [r for p in b for r in _shift_rows(p, n)]
         assert mine == oracles.lattices_equal(rows_a, rows_b)
@@ -297,7 +296,8 @@ def test_ideal_mod_against_bruteforce_lattice_equality():
 
 def _shift_rows(p, n):
     q = fold(p, n)
-    vec = [q.coeff(e) for e in range(n)]
+    coeffs = dict(enumerate(q.coeffs, q.low))
+    vec = [coeffs.get(e, 0) for e in range(n)]
     rows = []
     for _ in range(n):
         rows.append(list(vec))
@@ -317,18 +317,18 @@ def test_laurent_minors_match_bruteforce_for_every_minor():
         m, n = rng.randint(1, 4), rng.randint(1, 5)
         mat = [[rand_poly(rng, max_terms=2, max_exp=2) for _ in range(n)]
                for _ in range(m)]
-        rows = [{j: p for j, p in enumerate(row) if not p.is_zero()} for row in mat]
+        rows = [{j: p for j, p in enumerate(row) if p} for row in mat]
         sizes = range(min(m, n) + 1)
         minors = laurent_minors(rows, sizes)
-        assert all(not p.is_zero() for p in minors.values())
+        assert all(minors.values())
         count = 0
         for s in sizes:
             for rset in itertools.combinations(range(m), s):
                 for cset in itertools.combinations(range(n), s):
                     sub = [[mat[r][c] for c in cset] for r in rset]
                     want = oracles.laurent_det_bruteforce(sub)
-                    assert minors.get((rset, cset), Laurent.zero()) == want
-                    count += not want.is_zero()
+                    assert minors.get((rset, cset), Laurent()) == want
+                    count += bool(want)
         assert count == len(minors)
         # one requested size alone gives the same minors of that size
         s = rng.choice(sizes)
@@ -342,7 +342,7 @@ def test_folded_laurent_minors_match_folded_bruteforce():
         m, k = rng.randint(1, 4), rng.randint(1, 5)
         mat = [[rand_poly(rng, max_terms=3, max_exp=3) for _ in range(k)]
                for _ in range(m)]
-        rows = [{j: p for j, p in enumerate(row) if not p.is_zero()} for row in mat]
+        rows = [{j: p for j, p in enumerate(row) if p} for row in mat]
         sizes = range(min(m, k) + 1)
         for n in range(1, 6):
             want = {}
@@ -351,26 +351,12 @@ def test_folded_laurent_minors_match_folded_bruteforce():
                     for cset in itertools.combinations(range(k), s):
                         sub = [[mat[r][c] for c in cset] for r in rset]
                         det = oracles.fold_bruteforce(oracles.laurent_det_bruteforce(sub), n)
-                        if not det.is_zero():
+                        if det:
                             want[(rset, cset)] = det
             folded = [{j: q for j, p in row.items() if (q := fold(p, n))} for row in rows]
             assert laurent_minors(folded, sizes, cyclic_ring(n)) == want
             assert all(fold(p, n) == oracles.fold_bruteforce(p, n)
                        for row in mat for p in row)
-
-
-@contextmanager
-def _time_limit(seconds):
-    def on_alarm(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_ideal_mod_of_many_dense_generators_stays_fast():
@@ -381,7 +367,7 @@ def test_ideal_mod_of_many_dense_generators_stays_fast():
     n = 5
     problems = [[Laurent([(e, rng.randint(-100, 100)) for e in range(21)])
                  for _ in range(20)] for _ in range(10)]
-    with _time_limit(10):
+    with time_limit(10):
         lattices = [ideal_mod(gens, n) for gens in problems]
     for gens, lattice in zip(problems, lattices):
         assert oracles.is_hnf(lattice.basis)

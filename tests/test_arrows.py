@@ -9,9 +9,11 @@ from wld.arrows import (ArrowSite, apply_arrow_move, build_H, build_Hbar,
                         trivial_string_link)
 from wld.diagram import (Diagram, DiagramError, ParseError, Passage, closure,
                          linking_matrix, parse, random_diagram, same_diagram)
-from wld.invariants import alexander, panel, welded_group, hom_count
+from wld.invariants import alexander, builtin_group, welded_group, hom_count
 from wld.moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
                        find_sites, make_kind, scramble, apply as apply_move)
+
+from support import PANEL
 
 HOPF_SL = parse("stringlink\ncomponent: O1+ U2+\ncomponent: U1+ O2+\n")
 
@@ -100,6 +102,8 @@ def test_presentation_rejects_non_positive_arrow_ids():
     ("arrow: 1.1 2.1", "bad arrow line"),
     ("arrow: 1.\u00b2 2.1 +", "bad arrow position '1.\u00b2'"),
     ("arrow: 1.1 2.1.1 -", "bad arrow position '2.1.1'"),
+    pytest.param("arrow: 1.1 2." + "9" * 5000 + " -", "bad arrow position '2." + "9" * 5000,
+                 id="arrow: 1.1 2.9...9 -"),
 ])
 def test_presentation_rejects_bad_arrow_lines(line, message):
     with pytest.raises(ParseError) as err:
@@ -317,7 +321,7 @@ def test_ar_catalog_preserves_welded_invariants_of_surgery():
              make_arrow_kind("ar9", direction=EXPAND),
              make_arrow_kind("ar10", direction=REDUCE),
              make_arrow_kind("ar10", direction=EXPAND)]
-    panel_groups = panel()[:3]
+    panel_groups = [builtin_group(name) for name in PANEL[:3]]
     for _ in range(12):
         d = random_diagram(rng, max_crossings=4, max_mu=2)
         p = to_arrows(d)

@@ -9,8 +9,10 @@ from wld.classify import (decide_vn, decide_vn_uc, example_names,
 from wld.diagram import (DiagramError, linking_matrix, parse,
                          random_diagram, same_diagram)
 from wld.invariants import (alexander, coloring_count, core_group,
-                            hom_count, panel)
+                            hom_count, builtin_group)
 from wld.moves import make_kind, parse_kinds, replay, scramble, search_path
+
+from support import PANEL
 
 TREFOIL = named("trefoil")
 UNKNOT = named("unknot")
@@ -176,7 +178,7 @@ def test_multiplex_even_reduces_to_unknot_by_v2():
 def test_multiplex_core_group_is_z():
     for m in (2, 4):
         km = multiplex(TREFOIL, (m,))
-        for g in panel():
+        for g in map(builtin_group, PANEL):
             assert hom_count(core_group(km), g) == g.order
         for n in range(2, 8):
             assert coloring_count(km, n) == n
@@ -200,7 +202,9 @@ def test_named_corpus():
     assert lam[0][1] == 0 and lam[1][0] == -2
     assert named(" H-closure: 2, 1 ,2,-2 ") == named("h-closure:2,1,2,-2")
     # str.isdigit accepts "²", which int() cannot read
-    for name in ("nonsense", "unlink-²", "h-closure:²,1,2,2", "h-closure:--2,1,2,2"):
+    # int() refuses more than 4300 digits
+    for name in ("nonsense", "unlink-²", "h-closure:²,1,2,2", "h-closure:--2,1,2,2",
+                 "unlink-" + "9" * 5000, "h-closure:" + "9" * 5000 + ",1,2,2"):
         with pytest.raises(DiagramError, match=re.escape(repr(name))):
             named(name)
 

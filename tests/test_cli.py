@@ -1,5 +1,4 @@
 import json
-import signal
 
 import pytest
 
@@ -9,6 +8,8 @@ from wld.diagram import parse, serialize
 from wld.invariants import coloring_count, hom_count, welded_group, builtin_group
 from wld.moves import (EXPAND, directed_kinds, find_sites, make_kind,
                        parse_kinds, scramble)
+
+from support import time_limit
 
 ENUMERATE_KINDS = "r1,r2,r3,oc,uc,v,v(n):2,v(n):3,v^n:3,vbar(n):3,vbar^n:3"
 # scramble kinds that only add crossings (or keep their number)
@@ -140,19 +141,10 @@ def test_moves_counts_at_203_crossings_within_budget(capsys, tmp_path):
     assert d.crossing_count == 203
     path = tmp_path / "d.gc"
     path.write_text(serialize(d))
-
-    def on_alarm(signum, frame):
-        raise TimeoutError("wld moves still running after 2 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 2.0)
-    try:
+    with time_limit(2):
         code, doc = run_json(capsys, ["moves", str(path), "--moves",
                                       "r1,r2,r3,oc,uc,v,v(n):3,v^n:3,vbar(n):3,vbar^n:3",
                                       "--json"])
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert code == 0
     # every component is a nonempty link component: one gap per passage
     gaps = 2 * d.crossing_count
@@ -258,18 +250,27 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     (["invariants", "{trefoil}", "--kmax", "-1"], ""),
     (["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"], ""),
     (["homs", "{trefoil}", "--group", "table:{bad_table}"], "{bad_table}: line 2: "),
+    (["homs", "{hopf_chain}", "--group", "z2"], "generators is too deep"),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
-        "arrow-sign-plus-minus", "group-table-entry"])
+        "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
                                                 fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"
     bad_arrow_sign.write_text("arrows\nstringlink\ncomponent:\ncomponent:\narrow: 1.1 2.1 +-\n")
     bad_table = tmp_path / "bad.csv"
     bad_table.write_text("0,1\n1,x\n")
+    # 1100 components, each clasping the next as in the Hopf link: one part
+    # of the homomorphism search, deeper than the interpreter can recurse
+    hopf_chain = tmp_path / "hopf-chain.gc"
+    hopf_chain.write_text("".join(
+        "component:" + (f" U{2 * k - 1}+ O{2 * k}+" if k else "")
+        + (f" O{2 * k + 1}+ U{2 * k + 2}+" if k < 1099 else "") + "\n"
+        for k in range(1100)))
     paths = {"missing": str(tmp_path / "missing.gc"), "trefoil": trefoil_file,
              "unwritable": str(tmp_path / "no-such-dir" / "x.gc"),
-             "bad_arrow_sign": str(bad_arrow_sign), "bad_table": str(bad_table)}
+             "bad_arrow_sign": str(bad_arrow_sign), "bad_table": str(bad_table),
+             "hopf_chain": str(hopf_chain)}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert fragment.format(**paths) in err, err

@@ -1,11 +1,10 @@
 import math
 import random
-import signal
 
 import pytest
 
-from wld.algebra import (AlgebraError, Laurent, f_n, fold, ideal_equal_mod,
-                         ideal_mod, member_of_principal, parse_poly, poly_gcd)
+from wld.algebra import (AlgebraError, Laurent, f_n, fold, ideal_mod,
+                         member_of_principal, parse_poly, poly_gcd)
 from wld.classify import named
 from wld.diagram import (LINK, STRING_LINK, Diagram, arc_components,
                          crossing_arcs, linking_matrix, parse, random_diagram)
@@ -14,12 +13,13 @@ from wld.invariants import (GroupPresentation, GroupTableError,
                             alexander_polynomials,
                             builtin_group, coloring_count, core_group,
                             cyclic_group, dihedral_group, elementary_ideals,
-                            hom_count, panel, parse_group_csv,
+                            hom_count, parse_group_csv,
                             quaternion_group, simplify_presentation,
                             symmetric_group, welded_group)
 from wld.moves import EXPAND, MoveSite, apply, make_kind, scramble
 
 import oracles
+from support import PANEL, time_limit
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
 HOPF = parse("component: O1+ U2+\ncomponent: U1+ O2+\n")
@@ -93,13 +93,13 @@ def test_core_relation_matrix_smith_form():
 def test_trefoil_alexander():
     gens, delta = alexander(TREFOIL, 1)
     assert delta == parse_poly("1 - t + t^2")
-    assert alexander(TREFOIL, 0)[1] == Laurent.zero()
-    assert alexander(TREFOIL, 2)[1] == Laurent.one()
+    assert alexander(TREFOIL, 0)[1] == Laurent()
+    assert alexander(TREFOIL, 2)[1] == Laurent({0: 1})
 
 
 def test_unknot_alexander():
-    assert alexander(UNKNOT, 1)[1] == Laurent.one()
-    assert alexander(UNKNOT, 0)[1] == Laurent.zero()
+    assert alexander(UNKNOT, 1)[1] == Laurent({0: 1})
+    assert alexander(UNKNOT, 0)[1] == Laurent()
 
 
 def test_figure8_alexander():
@@ -127,7 +127,7 @@ def test_elementary_ideals_match_bruteforce_minors():
             brute = oracles.elementary_ideal_bruteforce(d, k)
             assert poly_gcd(mine[k]) == poly_gcd(brute)
             for n in (2, 3):
-                assert ideal_equal_mod(mine[k], brute, n)
+                assert ideal_mod(mine[k], n) == ideal_mod(brute, n)
     for _ in range(6):
         d = random_diagram(rng, max_crossings=6, max_mu=2)
         mine = elementary_ideals(d, 3)
@@ -135,7 +135,7 @@ def test_elementary_ideals_match_bruteforce_minors():
             brute = oracles.elementary_ideal_bruteforce(d, k)
             assert poly_gcd(mine[k]) == poly_gcd(brute)
             for n in (2, 3, 4):
-                assert ideal_equal_mod(mine[k], brute, n)
+                assert ideal_mod(mine[k], n) == ideal_mod(brute, n)
 
 
 def test_alexander_rows_are_fox_rows_times_a_unit():
@@ -152,14 +152,14 @@ def test_alexander_rows_are_fox_rows_times_a_unit():
         shapes.update((x == z, y == x, y == z) for y, x, z, _ in crossings)
         signs = [sign for y, x, z, sign in crossings if not x == y == z]
         assert len(signs) == len(pres.relators)
-        want = [{j: p * Laurent.t(1 if sign > 0 else 2)
-                 for j, p in oracles._fox_row_by_definition(rel).items() if not p.is_zero()}
+        want = [{j: p * Laurent({1 if sign > 0 else 2: 1})
+                 for j, p in oracles._fox_row_by_definition(rel).items() if p}
                 for rel, sign in zip(pres.relators, signs)]
         assert _alexander_rows(d) == (want, pres.ngens)
         for n in range(1, 5):
             folded = [{j: oracles.fold_bruteforce(p, n) for j, p in row.items()}
                       for row in want]
-            folded = [{j: p for j, p in row.items() if not p.is_zero()} for row in folded]
+            folded = [{j: p for j, p in row.items() if p} for row in folded]
             assert _alexander_rows(d, n) == (folded, pres.ngens)
     # kinks: x = z (a one-arc component passing under), y = x, y = z, all equal
     assert {(True, False, False), (False, True, False), (False, False, True),
@@ -200,7 +200,7 @@ def test_folded_elementary_ideals_match_bruteforce_images():
         for n in range(1, 7):
             mine = elementary_ideals(d, 3, n)
             for k in range(4):
-                assert all(0 <= p.low and p.max_exp() < n for p in mine[k])
+                assert all(0 <= p.low and p.low + len(p.coeffs) <= n for p in mine[k])
                 assert ideal_mod(mine[k], n) == ideal_mod(brute[k], n)
     assert mus == {1, 2, 3}
 
@@ -214,17 +214,8 @@ def test_folded_first_ideal_at_156_crossings_within_budget():
              make_kind("v(n)", 3, EXPAND)]
     d = scramble(named("h-closure:3,1,2,2"), kinds, 115, 5)
     assert d.crossing_count == 156
-
-    def on_alarm(signum, frame):
-        raise TimeoutError("E^1 mod 3 still running after 10 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.alarm(10)
-    try:
+    with time_limit(10):
         lattice = ideal_mod(elementary_ideals(d, 1, 3)[1], 3)
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
     # computed over Z[t^+-1] and then reduced, by the unfolded path
     assert lattice.basis == ((1, 4, -5), (0, 21, -21))
 
@@ -239,7 +230,7 @@ def test_block_relator_congruence():
         a = elementary_ideals(before, 3)
         b = elementary_ideals(after, 3)
         for k in range(4):
-            assert ideal_equal_mod(a[k], b[k], n)
+            assert ideal_mod(a[k], n) == ideal_mod(b[k], n)
 
 
 def test_alexander_invariant_under_welded_scramble():
@@ -261,8 +252,9 @@ def test_builtin_group_orders():
     assert quaternion_group().order == 8
     assert builtin_group("z12").order == 12
     assert builtin_group("d8").order == 16
-    with pytest.raises(GroupTableError):
-        builtin_group("z99")
+    for name in ("z99", "z" + "9" * 5000):
+        with pytest.raises(GroupTableError):
+            builtin_group(name)
     # below these sizes the generators would give a smaller group
     for build, n in ((cyclic_group, 0), (dihedral_group, 2), (symmetric_group, 1)):
         with pytest.raises(GroupTableError):
@@ -274,7 +266,7 @@ def _element_order_counts(group):
     for x in range(group.order):
         k, y = 1, x
         while y != group.identity:
-            k, y = k + 1, group.mul(y, x)
+            k, y = k + 1, group.table[y][x]
         counts[k] = counts.get(k, 0) + 1
     return counts
 
@@ -312,11 +304,11 @@ def test_modulus_below_one_is_an_error(n):
     # only n = None means Z[t^+-1]; any other n < 1 raises, whatever the input
     with pytest.raises(AlgebraError):
         elementary_ideals(TREFOIL, 1, n)
-    for p in (Laurent.zero(), Laurent.one(), parse_poly("t^-1 - 1 + t")):
+    for p in (Laurent(), Laurent({0: 1}), parse_poly("t^-1 - 1 + t")):
         for residue_map in (fold, f_n, member_of_principal):
             with pytest.raises(AlgebraError):
                 residue_map(p, n)
-    for gens in ([], [Laurent.zero()], [parse_poly("1 - t + t^2")]):
+    for gens in ([], [Laurent()], [parse_poly("1 - t + t^2")]):
         with pytest.raises(AlgebraError):
             ideal_mod(gens, n)
 
@@ -338,7 +330,7 @@ def test_load_group_csv_names_the_file_and_line_of_a_bad_entry(tmp_path):
 
 def test_hom_count_free_group():
     free = GroupPresentation(1, ())
-    for g in panel():
+    for g in map(builtin_group, PANEL):
         assert hom_count(free, g) == g.order
 
 
@@ -354,17 +346,8 @@ def test_hom_count_factors_out_free_generators():
 
 def test_hom_count_of_a_large_unlink_is_immediate():
     pres = welded_group(named("unlink-40"))
-
-    def on_alarm(signum, frame):
-        raise TimeoutError("hom_count still running after 1 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_limit(1):
         count = hom_count(pres, builtin_group("z2"))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert count == 2 ** 40
 
 
@@ -374,18 +357,17 @@ def test_hom_count_of_split_hopf_links_multiplies_the_parts():
     text = "".join(f"component: O{2 * k + 1}+ U{2 * k + 2}+\n"
                    f"component: U{2 * k + 1}+ O{2 * k + 2}+\n" for k in range(12))
     pres = welded_group(parse(text))
-
-    def on_alarm(signum, frame):
-        raise TimeoutError("hom_count still running after 1 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_limit(1):
         count = hom_count(pres, builtin_group("z2"))
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     assert count == 4 ** 12
+
+
+def test_hom_count_of_a_part_too_deep_to_search_is_an_error():
+    # commutators chain 1200 generators into one part that no Tietze step
+    # shortens; the depth-first search would nest one call per generator
+    rels = tuple(((g, 1), (g + 1, 1), (g, -1), (g + 1, -1)) for g in range(1199))
+    with pytest.raises(AlgebraError, match="1200 generators"):
+        hom_count(GroupPresentation(1200, rels), builtin_group("z2"))
 
 
 def test_hom_count_against_exhaustive():
@@ -440,17 +422,8 @@ def test_coloring_count_at_400_crossings_within_budget():
         kinds = expand if 400 - d.crossing_count >= 2 else expand[:1]
         d = scramble(d, kinds, 1, rng.randrange(1 << 30))
     assert d.crossing_count == 400
-
-    def on_alarm(signum, frame):
-        raise TimeoutError("coloring_count still running after 1 s")
-
-    previous = signal.signal(signal.SIGALRM, on_alarm)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
+    with time_limit(1):
         count = coloring_count(d, 3)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
     # welded moves keep the figure-eight's three colorings
     assert count == coloring_count(named("figure8"), 3) == 3
 
@@ -478,7 +451,7 @@ def test_welded_panel_invariant_under_scramble():
     for _ in range(8):
         d = random_diagram(rng, max_crossings=5, max_mu=2)
         s = scramble(d, kinds, 20, rng.randrange(10 ** 6))
-        for g in panel():
+        for g in map(builtin_group, PANEL):
             assert hom_count(welded_group(d), g) == hom_count(welded_group(s), g)
         assert abelianization(welded_group(d)) == abelianization(welded_group(s))
 
@@ -492,7 +465,7 @@ def test_core_panel_invariant_under_welded_and_v2():
         s = scramble(d, kinds, 15, rng.randrange(10 ** 6))
         for n in range(2, 8):
             assert coloring_count(d, n) == coloring_count(s, n)
-        for g in panel():
+        for g in map(builtin_group, PANEL):
             assert hom_count(core_group(d), g) == hom_count(core_group(s), g)
 
 
@@ -516,8 +489,8 @@ def test_parallel_block_composite_relator():
 def test_cinquefoil_alexander():
     c5 = parse("component: O1+ U2+ O3+ U4+ O5+ U1+ O2+ U3+ O4+ U5+\n")
     assert alexander(c5, 1)[1] == parse_poly("1 - t + t^2 - t^3 + t^4")
-    assert alexander(c5, 0)[1] == Laurent.zero()
-    assert alexander(c5, 2)[1] == Laurent.one()
+    assert alexander(c5, 0)[1] == Laurent()
+    assert alexander(c5, 2)[1] == Laurent({0: 1})
 
 
 def test_core_panel_invariant_under_antiparallel_v2():
@@ -529,7 +502,7 @@ def test_core_panel_invariant_under_antiparallel_v2():
         s = scramble(d, [make_kind("vbar^n", 2)], 10, rng.randrange(10 ** 6))
         for n in range(2, 8):
             assert coloring_count(d, n) == coloring_count(s, n)
-        for g in panel():
+        for g in map(builtin_group, PANEL):
             assert hom_count(core_group(d), g) == hom_count(core_group(s), g)
 
 
@@ -546,4 +519,4 @@ def test_elementary_ideals_match_bruteforce_on_three_components():
             brute = oracles.elementary_ideal_bruteforce(d, k)
             assert poly_gcd(mine[k]) == poly_gcd(brute)
             for n in (2, 3):
-                assert ideal_equal_mod(mine[k], brute, n)
+                assert ideal_mod(mine[k], n) == ideal_mod(brute, n)
