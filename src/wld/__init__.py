@@ -12,11 +12,11 @@ from .invariants import (FiniteGroupTable, GroupPresentation, abelianization,
                          alexander, coloring_count, core_group, hom_count,
                          welded_group)
 from .arrows import (WArrowPresentation, apply_arrow_move, build_H,
-                     build_Hbar, find_arrow_sites, make_arrow_kind,
-                     normalize_vn, normalize_vn_uc, stack, surgery, to_arrows,
-                     trivial_string_link)
+                     build_Hbar, find_arrow_sites, make_arrow_kind, stack,
+                     surgery, to_arrows, trivial_string_link)
 from .classify import (EquivalenceVerdict, ObstructionCertificate, decide_vn,
                        decide_vn_uc, example_names, multiplex, named,
-                       obstruct_vn)
+                       normalize_vn, normalize_vn_uc, obstruct_vn,
+                       parallel_residues, twist_residues)
 
 __version__ = "0.1.0"

@@ -207,9 +207,7 @@ def _dense_trim(a):
 
 def _primitive(a):
     g = math.gcd(*a)
-    if g in (0, 1):
-        return list(a), max(g, 1)
-    return [x // g for x in a], g
+    return list(a) if g in (0, 1) else [x // g for x in a]
 
 
 def _pseudo_rem(a, b):
@@ -231,17 +229,12 @@ def _dense_gcd(a, b):
         return b
     if not b:
         return a
-    ca = math.gcd(*a)
-    cb = math.gcd(*b)
-    cg = math.gcd(ca, cb)
-    a, _ = _primitive(a)
-    b, _ = _primitive(b)
+    cg = math.gcd(*a, *b)
+    a, b = _primitive(a), _primitive(b)
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _pseudo_rem(a, b)
-        r, _ = _primitive(r)
-        a, b = b, r
+        a, b = b, _primitive(_pseudo_rem(a, b))
     return [x * cg for x in a]
 
 

@@ -20,10 +20,13 @@ the V(n)/V^n twist and parallel blocks.
 
 These moves run on ``wld.moves`` through surgery: the sites of an arrow
 move are the sites of its surgery image, and applying it applies the
-image, which ``to_arrows`` wraps without converting.  The head-tail and
-ends exchanges have no Gauss-code counterpart: they are adjacent-pair
-moves of ``wld.moves`` with their own pair test, swapping the pair as OC
-and UC do.  The head-tail reversal flips the roles of one crossing.
+image, which ``to_arrows`` wraps without converting.  The no-ops, the
+head-tail reversal and the head-tail and ends exchanges have no Gauss-code
+counterpart.  Each is a rule of the engine's shape (site length, finder,
+matcher, action), so its sites are checked as ``moves.apply`` checks one:
+the reversal finds and matches a crossing as V does and swaps its roles,
+and the exchanges are adjacent-pair moves with their own pair test that
+swap the pair as OC and UC do.
 """
 
 from __future__ import annotations
@@ -32,12 +35,11 @@ import re
 from dataclasses import dataclass
 
 from .diagram import (DIGITS, OVER, STRING_LINK, UNDER, Diagram, DiagramError,
-                      ParseError, Passage, closure, parallel_residues,
-                      twist_residues)
+                      ParseError, Passage)
 from .diagram import parse as parse_diagram
 from .moves import (_PARAMETRIC, EXPAND, REDUCE, MoveError, MoveKind,
-                    MoveSite, _check_entries, _pair_move, _swap_pairs,
-                    find_sites)
+                    MoveSite, _check_entries, _match_v, _pair_move, _swap_pairs,
+                    _v_sites, find_sites)
 from .moves import apply as apply_move
 
 ARROW_MOVE_NAMES = (
@@ -45,7 +47,6 @@ ARROW_MOVE_NAMES = (
     "ar11", "ar12", "heads-exchange", "head-tail-exchange", "h", "hprime",
     "head-tail-reversal", "ends-exchange", "a(n)", "a^n", "abar(n)", "abar^n",
 )
-_NOOP_MOVES = ("ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar11", "ar12")
 
 
 @dataclass(frozen=True)
@@ -224,12 +225,30 @@ _GAUSS_FAMILY = {
 # AR8 and AR10 are the R1 kinks whose first passage is the tail (over) or
 # the head (under); an expand site (ci, g, role, sign) names that role.
 _KINK_FIRST = {"ar8": OVER, "ar10": UNDER}
-# exchanges of adjacent ends of two distinct arrows, one tail and one head
-# for the head-tail exchange: (finder, matcher) of ``moves._pair_move``
-_EXCHANGES = {
-    "head-tail-exchange": _pair_move(lambda a, b: a.crossing != b.crossing
-                                     and a.role != b.role),
-    "ends-exchange": _pair_move(lambda a, b: a.crossing != b.crossing),
+
+
+def _reverse(d, positions):
+    """Swap the roles of an arrow's over and under passage: its tail and
+    head change places."""
+    comps = [list(c) for c in d.components]
+    for (ci, q), role in zip(positions, (UNDER, OVER)):
+        comps[ci][q] = comps[ci][q]._replace(role=role)
+    return d.with_components(comps)
+
+
+# arrow moves with no Gauss-code image, in the move engine's rule shape:
+# name -> (site length, finder, matcher, action).  AR1-AR6, AR11 and AR12
+# act trivially at the one empty site; the head-tail reversal's site is an
+# arrow id; the exchanges swap adjacent ends of two distinct arrows, one
+# tail and one head for the head-tail exchange.
+_NO_IMAGE = {
+    **dict.fromkeys(("ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar11", "ar12"),
+                    (0, lambda d, kind: [()], lambda d, kind, site: (),
+                     lambda d, found: d)),
+    "head-tail-reversal": (1, _v_sites, _match_v, _reverse),
+    "head-tail-exchange": (2, *_pair_move(lambda a, b: a.crossing != b.crossing
+                                          and a.role != b.role), _swap_pairs),
+    "ends-exchange": (2, *_pair_move(lambda a, b: a.crossing != b.crossing), _swap_pairs),
 }
 
 
@@ -245,8 +264,8 @@ def _gauss_kind(kind):
 def _kink_first(d, kind, site):
     """Role of the first passage an AR8/AR10 site names."""
     if kind.direction == EXPAND:
-        return site.data[2]
-    ci, q = site.data
+        return site[2]
+    ci, q = site
     return d.components[ci][q].role
 
 
@@ -255,13 +274,9 @@ def find_arrow_sites(p, kind):
     move of its surgery image, so an AR8/AR10 expand site reads
     (component, gap, first role, sign)."""
     name = kind.name
-    if name in _NOOP_MOVES:
-        return [ArrowSite(())]
-    if name == "head-tail-reversal":
-        return [ArrowSite((aid,)) for aid in p.arrow_ids()]
     d = p.diagram
-    if name in _EXCHANGES:
-        return [ArrowSite(site) for site in _EXCHANGES[name][0](d, kind)]
+    if name in _NO_IMAGE:
+        return [ArrowSite(site) for site in sorted(_NO_IMAGE[name][1](d, kind))]
     sites = find_sites(d, _gauss_kind(kind))
     if name in _KINK_FIRST:
         return [s for s in sites if _kink_first(d, kind, s) == _KINK_FIRST[name]]
@@ -272,56 +287,17 @@ def apply_arrow_move(p, kind, site):
     """Apply an arrow move; surgery images stay welded-equivalent for
     AR1-AR10, and shift ordered linking data by the documented deltas for
     the A-family.  Raises MoveError at a site the move does not list."""
-    name = kind.name
-    if name in _NOOP_MOVES:
-        return p
-    if name == "head-tail-reversal":
-        (aid,) = site.data
-        if aid not in p.arrow_ids():
-            raise MoveError(f"no arrow {aid}")
-        # the arrow's tail and head swap: its crossing's passages swap roles
-        return WArrowPresentation(p.diagram.with_components(
-            tuple(psg._replace(role=OVER if psg.role == UNDER else UNDER)
-                  if psg.crossing == aid else psg for psg in comp)
-            for comp in p.diagram.components))
+    name, data = kind.name, tuple(site)
     d = p.diagram
-    if name in _EXCHANGES:
-        _check_entries(site.data, 2)
-        positions = _EXCHANGES[name][1](d, kind, site.data)
-        if positions is None:
-            raise MoveError(f"site is not a {name} pair")
-        return WArrowPresentation(_swap_pairs(d, positions))
-    out = apply_move(d, _gauss_kind(kind), site)
+    if name in _NO_IMAGE:
+        length, _, match, act = _NO_IMAGE[name]
+        _check_entries(data, length)
+        found = match(d, kind, data)
+        if found is None:
+            raise MoveError(f"site {data} does not fit a {name} move")
+        return WArrowPresentation(act(d, found))
+    out = apply_move(d, _gauss_kind(kind), data)
     # the R1 move has checked the site, so the kink's first passage exists
-    if name in _KINK_FIRST and _kink_first(d, kind, site) != _KINK_FIRST[name]:
+    if name in _KINK_FIRST and _kink_first(d, kind, data) != _KINK_FIRST[name]:
         raise MoveError(f"site is not an {name} kink")
     return WArrowPresentation(out)
-
-
-# ---------------------------------------------------------------------------
-# normal forms
-
-def normalize_vn(p, n):
-    """Twist normal-form parameters for odd n.
-
-    Returns {(i, j): a_ij} with 0 <= a_ij < n for 1 <= i < j <= mu, where
-    a_ij is the mod-n reduction of lambda_ij + lambda_ji of the closure; the
-    stacked H_ij(a_ij) presentations realize the normal form.
-    """
-    if n < 1 or n % 2 == 0:
-        raise DiagramError("normalize_vn needs odd n >= 1")
-    if p.kind != STRING_LINK:
-        raise DiagramError("normalize_vn expects a string-link presentation")
-    return twist_residues(closure(p.diagram), n)
-
-
-def normalize_vn_uc(p, n):
-    """Parallel normal-form parameters: ({(i,j): a_ij}, {(i,j): b_ij}) with
-    a_ij = lambda_ij mod n and b_ij = lambda_ji mod n for i < j."""
-    if n < 1:
-        raise DiagramError("normalize_vn_uc needs n >= 1")
-    if p.kind != STRING_LINK:
-        raise DiagramError("normalize_vn_uc expects a string-link presentation")
-    res = parallel_residues(closure(p.diagram), n)
-    pairs = [(i, j) for i, j in res if i < j]
-    return {(i, j): res[i, j] for i, j in pairs}, {(i, j): res[j, i] for i, j in pairs}

@@ -1,13 +1,15 @@
 """Decision procedures for generalized-virtualization equivalence, the
-elementary-ideal obstruction, crossing multiplexing, and a named example
-corpus.
+normal forms of string links, the elementary-ideal obstruction, crossing
+multiplexing, and a named example corpus.
 
 Two welded links are V(n)-equivalent for even n unconditionally; for odd n
-exactly when the mod-n reductions of lambda_ij + lambda_ji agree pairwise.
-They are (V^n + UC)-equivalent exactly when every ordered lambda_ij agrees
-mod n.  Both conditions are complete, so the verdicts are exact.  For
-V^n-moves alone there is only an obstruction: the images of the elementary
-ideals E^k in Z[t]/(t^n - 1), compared as lattices.
+exactly when the mod-n reductions of lambda_ij + lambda_ji agree pairwise
+(``twist_residues``).  They are (V^n + UC)-equivalent exactly when every
+ordered lambda_ij agrees mod n (``parallel_residues``).  Both conditions
+are complete, so the verdicts are exact, and the same residues of a string
+link's closure are its normal-form parameters.  For V^n-moves alone there
+is only an obstruction: the images of the elementary ideals E^k in
+Z[t]/(t^n - 1), compared as lattices.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from .algebra import ideal_mod
 from .arrows import build_H, build_Hbar, surgery
 from .diagram import (DIGITS, LINK, Diagram, DiagramError, Passage, closure,
-                      parallel_residues, parse, twist_residues)
+                      linking_matrix, parse)
 from .invariants import elementary_ideals
 
 RELATION_VN = "vn"
@@ -82,11 +84,30 @@ class ObstructionCertificate:
         }
 
 
-def _require_links(*diagrams):
+def _check(n, *diagrams):
+    """The n and the link diagrams every decision and normal form needs."""
     for d in diagrams:
         if d.kind != LINK:
             raise DiagramError("equivalence decisions expect link diagrams; "
                                "close string links first")
+    if n < 1:
+        raise DiagramError("n must be >= 1")
+
+
+def twist_residues(d, n):
+    """{(i, j): (lambda_ij + lambda_ji) mod n} over 1-based i < j: what
+    ``decide_vn`` compares for odd n."""
+    lam = linking_matrix(d)
+    return {(i + 1, j + 1): (lam[i][j] + lam[j][i]) % n
+            for i, j in itertools.combinations(range(d.mu), 2)}
+
+
+def parallel_residues(d, n):
+    """{(i, j): lambda_ij mod n} over ordered 1-based pairs: what
+    ``decide_vn_uc`` compares."""
+    lam = linking_matrix(d)
+    return {(i + 1, j + 1): lam[i][j] % n
+            for i, j in itertools.permutations(range(d.mu), 2)}
 
 
 def decide_vn(left, right, n, any_order=False):
@@ -97,51 +118,63 @@ def decide_vn(left, right, n, any_order=False):
     of (lambda_ij + lambda_ji) mod n over i < j; diagrams with different
     component counts are inequivalent (odd V(n)-moves preserve mu).
     """
-    _require_links(left, right)
-    if n < 1:
-        raise DiagramError("n must be >= 1")
+    _check(n, left, right)
     if n % 2 == 0:
         return EquivalenceVerdict(RELATION_VN, n, True, ())
-    if any_order:
-        return _best_over_orders(left, right, n, decide_vn)
-    if left.mu != right.mu:
-        return EquivalenceVerdict(RELATION_VN, n, False, ())
-    return _compare_residues(RELATION_VN, n, twist_residues(left, n),
-                             twist_residues(right, n))
+    return _decide(RELATION_VN, twist_residues, left, right, n, any_order)
 
 
 def decide_vn_uc(left, right, n, any_order=False):
     """Decide (V^n + UC)-equivalence: complete invariant is lambda_ij mod n
     over ordered pairs."""
-    _require_links(left, right)
-    if n < 1:
-        raise DiagramError("n must be >= 1")
-    if any_order:
-        return _best_over_orders(left, right, n, decide_vn_uc)
+    _check(n, left, right)
+    return _decide(RELATION_VN_UC, parallel_residues, left, right, n, any_order)
+
+
+def _decide(relation, residues, left, right, n, any_order):
+    """Verdict comparing the residue maps of two links with equal component
+    counts.  ``any_order`` also tries every reordering of the right one's
+    components, a convenience beyond the fixed-order definition of the
+    relations, and returns the first equivalent verdict, else the one in
+    the given order."""
     if left.mu != right.mu:
-        return EquivalenceVerdict(RELATION_VN_UC, n, False, ())
-    return _compare_residues(RELATION_VN_UC, n, parallel_residues(left, n),
-                             parallel_residues(right, n))
-
-
-def _compare_residues(relation, n, left, right):
-    """Verdict comparing two residue maps over the same pairs."""
-    residues = tuple((pair, a, right[pair]) for pair, a in left.items())
-    return EquivalenceVerdict(relation, n, all(a == b for _, a, b in residues), residues)
-
-
-def _best_over_orders(left, right, n, decide):
-    """Allow reordering of the right diagram's components; a convenience
-    beyond the fixed-order definition of the relations."""
-    best = None
-    for perm in itertools.permutations(range(right.mu)):
-        permuted = Diagram(tuple(right.components[i] for i in perm), right.kind)
-        verdict = decide(left, permuted, n)
+        return EquivalenceVerdict(relation, n, False, ())
+    mine = residues(left, n)
+    rights = ((Diagram(comps, right.kind) for comps in itertools.permutations(right.components))
+              if any_order else (right,))
+    first = None
+    for other in rights:
+        theirs = residues(other, n)
+        verdict = EquivalenceVerdict(relation, n, mine == theirs, tuple(
+            (pair, a, theirs[pair]) for pair, a in mine.items()))
         if verdict.equivalent:
             return verdict
-        if best is None:
-            best = verdict
-    return best
+        first = first or verdict
+    return first
+
+
+def normalize_vn(p, n):
+    """Twist normal-form parameters for odd n.
+
+    Returns {(i, j): a_ij} with 0 <= a_ij < n for 1 <= i < j <= mu, where
+    a_ij is the mod-n reduction of lambda_ij + lambda_ji of the closure of
+    the string-link presentation p; the stacked H_ij(a_ij) presentations
+    realize the normal form.
+    """
+    _check(n)
+    if n % 2 == 0:
+        raise DiagramError("normalize_vn needs odd n >= 1")
+    return twist_residues(closure(p.diagram), n)
+
+
+def normalize_vn_uc(p, n):
+    """Parallel normal-form parameters of a string-link presentation:
+    ({(i,j): a_ij}, {(i,j): b_ij}) with a_ij = lambda_ij mod n and
+    b_ij = lambda_ji mod n for i < j."""
+    _check(n)
+    res = parallel_residues(closure(p.diagram), n)
+    pairs = [(i, j) for i, j in res if i < j]
+    return {(i, j): res[i, j] for i, j in pairs}, {(i, j): res[j, i] for i, j in pairs}
 
 
 def obstruct_vn(left, right, n, kmax=3):
@@ -153,9 +186,9 @@ def obstruct_vn(left, right, n, kmax=3):
     where they differ, or None when all agree (inconclusive: this direction
     never certifies equivalence).
     """
-    _require_links(left, right)
-    if n < 1 or kmax < 0:
-        raise DiagramError("need n >= 1 and kmax >= 0")
+    _check(n, left, right)
+    if kmax < 0:
+        raise DiagramError("need kmax >= 0")
     ideals_l = elementary_ideals(left, kmax, n)
     ideals_r = elementary_ideals(right, kmax, n)
     for k in range(kmax + 1):

@@ -112,13 +112,13 @@ def _cmd_normal_form(args):
             raise DiagramError("normal-form expects a string link (or arrows file)")
         pres = arrows.to_arrows(d)
     if args.relation == "vn":
-        a_mat = arrows.normalize_vn(pres, args.n)
+        a_mat = classify.normalize_vn(pres, args.n)
         payload = {"relation": "vn", "n": args.n,
                    "a": {f"{i},{j}": v for (i, j), v in sorted(a_mat.items())}}
         lines = [f"vn normal form, n={args.n}:"]
         lines += [f"  a[{i},{j}] = {v}" for (i, j), v in sorted(a_mat.items())]
     else:
-        a_mat, b_mat = arrows.normalize_vn_uc(pres, args.n)
+        a_mat, b_mat = classify.normalize_vn_uc(pres, args.n)
         payload = {"relation": "vn-uc", "n": args.n,
                    "a": {f"{i},{j}": v for (i, j), v in sorted(a_mat.items())},
                    "b": {f"{i},{j}": v for (i, j), v in sorted(b_mat.items())}}

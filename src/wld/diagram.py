@@ -9,7 +9,6 @@ by R1, R2, R3 and OC alone.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -263,22 +262,6 @@ def linking_matrix(d):
         if co != cu:
             mat[co][cu] += sign
     return mat
-
-
-def twist_residues(d, n):
-    """{(i, j): (lambda_ij + lambda_ji) mod n} over 1-based i < j: what
-    ``decide_vn`` compares for odd n."""
-    lam = linking_matrix(d)
-    return {(i + 1, j + 1): (lam[i][j] + lam[j][i]) % n
-            for i, j in itertools.combinations(range(d.mu), 2)}
-
-
-def parallel_residues(d, n):
-    """{(i, j): lambda_ij mod n} over ordered 1-based pairs: what
-    ``decide_vn_uc`` compares."""
-    lam = linking_matrix(d)
-    return {(i + 1, j + 1): lam[i][j] % n
-            for i, j in itertools.permutations(range(d.mu), 2)}
 
 
 def canonical_key(d):

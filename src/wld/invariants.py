@@ -327,37 +327,6 @@ def _permutation_group(name, gens):
                                    for p in perms])
 
 
-def cyclic_group(n):
-    """Z/n from the n-cycle i -> i + 1; element i is its i-th power."""
-    if n < 1:
-        raise GroupTableError(f"z{n}: need n >= 1")
-    return _permutation_group(f"z{n}", [tuple(range(1, n)) + (0,)])
-
-
-def dihedral_group(n):
-    """Dihedral group of order 2n, n >= 3: the symmetries of an n-gon, from
-    the n-cycle i -> i + 1 and the reflection i -> -i mod n, numbered as
-    permutations of the vertices in sorted order."""
-    if n < 3:
-        raise GroupTableError(f"d{n}: need n >= 3")
-    return _permutation_group(f"d{n}", [tuple(range(1, n)) + (0,),
-                                        tuple(-i % n for i in range(n))])
-
-
-def symmetric_group(n):
-    """S_n, n >= 2, from the n-cycle and (0 1), numbered in sorted order."""
-    if n < 2:
-        raise GroupTableError(f"s{n}: need n >= 2")
-    return _permutation_group(f"s{n}", [tuple(range(1, n)) + (0,),
-                                        (1, 0) + tuple(range(2, n))])
-
-
-def quaternion_group():
-    """Q8 = {+-1, +-i, +-j, +-k} as left multiplication by i and by j on the
-    units numbered 1, i, j, k, -1, -i, -j, -k."""
-    return _permutation_group("q8", [(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)])
-
-
 def builtin_group(name):
     """Groups addressable by name: z2..z12, d3..d8, s3, s4, q8.
 
@@ -367,19 +336,33 @@ def builtin_group(name):
     return _builtin_group(name.lower())
 
 
-_FAMILIES = {"z": (cyclic_group, range(2, 13)), "d": (dihedral_group, range(3, 9)),
-             "s": (symmetric_group, range(3, 5))}
+def _cycle(n):
+    return tuple(range(1, n)) + (0,)
+
+
+# family letter -> (the n it is built for, generating permutations of
+# range(n)): the n-cycle i -> i + 1 for z_n, whose element i is its i-th
+# power; with the reflection i -> -i for d_n, the symmetries of an n-gon;
+# and with (0 1) for s_n
+_FAMILIES = {
+    "z": (range(2, 13), lambda n: [_cycle(n)]),
+    "d": (range(3, 9), lambda n: [_cycle(n), tuple(-i % n for i in range(n))]),
+    "s": (range(3, 5), lambda n: [_cycle(n), (1, 0) + tuple(range(2, n))]),
+}
+# Q8 = {+-1, +-i, +-j, +-k} as left multiplication by i and by j on the
+# units numbered 1, i, j, k, -1, -i, -j, -k
+_Q8 = [(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)]
 
 
 @functools.cache
 def _builtin_group(name):
     if name == "q8":
-        return quaternion_group()
+        return _permutation_group(name, _Q8)
     m = re.fullmatch(rf"([zds])({dg.DIGITS})", name)
-    if m is None or int(m[2]) not in _FAMILIES[m[1]][1]:
+    if m is None or int(m[2]) not in _FAMILIES[m[1]][0]:
         raise GroupTableError(f"unknown group name {name!r}")
-    build, _ = _FAMILIES[m[1]]
-    return build(int(m[2]))
+    n = int(m[2])
+    return _permutation_group(f"{m[1]}{n}", _FAMILIES[m[1]][1](n))
 
 
 def parse_group_csv(text, name):

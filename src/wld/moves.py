@@ -645,8 +645,9 @@ def count_sites(d, kind):
 
 
 def apply(d, kind, site):
-    """Apply one move at a site; raises MoveError if the site does not fit."""
-    fam, data = kind.family, site.data
+    """Apply one move at a site, a ``MoveSite`` or a plain tuple; raises
+    MoveError if the site does not fit."""
+    fam, data = kind.family, tuple(site)
     length, axes, finder, match = _rule(d, kind)
     _check_entries(_entries(fam, data), length, axes)
     if finder is None:

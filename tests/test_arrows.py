@@ -3,10 +3,10 @@ import random
 import pytest
 
 from wld.arrows import (ArrowSite, apply_arrow_move, build_H, build_Hbar,
-                        find_arrow_sites, make_arrow_kind, normalize_vn,
-                        normalize_vn_uc, parse_presentation,
+                        find_arrow_sites, make_arrow_kind, parse_presentation,
                         serialize_presentation, stack, surgery, to_arrows,
                         trivial_string_link)
+from wld.classify import normalize_vn, normalize_vn_uc
 from wld.diagram import (Diagram, DiagramError, ParseError, Passage, closure,
                          linking_matrix, parse, random_diagram, same_diagram)
 from wld.invariants import alexander, builtin_group, welded_group, hom_count
@@ -173,6 +173,9 @@ def test_noop_catalog_moves():
         sites = find_arrow_sites(p, kind)
         assert sites == [ArrowSite(())]
         assert apply_arrow_move(p, kind, sites[0]) == p
+        for site in ((5, "x"), (0,), (1, 0)):
+            with pytest.raises(MoveError):
+                apply_arrow_move(p, kind, ArrowSite(site))
 
 
 def test_ar9_cancels_opposite_pair():
@@ -197,6 +200,16 @@ def test_head_tail_reversal_keeps_sign_moves_linking():
     out = apply_arrow_move(p, make_arrow_kind("head-tail-reversal"), ArrowSite((1,)))
     assert lam_pair(out) == (0, 1)
     assert lam_pair(p) == (1, 0)
+
+
+def test_head_tail_reversal_applies_exactly_at_arrow_ids():
+    p = build_H(2, 1, 2, 2)
+    kind = make_arrow_kind("head-tail-reversal")
+    assert find_arrow_sites(p, kind) == [ArrowSite((1,)), ArrowSite((2,))]
+    assert apply_arrow_move(p, kind, (2,)) == apply_arrow_move(p, kind, ArrowSite((2,)))
+    for site in ((), (1, 2), (3,), (0,), ("1",)):
+        with pytest.raises(MoveError):
+            apply_arrow_move(p, kind, ArrowSite(site))
 
 
 def test_a_n_odd_block_delta():
@@ -482,11 +495,13 @@ def test_arrow_exchange_applies_exactly_at_listed_sites(name):
     assert listed_total > 0
 
 
-@pytest.mark.parametrize("name", EXCHANGES)
+@pytest.mark.parametrize("name", EXCHANGES + ("head-tail-reversal",))
 def test_arrow_exchange_rejects_bool_site_entries(name):
-    # (True, 0) equals the listed (1, 0), but a bool is not a position
+    # (True, 0) equals the listed (1, 0), and (True,) the listed (1,), but a
+    # bool is neither a position nor an arrow id
     p = to_arrows(parse("component:\ncomponent: O1+ U2+ U1+ O2+\n"))
     kind = make_arrow_kind(name)
-    assert ArrowSite((1, 0)) in find_arrow_sites(p, kind)
+    listed = (1,) if name == "head-tail-reversal" else (1, 0)
+    assert ArrowSite(listed) in find_arrow_sites(p, kind)
     with pytest.raises(MoveError):
-        apply_arrow_move(p, kind, ArrowSite((True, 0)))
+        apply_arrow_move(p, kind, ArrowSite((True,) + listed[1:]))

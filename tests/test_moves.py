@@ -609,3 +609,17 @@ def test_move_site_is_a_tuple():
     assert repr(site) == "MoveSite((0, 1, 1, 0, -1))"
     with pytest.raises(AttributeError):
         site.extra = 1
+
+
+def test_apply_takes_a_plain_tuple_site():
+    d = scramble(TREFOIL, WELDED + [make_kind("v^n", 2)], 12, 5)
+    kinds = [make_kind("r1", direction=EXPAND), make_kind("r2", direction=REDUCE),
+             make_kind("r3"), make_kind("oc"), make_kind("v", direction=REDUCE)]
+    applied = 0
+    for kind in kinds:
+        for site in find_sites(d, kind)[:4]:
+            assert apply(d, kind, tuple(site)) == apply(d, kind, site)
+            applied += 1
+    assert applied > len(kinds)
+    with pytest.raises(MoveError):
+        apply(TREFOIL, make_kind("oc"), (0, 0))

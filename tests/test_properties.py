@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from wld.algebra import ideal_mod, snf
 from wld.arrows import (build_H, build_Hbar, parse_presentation,
                         serialize_presentation, stack)
+from wld.classify import parallel_residues, twist_residues
 from wld.diagram import (LINK, STRING_LINK, Diagram, canonical_key, linking_matrix,
-                         parallel_residues, parse, random_diagram, serialize,
-                         twist_residues)
+                         parse, random_diagram, serialize)
 from wld.invariants import (GroupPresentation, abelianization, builtin_group,
                             coloring_count, elementary_ideals, hom_count,
                             welded_group)
