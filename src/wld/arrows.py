@@ -18,35 +18,29 @@ whose surgery image is the forbidden UC.  A(n), A^n and the antiparallel
 Abar(n), Abar^n insert or delete the arrow blocks whose surgery images are
 the V(n)/V^n twist and parallel blocks.
 
-These moves run on ``wld.moves`` through surgery: the sites of an arrow
-move are the sites of its surgery image, and applying it applies the
-image, which ``to_arrows`` wraps without converting.  The no-ops, the
-head-tail reversal and the head-tail and ends exchanges have no Gauss-code
-counterpart.  Each is a rule of the engine's shape (site length, finder,
-matcher, action), so its sites are checked as ``moves.apply`` checks one:
-the reversal finds and matches a crossing as V does and swaps its roles,
-and the exchanges are adjacent-pair moves with their own pair test that
-swap the pair as OC and UC do.
+These moves run on the engine of ``wld.moves`` through surgery, which
+``to_arrows`` wraps without converting.  One table gives each move the
+Gauss-code family of its surgery image, whose rule it runs, or a rule of
+the engine's own shape, and ``find_arrow_sites`` and ``apply_arrow_move``
+are the engine's find and apply on it.  AR8 and AR10 are the R1 rule kept
+to one first role.  The no-ops, the head-tail reversal and the head-tail
+and ends exchanges have no Gauss-code image: the reversal finds and
+matches a crossing as V does and swaps its roles, and the exchanges are
+adjacent-pair moves with their own pair test that swap the pair as OC and
+UC do.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 from .diagram import (DIGITS, OVER, STRING_LINK, UNDER, Diagram, DiagramError,
                       ParseError, Passage)
 from .diagram import parse as parse_diagram
-from .moves import (_PARAMETRIC, EXPAND, REDUCE, MoveError, MoveKind,
-                    MoveSite, _check_entries, _match_v, _pair_move, _swap_pairs,
-                    _v_sites, find_sites)
-from .moves import apply as apply_move
-
-ARROW_MOVE_NAMES = (
-    "ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar7", "ar8", "ar9", "ar10",
-    "ar11", "ar12", "heads-exchange", "head-tail-exchange", "h", "hprime",
-    "head-tail-reversal", "ends-exchange", "a(n)", "a^n", "abar(n)", "abar^n",
-)
+from .moves import (_PARAMETRIC, EXPAND, MoveError, MoveKind, _apply, _find,
+                    _match_v, _pair_move, _rule, _swap_pairs, _v_sites)
 
 
 @dataclass(frozen=True)
@@ -203,31 +197,21 @@ class ArrowMoveKind:
     n: int = 0
     direction: str = ""
 
+    def __str__(self):
+        return f"{self.name} {self.direction}".strip()
+
 
 def make_arrow_kind(name, n=None, direction=None):
     name = name.lower()
-    if name not in ARROW_MOVE_NAMES:
+    if name not in _ARROW_MOVES:
         raise MoveError(f"unknown arrow move {name!r}")
     # the surgery image's MoveKind checks n; a move without one ignores it
-    family = _GAUSS_FAMILY.get(name)
-    n = MoveKind(family, n or 0).n if family in _PARAMETRIC else 0
+    entry = _ARROW_MOVES[name]
+    n = MoveKind(entry, n or 0).n if entry in _PARAMETRIC else 0
     return ArrowMoveKind(name, n, direction or "")
 
 
-ArrowSite = MoveSite
-
-# arrow move -> Gauss-code move family of its surgery image
-_GAUSS_FAMILY = {
-    "ar7": "oc", "heads-exchange": "uc", "h": "uc", "hprime": "uc",
-    "ar8": "r1", "ar10": "r1", "ar9": "r2",
-    "a^n": "v^n", "abar^n": "vbar^n", "a(n)": "v(n)", "abar(n)": "vbar(n)",
-}
-# AR8 and AR10 are the R1 kinks whose first passage is the tail (over) or
-# the head (under); an expand site (ci, g, role, sign) names that role.
-_KINK_FIRST = {"ar8": OVER, "ar10": UNDER}
-
-
-def _reverse(d, positions):
+def _reverse(d, kind, positions):
     """Swap the roles of an arrow's over and under passage: its tail and
     head change places."""
     comps = [list(c) for c in d.components]
@@ -236,68 +220,61 @@ def _reverse(d, positions):
     return d.with_components(comps)
 
 
-# arrow moves with no Gauss-code image, in the move engine's rule shape:
-# name -> (site length, finder, matcher, action).  AR1-AR6, AR11 and AR12
-# act trivially at the one empty site; the head-tail reversal's site is an
-# arrow id; the exchanges swap adjacent ends of two distinct arrows, one
-# tail and one head for the head-tail exchange.
-_NO_IMAGE = {
+def _kinks(role, d, kind):
+    """AR8 (role O) or AR10 (role U) on d: the R1 kind and rule, its finder
+    and matcher kept to the kinks whose first passage has ``role``, which an
+    expand site names and a reduce site's first position holds."""
+    r1 = MoveKind("r1", 0, kind.direction)
+    length, axes, find, match, act = _rule(d, r1)
+
+    def kept(site):
+        return (site[2] if r1.direction == EXPAND else d.components[site[0]][site[1]].role) == role
+
+    def match_kept(d, kind, site):
+        found = match(d, kind, site)
+        return found if found is not None and kept(site) else None
+    return r1, (length, axes, lambda d, kind: filter(kept, find(d, kind)), match_kept, act)
+
+
+# arrow move -> the Gauss-code family of its surgery image, its own rule, or
+# (AR8, AR10) a function of the diagram and kind giving the kind and rule to
+# run.  AR1-AR6, AR11 and AR12 act trivially at the one empty site; the
+# head-tail reversal's site is an arrow id; the exchanges swap adjacent ends
+# of two distinct arrows, one tail and one head for the head-tail exchange.
+_ARROW_MOVES = {
     **dict.fromkeys(("ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar11", "ar12"),
-                    (0, lambda d, kind: [()], lambda d, kind, site: (),
-                     lambda d, found: d)),
-    "head-tail-reversal": (1, _v_sites, _match_v, _reverse),
-    "head-tail-exchange": (2, *_pair_move(lambda a, b: a.crossing != b.crossing
-                                          and a.role != b.role), _swap_pairs),
-    "ends-exchange": (2, *_pair_move(lambda a, b: a.crossing != b.crossing), _swap_pairs),
+                    (0, (), lambda d, kind: [()], lambda d, kind, site: (),
+                     lambda d, kind, found: d)),
+    "ar7": "oc", "ar8": partial(_kinks, OVER), "ar9": "r2", "ar10": partial(_kinks, UNDER),
+    "heads-exchange": "uc", "h": "uc", "hprime": "uc",
+    "head-tail-exchange": (2, (), *_pair_move(lambda a, b: a.crossing != b.crossing
+                                              and a.role != b.role), _swap_pairs),
+    "head-tail-reversal": (1, (), _v_sites, _match_v, _reverse),
+    "ends-exchange": (2, (), *_pair_move(lambda a, b: a.crossing != b.crossing), _swap_pairs),
+    "a(n)": "v(n)", "a^n": "v^n", "abar(n)": "vbar(n)", "abar^n": "vbar^n",
 }
 
 
-def _gauss_kind(kind):
-    family = _GAUSS_FAMILY.get(kind.name)
-    if family is None:
+def _arrow_rule(d, kind):
+    """The kind and rule an arrow move runs on d."""
+    entry = _ARROW_MOVES.get(kind.name)
+    if entry is None:
         raise MoveError(f"unknown arrow move {kind.name!r}")
-    if family not in ("oc", "uc") and kind.direction not in (EXPAND, REDUCE):
-        raise MoveError(f"move {kind.name} needs a direction")
-    return MoveKind(family, kind.n, kind.direction)
-
-
-def _kink_first(d, kind, site):
-    """Role of the first passage an AR8/AR10 site names."""
-    if kind.direction == EXPAND:
-        return site[2]
-    ci, q = site
-    return d.components[ci][q].role
+    if isinstance(entry, str):
+        image = MoveKind(entry, kind.n, kind.direction)
+        return image, _rule(d, image)
+    return entry(d, kind) if callable(entry) else (kind, entry)
 
 
 def find_arrow_sites(p, kind):
     """Applicable sites of an arrow move, sorted: those of the Gauss-code
     move of its surgery image, so an AR8/AR10 expand site reads
     (component, gap, first role, sign)."""
-    name = kind.name
-    d = p.diagram
-    if name in _NO_IMAGE:
-        return [ArrowSite(site) for site in sorted(_NO_IMAGE[name][1](d, kind))]
-    sites = find_sites(d, _gauss_kind(kind))
-    if name in _KINK_FIRST:
-        return [s for s in sites if _kink_first(d, kind, s) == _KINK_FIRST[name]]
-    return sites
+    return _find(p.diagram, *_arrow_rule(p.diagram, kind))
 
 
 def apply_arrow_move(p, kind, site):
     """Apply an arrow move; surgery images stay welded-equivalent for
     AR1-AR10, and shift ordered linking data by the documented deltas for
     the A-family.  Raises MoveError at a site the move does not list."""
-    name, data = kind.name, tuple(site)
-    d = p.diagram
-    if name in _NO_IMAGE:
-        length, _, match, act = _NO_IMAGE[name]
-        _check_entries(data, length)
-        found = match(d, kind, data)
-        if found is None:
-            raise MoveError(f"site {data} does not fit a {name} move")
-        return WArrowPresentation(act(d, found))
-    out = apply_move(d, _gauss_kind(kind), data)
-    # the R1 move has checked the site, so the kink's first passage exists
-    if name in _KINK_FIRST and _kink_first(d, kind, data) != _KINK_FIRST[name]:
-        raise MoveError(f"site is not an {name} kink")
-    return WArrowPresentation(out)
+    return WArrowPresentation(_apply(p.diagram, *_arrow_rule(p.diagram, kind), site))

@@ -330,8 +330,8 @@ def _permutation_group(name, gens):
 def builtin_group(name):
     """Groups addressable by name: z2..z12, d3..d8, s3, s4, q8.
 
-    Names are case-insensitive; each is built and validated once per
-    process, and later calls return the same shared instance.
+    Names are case-insensitive, without leading zeros; each is built and
+    validated once per process, and later calls return the same instance.
     """
     return _builtin_group(name.lower())
 
@@ -358,7 +358,8 @@ _Q8 = [(1, 4, 3, 6, 5, 0, 7, 2), (2, 7, 4, 1, 6, 3, 0, 5)]
 def _builtin_group(name):
     if name == "q8":
         return _permutation_group(name, _Q8)
-    m = re.fullmatch(rf"([zds])({dg.DIGITS})", name)
+    # one spelling per group: its size in ASCII digits with no leading zero
+    m = re.fullmatch(r"([zds])([1-9][0-9]?)", name)
     if m is None or int(m[2]) not in _FAMILIES[m[1]][0]:
         raise GroupTableError(f"unknown group name {name!r}")
     n = int(m[2])

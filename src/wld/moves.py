@@ -43,10 +43,13 @@ strand 1's order; the V(n) variant names the strand that is over at the
 first crossing.  A kind built directly with n = 1, as the arrow calculus
 does, keeps the block formats.
 
-Each rule is stated once: one count of a component's adjacent pairs and
-one of its gaps, one splice for both directions of an even twist, one
-dispatch on the direction (``_rule``), and an R3 table closed, in integer
-data, from the one triangle of the braid relation.
+Every move is a rule (site length, variant axes, finder, matcher, action):
+``_find`` lists its sites, and ``_apply`` checks a site's entries, matches
+it and acts on what the matcher found.  Each is stated once: one count of a
+component's adjacent pairs and one of its gaps, one splice for both
+directions of an even twist, one dispatch on the direction (``_rule``), and
+an R3 table closed, in integer data, from the one triangle of the braid
+relation.
 """
 
 from __future__ import annotations
@@ -194,16 +197,15 @@ def _all_gaps(d):
     return [(ci, g) for ci in range(d.mu) for g in range(_gap_count(d, ci))]
 
 
-def _check_gap(d, ci, gap):
-    if not 0 <= ci < d.mu:
-        raise MoveError(f"no component {ci}")
-    if not 0 <= gap < _gap_count(d, ci):
-        raise MoveError(f"gap {gap} out of range on component {ci}")
-
-
 def _check_entries(data, length, axes=()):
     """A site is ``length`` entries: integers, then one value of each
-    variant axis, of that axis's type (a bool is not an integer here)."""
+    variant axis, of that axis's type (a bool is not an integer here).  An
+    r3 site, of length (2, 2, 2), is three (component, position) pairs."""
+    if isinstance(length, tuple):
+        if len(data) != 3 or not all(isinstance(pair, tuple) and len(pair) == 2
+                                     for pair in data):
+            raise MoveError(f"site {data} is not three (component, position) pairs")
+        data, length = sum(data, ()), sum(length)
     if len(data) != length:
         raise MoveError(f"site {data} has {len(data)} entries, not {length}")
     ints = length - len(axes)
@@ -214,17 +216,6 @@ def _check_entries(data, length, axes=()):
         if not (x in axis and isinstance(x, type(axis[0]))
                 and isinstance(x, bool) == isinstance(axis[0], bool)):
             raise MoveError(f"bad variant {x!r} in site")
-
-
-def _entries(fam, data):
-    """The flat entries of a site; an r3 site is three (component, position)
-    pairs."""
-    if fam != "r3":
-        return data
-    if len(data) != 3 or not all(isinstance(pair, tuple) and len(pair) == 2
-                                 for pair in data):
-        raise MoveError(f"site {data} is not three (component, position) pairs")
-    return [x for pair in data for x in pair]
 
 
 def _insert_two(components, first, second):
@@ -241,7 +232,7 @@ def _insert_two(components, first, second):
     return comps
 
 
-def _swap_pairs(d, positions):
+def _swap_pairs(d, kind, positions):
     """Swap the passages at positions 2k and 2k + 1, pair by pair."""
     comps = [list(c) for c in d.components]
     for (ci, p), (cj, q) in zip(positions[::2], positions[1::2]):
@@ -249,15 +240,12 @@ def _swap_pairs(d, positions):
     return d.with_components(comps)
 
 
-def _delete_positions(components, removals):
-    """removals: iterable of (ci, position).  Returns new component lists."""
-    by_comp = {}
-    for ci, p in removals:
-        by_comp.setdefault(ci, set()).add(p)
-    comps = [list(c) for c in components]
-    for ci, positions in by_comp.items():
-        comps[ci] = [psg for p, psg in enumerate(comps[ci]) if p not in positions]
-    return comps
+def _delete(d, kind, positions):
+    """Delete the passages at the positions."""
+    comps = [list(c) for c in d.components]
+    for ci, p in sorted(set(positions), reverse=True):
+        del comps[ci][p]
+    return d.with_components(comps)
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +309,20 @@ def _expand_sites(d, kind):
     return [g + v for g in gaps for v in variants]
 
 
-def _expand(d, kind, data):
-    # an R1 kink has both strands at its one gap
+def _match_gaps(d, kind, site):
+    """The (component, gap) of each strand of an expand site, and its
+    variants, if both gaps exist, else None; an R1 kink has both strands at
+    its one gap."""
     strands, _ = _EXPAND[kind.family]
-    (c1, g1), (c2, g2) = (data[0:2], data[2:4]) if strands == 2 else (data[0:2],) * 2
-    _check_gap(d, c1, g1)
-    _check_gap(d, c2, g2)
-    roles, signs, backwards = _block(kind, data[2 * strands:])
+    gaps = (site[0:2], site[2:4]) if strands == 2 else (site[0:2],) * 2
+    if all(0 <= ci < d.mu and 0 <= g < _gap_count(d, ci) for ci, g in gaps):
+        return gaps, site[2 * strands:]
+    return None
+
+
+def _expand(d, kind, found):
+    ((c1, g1), (c2, g2)), variants = found
+    roles, signs, backwards = _block(kind, variants)
     block1 = [Passage(cid, role, sign)
               for cid, role, sign in zip(itertools.count(d.fresh_crossing_id()), roles, signs)]
     block2 = [Passage(p.crossing, _OPPOSITE[p.role], p.sign)
@@ -339,7 +334,10 @@ def _expand(d, kind, data):
 
 def _match_block(d, kind, site):
     """Positions of a block from (ci, p) on strand 1 and (cj, q) on strand 2,
-    strand 1's first; None if the site holds none."""
+    strand 1's first; None if the site holds none.  A block has n distinct
+    crossings, so none fits a diagram with fewer."""
+    if kind.n > d.crossing_count:
+        return None
     ci, p, cj, q = site
     roles = _roles(kind)
     backwards = kind.family in _BAR
@@ -401,12 +399,13 @@ def _splice(components, gap_a, gap_b, block_a, block_b):
     return comps
 
 
-def _unsplice(d, positions, n):
+def _unsplice(d, kind, positions):
     """Delete an even twist's two blocks and reconnect the strands crosswise:
     ``_splice`` with empty blocks, each component read from just after its
     block.  On one component strand 1's cut is then gap 0 and strand 2's
     the number of passages met between the blocks, so cut points that fall
     together keep their travel order."""
+    n = kind.n
     (ca, pa), (cb, pb) = positions[0], positions[n]
     comps = list(d.components)
     sa = comps[ca][pa:] + comps[ca][:pa]
@@ -592,43 +591,60 @@ _KINK = _pair_move(lambda a, b: a.crossing == b.crossing)
 _OC = _pair_move(lambda a, b: a.role == b.role == OVER)
 _UC = _pair_move(lambda a, b: a.role == b.role == UNDER)
 
-# family -> (site length, variant axes ending the site, finder, matcher); an
-# r3 site counts its three pairs' six entries
+# family -> (site length, variant axes ending the site, finder, matcher,
+# action); an r3 site is three pairs, and an action takes the diagram, the
+# kind and what the matcher found
 _REDUCE = {
-    "r1": (2, (), *_KINK),
-    "r2": (5, ((True, False),), _r2_sites, _match_r2),
-    "r3": (6, (), _r3_sites, _match_r3),
-    "oc": (2, (), *_OC),
-    "uc": (2, (), *_UC),
-    "v": (1, (), _v_sites, _match_v),
-    "v^n": (4, (), _block_sites, _match_block),
-    "vbar^n": (4, (), _block_sites, _match_block),
-    "v(n)": (4, (), _block_sites, _match_block),
-    "vbar(n)": (4, (), _block_sites, _match_block),
+    "r1": (2, (), *_KINK, _delete),
+    "r2": (5, ((True, False),), _r2_sites, _match_r2, _delete),
+    "r3": ((2, 2, 2), (), _r3_sites, _match_r3, _swap_pairs),
+    "oc": (2, (), *_OC, _swap_pairs),
+    "uc": (2, (), *_UC, _swap_pairs),
+    "v": (1, (), _v_sites, _match_v, _delete),
+    **dict.fromkeys(_PARAMETRIC, (4, (), _block_sites, _match_block, _delete)),
 }
+_NOWHERE = (lambda d, kind: [], lambda d, kind, site: None)
 
 
 # ---------------------------------------------------------------------------
 # find_sites and apply
 
 def _rule(d, kind):
-    """(site length, variant axes, finder, matcher) of a directed kind on d.
-    An expand kind has no matcher, and an even twist on a string link no
-    finder either: it splices strands, so it has no sites there."""
+    """(site length, variant axes, finder, matcher, action) of a directed
+    kind on d.  An even twist splices strands: its reduce action unsplices,
+    and on a string link it has no sites."""
     if kind.family in _UNDIRECTED or kind.direction == REDUCE:
         rule = _REDUCE[kind.family]
     elif kind.direction == EXPAND:
         strands, axes = _EXPAND[kind.family]
-        rule = (2 * strands + len(axes), axes, _expand_sites, None)
+        rule = (2 * strands + len(axes), axes, _expand_sites, _match_gaps, _expand)
     else:
         raise MoveError(f"move kind {kind} needs a direction")
-    return rule[:2] + (None, None) if _splices(kind) and d.kind == STRING_LINK else rule
+    if _splices(kind) and d.kind == STRING_LINK:
+        return rule[:2] + _NOWHERE + rule[4:]
+    return rule[:4] + (_unsplice,) if _splices(kind) and kind.direction == REDUCE else rule
+
+
+def _find(d, kind, rule):
+    """The sites a rule's finder lists, sorted."""
+    return [MoveSite(site) for site in sorted(rule[2](d, kind))]
+
+
+def _apply(d, kind, rule, site):
+    """Check a site's entries, match it and act on what the matcher found;
+    raises MoveError if the site does not fit."""
+    length, axes, _, match, act = rule
+    data = tuple(site)
+    _check_entries(data, length, axes)
+    found = match(d, kind, data)
+    if found is None:
+        raise MoveError(f"site {data} does not fit a {kind} move")
+    return act(d, kind, found)
 
 
 def find_sites(d, kind):
     """All applicable sites of a move kind, deterministically sorted."""
-    finder = _rule(d, kind)[2]
-    return [] if finder is None else [MoveSite(site) for site in sorted(finder(d, kind))]
+    return _find(d, kind, _rule(d, kind))
 
 
 def count_sites(d, kind):
@@ -636,8 +652,6 @@ def count_sites(d, kind):
     kind has one site per choice of a gap for each strand and a value on
     each variant axis."""
     finder = _rule(d, kind)[2]
-    if finder is None:
-        return 0
     if finder is _expand_sites:
         strands, axes = _EXPAND[kind.family]
         return len(_all_gaps(d)) ** strands * math.prod(len(axis) for axis in axes)
@@ -647,21 +661,7 @@ def count_sites(d, kind):
 def apply(d, kind, site):
     """Apply one move at a site, a ``MoveSite`` or a plain tuple; raises
     MoveError if the site does not fit."""
-    fam, data = kind.family, tuple(site)
-    length, axes, finder, match = _rule(d, kind)
-    _check_entries(_entries(fam, data), length, axes)
-    if finder is None:
-        raise MoveError("even twist moves splice strands; links only")
-    if match is None:
-        return _expand(d, kind, data)
-    positions = match(d, kind, data)
-    if positions is None:
-        raise MoveError(f"site {data} does not fit a {kind} move")
-    if fam in _UNDIRECTED:
-        return _swap_pairs(d, positions)
-    if _splices(kind):
-        return _unsplice(d, positions, kind.n)
-    return d.with_components(_delete_positions(d.components, positions))
+    return _apply(d, kind, _rule(d, kind), site)
 
 
 # ---------------------------------------------------------------------------
@@ -676,7 +676,7 @@ def _sample_expand_site(d, kind, rng):
     site = ()
     for _ in range(strands):
         site += gaps[rng.randrange(len(gaps))]
-    if _rule(d, kind)[2] is None:
+    if _rule(d, kind)[2] is not _expand_sites:
         return None
     for axis in axes:
         site += (rng.choice(axis),)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from wld.arrows import (ArrowSite, apply_arrow_move, build_H, build_Hbar,
+from wld.arrows import (apply_arrow_move, build_H, build_Hbar,
                         find_arrow_sites, make_arrow_kind, parse_presentation,
                         serialize_presentation, stack, surgery, to_arrows,
                         trivial_string_link)
@@ -171,11 +171,11 @@ def test_noop_catalog_moves():
     for name in ("ar1", "ar2", "ar3", "ar4", "ar5", "ar6", "ar11", "ar12"):
         kind = make_arrow_kind(name)
         sites = find_arrow_sites(p, kind)
-        assert sites == [ArrowSite(())]
+        assert sites == [MoveSite(())]
         assert apply_arrow_move(p, kind, sites[0]) == p
         for site in ((5, "x"), (0,), (1, 0)):
             with pytest.raises(MoveError):
-                apply_arrow_move(p, kind, ArrowSite(site))
+                apply_arrow_move(p, kind, MoveSite(site))
 
 
 def test_ar9_cancels_opposite_pair():
@@ -197,7 +197,7 @@ def test_ar9_preserves_welded_invariants():
 
 def test_head_tail_reversal_keeps_sign_moves_linking():
     p = build_H(2, 1, 2, 1)
-    out = apply_arrow_move(p, make_arrow_kind("head-tail-reversal"), ArrowSite((1,)))
+    out = apply_arrow_move(p, make_arrow_kind("head-tail-reversal"), MoveSite((1,)))
     assert lam_pair(out) == (0, 1)
     assert lam_pair(p) == (1, 0)
 
@@ -205,17 +205,17 @@ def test_head_tail_reversal_keeps_sign_moves_linking():
 def test_head_tail_reversal_applies_exactly_at_arrow_ids():
     p = build_H(2, 1, 2, 2)
     kind = make_arrow_kind("head-tail-reversal")
-    assert find_arrow_sites(p, kind) == [ArrowSite((1,)), ArrowSite((2,))]
-    assert apply_arrow_move(p, kind, (2,)) == apply_arrow_move(p, kind, ArrowSite((2,)))
+    assert find_arrow_sites(p, kind) == [MoveSite((1,)), MoveSite((2,))]
+    assert apply_arrow_move(p, kind, (2,)) == apply_arrow_move(p, kind, MoveSite((2,)))
     for site in ((), (1, 2), (3,), (0,), ("1",)):
         with pytest.raises(MoveError):
-            apply_arrow_move(p, kind, ArrowSite(site))
+            apply_arrow_move(p, kind, MoveSite(site))
 
 
 def test_a_n_odd_block_delta():
     base = trivial_string_link(2)
     kind = make_arrow_kind("a(n)", 3, EXPAND)
-    site = ArrowSite((0, 0, 1, 0, 1, 1))
+    site = MoveSite((0, 0, 1, 0, 1, 1))
     out = apply_arrow_move(base, kind, site)
     li, lj = lam_pair(out)
     assert li + lj == 3
@@ -236,7 +236,7 @@ def test_a_n_reduce_drops_lambda_sum_by_n():
 def test_a_hat_n_matches_v_hat_n_surgery():
     base = trivial_string_link(2)
     kind = make_arrow_kind("a^n", 2, EXPAND)
-    site = ArrowSite((0, 0, 1, 0, 1))
+    site = MoveSite((0, 0, 1, 0, 1))
     out = apply_arrow_move(base, kind, site)
     assert lam_pair(out) == (2, 0)
 
@@ -244,7 +244,7 @@ def test_a_hat_n_matches_v_hat_n_surgery():
 def test_abar_n_reversed_heads():
     base = trivial_string_link(2)
     kind = make_arrow_kind("abar^n", 2, EXPAND)
-    out = apply_arrow_move(base, kind, ArrowSite((0, 0, 1, 0, 1)))
+    out = apply_arrow_move(base, kind, MoveSite((0, 0, 1, 0, 1)))
     heads = [psg.crossing for psg in surgery(out).components[1] if psg.role == "U"]
     tails = [psg.crossing for psg in surgery(out).components[0] if psg.role == "O"]
     assert heads == list(reversed(tails))
@@ -254,11 +254,10 @@ def test_abar_n_reversed_heads():
 def test_a_n_even_splices_like_v_n_even():
     p = to_arrows(parse("component: O1+ U2+\ncomponent: U1+ O2+\n"))
     kind = make_arrow_kind("a(n)", 2, EXPAND)
-    site = ArrowSite((0, 0, 1, 0, 1, 1))
+    site = MoveSite((0, 0, 1, 0, 1, 1))
     out = apply_arrow_move(p, kind, site)
     assert out.mu == 1
     d = surgery(p)
-    from wld.moves import MoveSite
     d2 = apply_move(d, make_kind("v(n)", 2, EXPAND), MoveSite((0, 0, 1, 0, 1, 1)))
     assert same_diagram(surgery(out), d2)
 
@@ -357,7 +356,7 @@ def test_ar_catalog_preserves_welded_invariants_of_surgery():
 def test_abar_n_odd_twist_block():
     base = trivial_string_link(2)
     kind = make_arrow_kind("abar(n)", 3, EXPAND)
-    out = apply_arrow_move(base, kind, ArrowSite((0, 0, 1, 0, 1, 1)))
+    out = apply_arrow_move(base, kind, MoveSite((0, 0, 1, 0, 1, 1)))
     li, lj = lam_pair(out)
     assert li + lj == 3
     ids2 = [psg.crossing for psg in surgery(out).components[1]]
@@ -420,12 +419,12 @@ def _reduce_site_grid(p, name):
     positions = [(ci, q) for ci in range(p.mu)
                  for q in range(len(surgery(p).components[ci]) + 1)]
     if name in ("ar8", "ar10"):
-        return [ArrowSite(pos) for pos in positions]
+        return [MoveSite(pos) for pos in positions]
     pairs = [a + b for a in positions for b in positions]
     if name == "ar9":
-        return [ArrowSite(pair + (parallel,)) for pair in pairs
+        return [MoveSite(pair + (parallel,)) for pair in pairs
                 for parallel in (True, False)]
-    return [ArrowSite(pair) for pair in pairs]
+    return [MoveSite(pair) for pair in pairs]
 
 
 @pytest.mark.parametrize("name,n", REDUCE_CONTRACT_KINDS,
@@ -444,6 +443,23 @@ def test_arrow_reduce_applies_exactly_at_listed_sites(name, n):
                 with pytest.raises(MoveError):
                     apply_arrow_move(p, kind, site)
     assert listed_total > 0
+
+
+@pytest.mark.parametrize("name,role", [("ar8", "O"), ("ar10", "U")])
+def test_arrow_kink_expand_applies_exactly_at_its_r1_sites(name, role):
+    # AR8 and AR10 insert the R1 kinks whose first passage is a tail (O) or
+    # a head (U); an expand site names that role
+    kind = make_arrow_kind(name, direction=EXPAND)
+    for p in _contract_presentations():
+        r1_sites = find_sites(surgery(p), MoveKind("r1", 0, EXPAND))
+        assert find_arrow_sites(p, kind) == [s for s in r1_sites if s[2] == role]
+        for site in r1_sites:
+            if site[2] == role:
+                out = apply_arrow_move(p, kind, site)
+                assert len(out.arrow_ids()) == len(p.arrow_ids()) + 1
+            else:
+                with pytest.raises(MoveError):
+                    apply_arrow_move(p, kind, site)
 
 
 # ---------------------------------------------------------------------------
@@ -474,10 +490,10 @@ def test_arrow_exchange_applies_exactly_at_listed_sites(name):
         comps = surgery(p).components
         listed = set(find_arrow_sites(p, kind))
         listed_total += len(listed)
-        grid = [ArrowSite((ci, q)) for ci in range(-1, p.mu + 1)
+        grid = [MoveSite((ci, q)) for ci in range(-1, p.mu + 1)
                 for q in range(-1, len(comps[ci % p.mu]) + 1)]
         assert listed <= set(grid)
-        grid += [ArrowSite(()), ArrowSite((0,)), ArrowSite((0, 0, 0))]
+        grid += [MoveSite(()), MoveSite((0,)), MoveSite((0, 0, 0))]
         for site in grid:
             if site not in listed:
                 with pytest.raises(MoveError):
@@ -502,6 +518,6 @@ def test_arrow_exchange_rejects_bool_site_entries(name):
     p = to_arrows(parse("component:\ncomponent: O1+ U2+ U1+ O2+\n"))
     kind = make_arrow_kind(name)
     listed = (1,) if name == "head-tail-reversal" else (1, 0)
-    assert ArrowSite(listed) in find_arrow_sites(p, kind)
+    assert MoveSite(listed) in find_arrow_sites(p, kind)
     with pytest.raises(MoveError):
-        apply_arrow_move(p, kind, ArrowSite((True,) + listed[1:]))
+        apply_arrow_move(p, kind, MoveSite((True,) + listed[1:]))

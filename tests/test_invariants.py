@@ -255,6 +255,15 @@ def test_builtin_group_orders():
             builtin_group(name)
 
 
+def test_builtin_group_has_one_spelling_per_group():
+    # a leading zero or a non-ASCII digit would give a group a second cache
+    # entry, so neither names a group
+    for name in ("z05", "z08", "D04", "s03", "z\u0665"):
+        with pytest.raises(GroupTableError):
+            builtin_group(name)
+    assert builtin_group("Z5") is builtin_group("z5")
+
+
 def _element_order_counts(group):
     counts = {}
     for x in range(group.order):

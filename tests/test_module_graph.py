@@ -1,5 +1,6 @@
 """The package's internal imports follow the README's module order, all at
-module level, and only the command-line front end opens files."""
+module level, only the command-line front end opens files, and only the
+move engine checks site entries."""
 
 import ast
 from pathlib import Path
@@ -51,6 +52,15 @@ def test_only_the_cli_opens_files():
                    and "open" in (getattr(node.func, "id", None),
                                   getattr(node.func, "attr", None)))
     assert not opens, opens
+
+
+def test_only_the_move_engine_checks_site_entries():
+    checks = sorted(f"{name}:{node.lineno}" for name, tree in MODULES.items()
+                    if name != "moves" for node in ast.walk(tree)
+                    if isinstance(node, ast.Call)
+                    and "_check_entries" in (getattr(node.func, "id", None),
+                                             getattr(node.func, "attr", None)))
+    assert not checks, checks
 
 
 def test_no_function_imports_a_wld_module():

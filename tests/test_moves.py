@@ -9,7 +9,7 @@ from wld.moves import (EXPAND, FAMILIES, REDUCE, MoveError, MoveKind,
                        MoveSite, apply, count_sites, find_sites, make_kind,
                        parse_kind, parse_kinds, replay, scramble, search_path)
 
-from support import PANEL
+from support import PANEL, time_limit
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
 HOPF = parse("component: O1+ U2+\ncomponent: U1+ O2+\n")
@@ -599,6 +599,17 @@ def test_count_sites_is_the_number_of_found_sites():
     assert count_sites(bases[3], MoveKind("v(n)", 2, EXPAND)) == 0
     with pytest.raises(MoveError, match="needs a direction"):
         count_sites(TREFOIL, MoveKind("v^n", 2))
+
+
+def test_block_with_more_crossings_than_the_diagram_fits_nowhere():
+    # a block has n distinct crossings, so none is looked for on a diagram
+    # with fewer, however large n is
+    for family in ("v^n", "vbar^n", "v(n)", "vbar(n)"):
+        kind = MoveKind(family, 10**7 + (family == "vbar(n)"), REDUCE)
+        with time_limit(1):
+            assert find_sites(TREFOIL, kind) == [] and count_sites(TREFOIL, kind) == 0
+            with pytest.raises(MoveError):
+                apply(TREFOIL, kind, (0, 0, 0, 3))
 
 
 def test_move_site_is_a_tuple():
