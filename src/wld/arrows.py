@@ -39,7 +39,7 @@ from functools import partial
 from .diagram import (DIGITS, OVER, STRING_LINK, UNDER, Diagram, DiagramError,
                       ParseError, Passage)
 from .diagram import parse as parse_diagram
-from .moves import (_PARAMETRIC, EXPAND, MoveError, MoveKind, _apply, _find,
+from .moves import (_PARAMETRIC, EXPAND, REDUCE, MoveError, MoveKind, _apply, _find,
                     _match_v, _pair_move, _rule, _swap_pairs, _v_sites)
 
 
@@ -202,13 +202,15 @@ class ArrowMoveKind:
 
 
 def make_arrow_kind(name, n=None, direction=None):
-    name = name.lower()
+    name, direction = name.lower(), direction or ""
     if name not in _ARROW_MOVES:
         raise MoveError(f"unknown arrow move {name!r}")
+    if direction not in ("", EXPAND, REDUCE):
+        raise MoveError(f"bad direction {direction!r}")
     # the surgery image's MoveKind checks n; a move without one ignores it
     entry = _ARROW_MOVES[name]
     n = MoveKind(entry, n or 0).n if entry in _PARAMETRIC else 0
-    return ArrowMoveKind(name, n, direction or "")
+    return ArrowMoveKind(name, n, direction)
 
 
 def _reverse(d, kind, positions):
@@ -247,10 +249,10 @@ _ARROW_MOVES = {
                      lambda d, kind, found: d)),
     "ar7": "oc", "ar8": partial(_kinks, OVER), "ar9": "r2", "ar10": partial(_kinks, UNDER),
     "heads-exchange": "uc", "h": "uc", "hprime": "uc",
-    "head-tail-exchange": (2, (), *_pair_move(lambda a, b: a.crossing != b.crossing
-                                              and a.role != b.role), _swap_pairs),
+    "head-tail-exchange": (2, (), *_pair_move(lambda x, rx, y, ry: x != y and rx != ry),
+                           _swap_pairs),
     "head-tail-reversal": (1, (), _v_sites, _match_v, _reverse),
-    "ends-exchange": (2, (), *_pair_move(lambda a, b: a.crossing != b.crossing), _swap_pairs),
+    "ends-exchange": (2, (), *_pair_move(lambda x, rx, y, ry: x != y), _swap_pairs),
     "a(n)": "v(n)", "a^n": "v^n", "abar(n)": "vbar(n)", "abar^n": "vbar^n",
 }
 

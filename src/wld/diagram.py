@@ -282,6 +282,13 @@ def canonical_key(d):
     the labels they gave to crossings that occur later, so of two kept
     choices that label those crossings alike only one is kept: their
     completions are the same.
+
+    A word's entries compare (role, sign) before the label, and its first
+    entry's (role, sign) is that of the passage it starts at, whatever the
+    labels.  So a rotation starting at a passage whose (role, sign) is not
+    the least of the component gives a word greater than any rotation
+    starting at one that is, and is never least.  Only those are read; the
+    kept choices, in their order, are the ones reading all would keep.
     """
     comps = d.components
     # per component, the crossings occurring in the components after it
@@ -292,11 +299,14 @@ def canonical_key(d):
     words = []
     choices = [{}]
     for comp, ahead in zip(comps, later):
-        # the rotations read every passage n times, and a plain tuple unpacks
+        # each rotation read reads every passage, and a plain tuple unpacks
         # faster than a Passage
         comp = tuple(map(tuple, comp))
-        n = len(comp)
-        rotations = range(1 if d.kind == STRING_LINK or n <= 1 else n)
+        if d.kind == STRING_LINK or len(comp) <= 1:
+            rotations = (0,)
+        else:
+            least = min(psg[1:] for psg in comp)
+            rotations = [r for r, psg in enumerate(comp) if psg[1:] == least]
         best, kept = None, {}
         for labels in choices:
             for r in rotations:

@@ -151,14 +151,16 @@ def _pair_count(d, ci):
     return n if d.kind == LINK and n > 2 else max(n - 1, 0)
 
 
-def _adjacent_pairs(d, ci):
-    """(p, p_next) index pairs along component ci, honoring cyclicity."""
-    n = len(d.components[ci])
-    return [(p, (p + 1) % n) for p in range(_pair_count(d, ci))]
+def _pairs(d, ci):
+    """(p, first passage, second passage) of each adjacent pair on component
+    ci: the component zipped with its rotation by one, cut to the pair
+    count."""
+    comp = d.components[ci]
+    return zip(range(_pair_count(d, ci)), comp, comp[1:] + comp[:1])
 
 
 def _pair(d, ci, p):
-    """The position after p on component ci if ``_adjacent_pairs`` lists
+    """The position after p on component ci if ``_pairs`` lists
     that pair, else None."""
     if not (0 <= ci < d.mu and 0 <= p < _pair_count(d, ci)):
         return None
@@ -176,14 +178,8 @@ def _run(d, ci, start, roles):
     if not 0 <= start < n or (start + k > n if d.kind == STRING_LINK else k > n):
         return None
     positions = [(start + i) % n for i in range(k)]
-    sign = comp[start].sign
-    ids = []
-    for p, role in zip(positions, roles):
-        psg = comp[p]
-        if psg.role != role or psg.sign != sign:
-            return None
-        ids.append(psg.crossing)
-    return positions, ids
+    ids, got, signs = zip(*[comp[p] for p in positions])
+    return (positions, ids) if got == roles and signs.count(signs[0]) == k else None
 
 
 def _gap_count(d, ci):
@@ -332,6 +328,13 @@ def _expand(d, kind, found):
     return d.with_components(_insert_two(d.components, (c1, g1, block1), (c2, g2, block2)))
 
 
+def _strand_roles(kind):
+    """The roles strand 1 and strand 2 meet a block of the kind with, each
+    in its own travel order."""
+    roles = _roles(kind)
+    return roles, tuple(_OPPOSITE[r] for r in (roles[::-1] if kind.family in _BAR else roles))
+
+
 def _match_block(d, kind, site):
     """Positions of a block from (ci, p) on strand 1 and (cj, q) on strand 2,
     strand 1's first; None if the site holds none.  A block has n distinct
@@ -339,10 +342,9 @@ def _match_block(d, kind, site):
     if kind.n > d.crossing_count:
         return None
     ci, p, cj, q = site
-    roles = _roles(kind)
+    roles, swapped = _strand_roles(kind)
     backwards = kind.family in _BAR
-    first = _run(d, ci, p, roles)
-    second = _run(d, cj, q, tuple(_OPPOSITE[r] for r in (roles[::-1] if backwards else roles)))
+    first, second = _run(d, ci, p, roles), _run(d, cj, q, swapped)
     if first is None or second is None:
         return None
     (pos1, ids1), (pos2, ids2) = first, second
@@ -352,22 +354,49 @@ def _match_block(d, kind, site):
     return [(ci, x) for x in pos1] + [(cj, x) for x in pos2]
 
 
+def _starts(text, word):
+    """Every position where ``word`` starts in ``text``, overlaps included."""
+    out, p = [], text.find(word)
+    while p >= 0:
+        out.append(p)
+        p = text.find(word, p + 1)
+    return out
+
+
 def _block_sites(d, kind):
-    """Strand 2 meets strand 1's first crossing at its first passage, or at
-    its last when backwards, so each over passage fixes one candidate."""
-    back = max(kind.n, 1) - 1 if kind.family in _BAR else 0
-    table = d.crossing_table()
-    out = []
+    """Strand 1 starts a run of its roles, and strand 2, which meets strand
+    1's first crossing at its first passage (its last when backwards), a run
+    of its own.  So one string search per component and strand, on the
+    component's roles read with n - 1 passages of wrap on a link, pairs the
+    run starts by that crossing; what ``_match_block`` checks besides (one
+    sign, equal crossing ids, no overlap) is checked on those pairs only."""
+    n = max(kind.n, 1)
+    if n > d.crossing_count:
+        return []
+    words = ["".join(roles) for roles in _strand_roles(kind)]
+    backwards = kind.family in _BAR
+    back = n - 1 if backwards else 0
+    wrap = n - 1 if d.kind == LINK else 0
+    rows, firsts, seconds = {}, [], {}
     for ci, comp in enumerate(d.components):
-        for p, psg in enumerate(comp):
-            if psg.role != OVER:
-                continue
-            cj, q = table[psg.crossing][1]
-            q -= back
-            if d.kind == LINK:
-                q %= len(d.components[cj])
-            if _match_block(d, kind, (ci, p, cj, q)) is not None:
-                out.append((ci, p, cj, q))
+        if len(comp) >= n:
+            ids, roles, _ = rows[ci] = tuple(col + col[:wrap] for col in zip(*comp))
+            text = "".join(roles)
+            firsts += [(ci, p) for p in _starts(text, words[0])]
+            seconds.update((ids[q + back], (ci, q)) for q in _starts(text, words[1]))
+    out = []
+    for ci, p in firsts:
+        ids, _, signs = rows[ci]
+        found = seconds.get(ids[p])
+        if found is None or signs[p:p + n].count(signs[p]) != n:
+            continue
+        cj, q = found
+        run, size = ids[p:p + n], len(d.components[ci])
+        # two runs of n on one component overlap iff either starts fewer
+        # than n passages after the other, cyclically
+        if rows[cj][0][q:q + n] == (run[::-1] if backwards else run) and not (
+                ci == cj and ((q - p) % size < n or (p - q) % size < n)):
+            out.append((ci, p, cj, q))
     return out
 
 
@@ -473,7 +502,9 @@ _R3_PATTERNS = _r3_pattern_table()
 
 def _match_r3(d, kind, site):
     """The six positions of three adjacent pairs forming an R3 triangle,
-    pair by pair, else None."""
+    pair by pair, else None.  A pattern joins three crossings, each once
+    over and once under in two different pairs, so it matches no site that
+    repeats a position or meets a crossing other than twice."""
     positions, edges = [], []
     for ci, p in site:
         q = _pair(d, ci, p)
@@ -481,45 +512,38 @@ def _match_r3(d, kind, site):
             return None
         positions += [(ci, p), (ci, q)]
         edges.append((d.components[ci][p], d.components[ci][q]))
-    crossings = {}
-    for edge in edges:
-        for cid, _, _ in edge:
-            crossings[cid] = crossings.get(cid, 0) + 1
-    if (len(set(positions)) != 6 or len(crossings) != 3 or set(crossings.values()) != {2}
-            or _triple_key(edges) not in _R3_PATTERNS):
-        return None
-    return positions
+    return positions if _triple_key(edges) in _R3_PATTERNS else None
 
 
 def _r3_sites(d, kind):
-    edges = []
+    """Every pattern has one over-over pair (the top strand), one
+    under-under pair (the bottom strand) through one of its two crossings,
+    and a pair under at the top's other crossing and over at the bottom's
+    (the middle strand).  So for each OO pair {a, b} and each UU pair
+    {a, c} or {b, c}, the candidates are the pairs under at b (or a) and
+    over at c, in either order; ``_match_r3`` checks each."""
+    tops, bottoms, middles = [], {}, {}
     for ci in range(d.mu):
-        comp = d.components[ci]
-        for p, q in _adjacent_pairs(d, ci):
-            if comp[p].crossing != comp[q].crossing:
-                edges.append((ci, p, frozenset((comp[p].crossing, comp[q].crossing))))
-    by_cset = {}
-    for ci, p, cset in edges:
-        by_cset.setdefault(cset, []).append((ci, p))
-    graph = {}
-    for cset in by_cset:
-        a, b = sorted(cset)
-        graph.setdefault(a, set()).add(b)
-        graph.setdefault(b, set()).add(a)
-    out = set()
-    for a in sorted(graph):
-        for b in sorted(graph[a]):
-            if b <= a:
+        for p, (x, rx, _), (y, ry, _) in _pairs(d, ci):
+            if x == y:
                 continue
-            for c in sorted(graph[a] & graph[b]):
-                if c <= b:
+            if rx != ry:
+                middles.setdefault((x, y) if rx == UNDER else (y, x), []).append((ci, p))
+            elif rx == OVER:
+                tops.append((x, y, (ci, p)))
+            else:
+                bottoms.setdefault(x, []).append((y, (ci, p)))
+                bottoms.setdefault(y, []).append((x, (ci, p)))
+    out = []
+    for a, b, top in tops:
+        for shared, left in ((a, b), (b, a)):
+            for c, bottom in bottoms.get(shared, ()):
+                if c == left:
                     continue
-                bins = [by_cset.get(frozenset(x), []) for x in
-                        ((a, b), (b, c), (a, c))]
-                for combo in itertools.product(*bins):
-                    site = tuple(sorted(combo))
+                for middle in middles.get((left, c), ()):
+                    site = tuple(sorted((top, bottom, middle)))
                     if _match_r3(d, kind, site) is not None:
-                        out.add(site)
+                        out.append(site)
     return out
 
 
@@ -529,38 +553,36 @@ def _r3_sites(d, kind):
 # finders filter inline instead of calling the matcher on every candidate.
 
 def _pair_move(test):
-    """Finder and matcher of a move on one adjacent pair passing ``test``."""
+    """Finder and matcher of a move on one adjacent pair whose crossings and
+    roles, (x, role of x, y, role of y), pass ``test``."""
     def sites(d, kind):
-        out = []
-        for ci, comp in enumerate(d.components):
-            for p, q in _adjacent_pairs(d, ci):
-                if test(comp[p], comp[q]):
-                    out.append((ci, p))
-        return out
+        return [(ci, p) for ci in range(d.mu)
+                for p, (x, rx, _), (y, ry, _) in _pairs(d, ci) if test(x, rx, y, ry)]
 
     def match(d, kind, site):
         ci, p = site
         q = _pair(d, ci, p)
-        if q is None or not test(d.components[ci][p], d.components[ci][q]):
+        if q is None:
             return None
-        return [(ci, p), (ci, q)]
+        (x, rx, _), (y, ry, _) = d.components[ci][p], d.components[ci][q]
+        return [(ci, p), (ci, q)] if test(x, rx, y, ry) else None
     return sites, match
 
 
 def _r2_sites(d, kind):
-    unders = {}
-    for ci, comp in enumerate(d.components):
-        for p, q in _adjacent_pairs(d, ci):
-            if comp[p].role == comp[q].role == UNDER:
-                unders.setdefault((comp[p].crossing, comp[q].crossing), []).append((ci, p))
+    """The over-over pairs of opposite signs, each with the under-under
+    pairs through its two crossings in either order."""
+    overs, unders = [], {}
+    for ci in range(d.mu):
+        for p, (x, rx, sx), (y, ry, sy) in _pairs(d, ci):
+            if rx == ry == UNDER:
+                unders.setdefault((x, y), []).append((ci, p))
+            elif rx == ry and sx == -sy:
+                overs.append((ci, p, x, y))
     out = []
-    for ci, comp in enumerate(d.components):
-        for p, q in _adjacent_pairs(d, ci):
-            a, b = comp[p], comp[q]
-            if a.role == b.role == OVER and a.sign == -b.sign:
-                for parallel, key in ((True, (a.crossing, b.crossing)),
-                                      (False, (b.crossing, a.crossing))):
-                    out += [(ci, p, cj, r, parallel) for cj, r in unders.get(key, ())]
+    for ci, p, x, y in overs:
+        for parallel, key in ((True, (x, y)), (False, (y, x))):
+            out += [(ci, p, cj, r, parallel) for cj, r in unders.get(key, ())]
     return out
 
 
@@ -569,11 +591,10 @@ def _match_r2(d, kind, site):
     q, s = _pair(d, ci, p), _pair(d, cj, r)
     if q is None or s is None:
         return None
-    a, b = d.components[ci][p], d.components[ci][q]
-    u, w = d.components[cj][r], d.components[cj][s]
-    if (a.role == b.role == OVER and u.role == w.role == UNDER and a.sign == -b.sign
-            and (u.crossing, w.crossing) == ((a.crossing, b.crossing) if parallel
-                                             else (b.crossing, a.crossing))):
+    (x, rx, sx), (y, ry, sy) = d.components[ci][p], d.components[ci][q]
+    (u, ru, _), (w, rw, _) = d.components[cj][r], d.components[cj][s]
+    if (rx == ry == OVER and ru == rw == UNDER and sx == -sy
+            and (u, w) == ((x, y) if parallel else (y, x))):
         return [(ci, p), (ci, q), (cj, r), (cj, s)]
     return None
 
@@ -587,9 +608,9 @@ def _match_v(d, kind, site):
     return None if entry is None else list(entry[:2])
 
 
-_KINK = _pair_move(lambda a, b: a.crossing == b.crossing)
-_OC = _pair_move(lambda a, b: a.role == b.role == OVER)
-_UC = _pair_move(lambda a, b: a.role == b.role == UNDER)
+_KINK = _pair_move(lambda x, rx, y, ry: x == y)
+_OC = _pair_move(lambda x, rx, y, ry: rx == ry == OVER)
+_UC = _pair_move(lambda x, rx, y, ry: rx == ry == UNDER)
 
 # family -> (site length, variant axes ending the site, finder, matcher,
 # action); an r3 site is three pairs, and an action takes the diagram, the

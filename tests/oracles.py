@@ -6,13 +6,15 @@ arcs as explicit runs between under-passages with position maps, Alexander
 rows as Fox derivatives of the Wirtinger relators over those runs, colorings
 by exhaustive enumeration, elementary ideals by enumerating every minor of
 the raw Alexander matrix, the canonical key by trying every combination of
-basepoint rotations, and divisibility by exact Laurent long division.
+basepoint rotations, divisibility by exact Laurent long division, and move
+sites by offering ``apply`` every tuple of a site's shape.
 """
 
 import itertools
 
 from wld.algebra import AlgebraError, Laurent
 from wld.diagram import STRING_LINK, UNDER
+from wld.moves import MoveError, apply
 
 
 def int_det(matrix):
@@ -294,6 +296,31 @@ def canonical_key_bruteforce(d):
         if best is None or key < best:
             best = key
     return best
+
+
+def sites_bruteforce(d, kind):
+    """Every tuple of a reduce or undirected kind's site shape that ``apply``
+    accepts, sorted: each (c, p) for r1, oc and uc, each sorted triple of
+    them for r3, each (c1, p1, c2, p2, parallel) for r2 and each
+    (c1, p1, c2, p2) for a V^n/V(n) block."""
+    spots = [(ci, p) for ci, comp in enumerate(d.components) for p in range(len(comp))]
+    if kind.family in ("r1", "oc", "uc"):
+        candidates = spots
+    elif kind.family == "r3":
+        candidates = itertools.combinations(spots, 3)
+    elif kind.family == "r2":
+        candidates = (a + b + (parallel,) for a in spots for b in spots
+                      for parallel in (True, False))
+    else:
+        candidates = (a + b for a in spots for b in spots)
+    found = []
+    for site in candidates:
+        try:
+            apply(d, kind, site)
+        except MoveError:
+            continue
+        found.append(site)
+    return sorted(found)
 
 
 def hom_count_exhaustive(pres, group):

@@ -521,3 +521,12 @@ def test_arrow_exchange_rejects_bool_site_entries(name):
     assert MoveSite(listed) in find_arrow_sites(p, kind)
     with pytest.raises(MoveError):
         apply_arrow_move(p, kind, MoveSite((True,) + listed[1:]))
+
+
+@pytest.mark.parametrize("name", ["ar1", "ar7", "ar8", "a^n", "head-tail-exchange"])
+def test_make_arrow_kind_rejects_a_bad_direction(name):
+    # as make_kind does, at once, not first at find_arrow_sites
+    with pytest.raises(MoveError, match="bad direction 'sideways'"):
+        make_arrow_kind(name, 3, direction="sideways")
+    for direction in (None, "", EXPAND, REDUCE):
+        assert make_arrow_kind(name, 3, direction=direction).direction == (direction or "")

@@ -9,6 +9,7 @@ from wld.arrows import build_H, build_Hbar, stack, surgery
 from wld.diagram import (Diagram, DiagramError, ParseError, arc_components,
                          canonical_key, closure, linking_matrix, parse,
                          random_diagram, same_diagram, serialize)
+from wld.moves import EXPAND, MoveKind, scramble
 
 TREFOIL = "component: O1+ U2+ O3+ U1+ O2+ U3+\n"
 HOPF = "component: O1+ U2+\ncomponent: U1+ O2+\n"
@@ -241,6 +242,13 @@ def test_canonical_key_matches_bruteforce():
         inputs.append(_closed_stack(build_H(4, 1, 2, a), build_H(4, 3, 4, a)))
         inputs.append(_closed_stack(build_H(3, 1, 3, a), build_Hbar(3, 1, 2, 2)))
         inputs.append(surgery(stack(build_H(3, 1, 2, a), build_H(3, 2, 3, a))))
+    # V^n/V(n)-grown links and string links, whose runs of one (role, sign)
+    # tie many basepoints on their first entry
+    grown = random.Random(19)
+    grow = [MoveKind(fam, n, EXPAND) for fam in ("v^n", "vbar^n", "v(n)") for n in (2, 3)]
+    for i in range(150):
+        d = random_diagram(grown, max_crossings=3, max_mu=3, kind=("link", "stringlink")[i % 2])
+        inputs.append(scramble(d, grown.sample(grow, 2), 2, grown.randrange(1 << 30)))
     for d in inputs:
         key = canonical_key(d)
         assert key == oracles.canonical_key_bruteforce(d)

@@ -9,6 +9,7 @@ from wld.moves import (EXPAND, FAMILIES, REDUCE, MoveError, MoveKind,
                        MoveSite, apply, count_sites, find_sites, make_kind,
                        parse_kind, parse_kinds, replay, scramble, search_path)
 
+import oracles
 from support import PANEL, time_limit
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
@@ -634,3 +635,52 @@ def test_apply_takes_a_plain_tuple_site():
     assert applied > len(kinds)
     with pytest.raises(MoveError):
         apply(TREFOIL, make_kind("oc"), (0, 0))
+
+
+def _grown_diagrams(count, seed):
+    """Small seeded links and string links (at most three components), each
+    grown by two V^n, V(n), R2 or R3 moves, so that reduce and block sites
+    exist."""
+    rng = random.Random(seed)
+    grow = ([MoveKind(fam, n, EXPAND) for fam in ("v^n", "vbar^n", "v(n)") for n in (1, 2, 3, 4)]
+            + [MoveKind("vbar(n)", 3, EXPAND), MoveKind("r2", 0, EXPAND), make_kind("r3")])
+    out = []
+    for i in range(count):
+        d = random_diagram(rng, max_crossings=2, max_mu=3, kind=("link", "stringlink")[i % 2])
+        out.append(scramble(d, rng.sample(grow, 3), 2, rng.randrange(1 << 30)))
+    return out
+
+
+def test_finders_list_exactly_the_sites_apply_accepts():
+    kinds = ([MoveKind(fam, 0, REDUCE) for fam in ("r1", "r2")]
+             + [make_kind("r3"), make_kind("oc"), make_kind("uc")]
+             + [MoveKind(fam, n, REDUCE) for fam in ("v^n", "vbar^n", "v(n)")
+                for n in (1, 2, 3, 4)]
+             + [MoveKind("vbar(n)", n, REDUCE) for n in (1, 3)])
+    nonempty = dict.fromkeys(kinds, 0)
+    for d in _grown_diagrams(200, 19):
+        for kind in kinds:
+            listed = [site.data for site in find_sites(d, kind)]
+            assert listed == oracles.sites_bruteforce(d, kind), (str(d), str(kind))
+            nonempty[kind] += bool(listed)
+    # every kind's finder is exercised, not only on diagrams without sites
+    assert min(nonempty.values()) >= 3, {str(k): v for k, v in nonempty.items()}
+
+
+def test_every_r3_pattern_has_one_top_and_one_bottom_pair():
+    # what _r3_sites prunes by: one over-over pair (the top strand) and one
+    # under-under pair (the bottom) through one common crossing; the third
+    # pair is under at the top's other crossing and over at the bottom's.
+    # A pattern names each crossing by the pairs it joins.
+    from wld.moves import _R3_PATTERNS
+    assert len(_R3_PATTERNS) == 96
+    for pattern in _R3_PATTERNS:
+        roles = [(a[1], b[1]) for a, b in pattern]
+        assert roles.count(("O", "O")) == roles.count(("U", "U")) == 1
+        top, bottom = roles.index(("O", "O")), roles.index(("U", "U"))
+        (middle,) = {0, 1, 2} - {top, bottom}
+        owners = [{owner for owner, _, _ in pair} for pair in pattern]
+        assert owners[top] & owners[bottom] == {tuple(sorted((top, bottom)))}
+        under, over = sorted(pattern[middle], key=lambda passage: passage[1] == "O")
+        assert under[0] == tuple(sorted((top, middle)))
+        assert over[0] == tuple(sorted((bottom, middle)))
