@@ -104,7 +104,10 @@ def _cmd_obstruct(args):
 
 def _cmd_normal_form(args):
     text = _read_text(args.file)
-    if text.lstrip().startswith("arrows"):
+    # the first line that is neither blank nor a comment names the format
+    first = next((line for line in map(str.strip, text.splitlines())
+                  if line and not line.startswith("#")), "")
+    if first.startswith("arrows"):
         pres = arrows.parse_presentation(text)
     else:
         d = parse(text)

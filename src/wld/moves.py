@@ -48,8 +48,7 @@ Every move is a rule (site length, variant axes, finder, matcher, action):
 it and acts on what the matcher found.  Each is stated once: one count of a
 component's adjacent pairs and one of its gaps, one splice for both
 directions of an even twist, one dispatch on the direction (``_rule``), and
-an R3 table closed, in integer data, from the one triangle of the braid
-relation.
+R3 by the sign rule of the one triangle of the braid relation.
 """
 
 from __future__ import annotations
@@ -274,18 +273,11 @@ def _splices(kind):
     return kind.family == "v(n)" and kind.n % 2 == 0
 
 
-def _roles(kind, first=OVER):
-    """Strand-1 roles of a V^n block (all ``first``) or a V(n) block
-    (alternating from ``first``); V is V^1."""
-    n = max(kind.n, 1)
-    if kind.family in ("v(n)", "vbar(n)"):
-        return tuple(first if k % 2 == 0 else _OPPOSITE[first] for k in range(n))
-    return (first,) * n
-
-
-def _block(kind, variants):
-    """Strand-1 roles and signs of the block an expand site inserts, and
-    whether strand 2 meets it backwards."""
+def _block(kind, variants=(1, 1)):
+    """Strand-1 roles and signs of the block an expand site with these
+    variants inserts, and whether strand 2 meets it backwards.  The default
+    variants give the block a reduce site's strand 1 starts, over at its
+    first crossing; the matchers read its sign from the diagram."""
     fam = kind.family
     if fam == "r1":
         first, sign = variants
@@ -293,9 +285,13 @@ def _block(kind, variants):
     if fam == "r2":
         sign, parallel = variants
         return (OVER, OVER), (sign, -sign), not parallel
-    first = UNDER if fam in ("v(n)", "vbar(n)") and variants[1] == 2 else OVER
-    roles = _roles(kind, first)
-    return roles, (variants[0],) * len(roles), fam in _BAR
+    n = max(kind.n, 1)
+    if fam in ("v(n)", "vbar(n)"):
+        first = UNDER if variants[1] == 2 else OVER
+        roles = tuple(first if k % 2 == 0 else _OPPOSITE[first] for k in range(n))
+    else:
+        roles = (OVER,) * n
+    return roles, (variants[0],) * n, fam in _BAR
 
 
 def _expand_sites(d, kind):
@@ -328,13 +324,6 @@ def _expand(d, kind, found):
     return d.with_components(_insert_two(d.components, (c1, g1, block1), (c2, g2, block2)))
 
 
-def _strand_roles(kind):
-    """The roles strand 1 and strand 2 meet a block of the kind with, each
-    in its own travel order."""
-    roles = _roles(kind)
-    return roles, tuple(_OPPOSITE[r] for r in (roles[::-1] if kind.family in _BAR else roles))
-
-
 def _match_block(d, kind, site):
     """Positions of a block from (ci, p) on strand 1 and (cj, q) on strand 2,
     strand 1's first; None if the site holds none.  A block has n distinct
@@ -342,8 +331,8 @@ def _match_block(d, kind, site):
     if kind.n > d.crossing_count:
         return None
     ci, p, cj, q = site
-    roles, swapped = _strand_roles(kind)
-    backwards = kind.family in _BAR
+    roles, _, backwards = _block(kind)
+    swapped = tuple(_OPPOSITE[r] for r in (roles[::-1] if backwards else roles))
     first, second = _run(d, ci, p, roles), _run(d, cj, q, swapped)
     if first is None or second is None:
         return None
@@ -373,8 +362,9 @@ def _block_sites(d, kind):
     n = max(kind.n, 1)
     if n > d.crossing_count:
         return []
-    words = ["".join(roles) for roles in _strand_roles(kind)]
-    backwards = kind.family in _BAR
+    roles, _, backwards = _block(kind)
+    swapped = [_OPPOSITE[r] for r in (roles[::-1] if backwards else roles)]
+    words = ["".join(roles), "".join(swapped)]
     back = n - 1 if backwards else 0
     wrap = n - 1 if d.kind == LINK else 0
     rows, firsts, seconds = {}, [], {}
@@ -448,80 +438,61 @@ def _unsplice(d, kind, positions):
 
 
 # ---------------------------------------------------------------------------
-# R3 pattern table, closed from the triangle of the braid relation
+# R3
 #
-# s1 s2 s1 = s2 s1 s2 gives one R3 triangle: the top strand passes over its
-# two crossings, the middle strand under the top one and then over the
-# bottom one, the bottom strand under both, every crossing positive.  Every
-# oriented R3 configuration comes from it by reversing strands and taking
-# the mirror image (Polyak, Minimal generating sets of Reidemeister moves,
-# 2010).  A reversed strand meets its two crossings backwards and negates
-# their signs; the mirror image negates every sign.  The move itself reads
-# every pair backwards, which is reversing all three strands, so the table
-# is closed under it.  It holds every order of the three pairs, so a site's
-# pairs match as they come.
-
-# per strand (top, middle, bottom), its crossings in travel order, each
-# named by the two strands it joins, with the strand's role there
-_R3_SEED = ((((0, 1), OVER), ((0, 2), OVER)),
-            (((0, 1), UNDER), ((1, 2), OVER)),
-            (((0, 2), UNDER), ((1, 2), UNDER)))
-
-
-def _triple_key(edges):
-    """Key of three (first-passage, second-passage) pairs up to crossing
-    names.
-
-    Each passage is (crossing-key, role, sign); a crossing key is replaced
-    by the slots of the pairs it joins.
-    """
-    owners = {}
-    for ei, edge in enumerate(edges):
-        for ckey, _, _ in edge:
-            owners.setdefault(ckey, []).append(ei)
-    return tuple(tuple((tuple(owners[ckey]), role, sign) for ckey, role, sign in edge)
-                 for edge in edges)
-
-
-def _r3_pattern_table():
-    patterns = set()
-    # flips[s] is -1 where strand s is reversed and mirror -1 for the mirror
-    # image; the crossing of strands i and j then has sign
-    # mirror * flips[i] * flips[j]
-    for flips in itertools.product((1, -1), repeat=3):
-        for mirror in (1, -1):
-            edges = [tuple((c, role, mirror * flips[c[0]] * flips[c[1]])
-                           for c, role in pair[::flips[s]])
-                     for s, pair in enumerate(_R3_SEED)]
-            patterns.update(_triple_key(order) for order in itertools.permutations(edges))
-    return frozenset(patterns)
-
-
-_R3_PATTERNS = _r3_pattern_table()
-
+# s1 s2 s1 = s2 s1 s2 gives one R3 triangle: the top strand passes over
+# crossings a then b, the middle strand under a then over c, the bottom
+# strand under b then c, every crossing positive.  Every oriented R3
+# configuration comes from it by reversing strands and taking the mirror
+# image (Polyak, Minimal generating sets of Reidemeister moves, 2010).  A
+# reversed strand (f = -1) meets its two crossings backwards and negates
+# their signs; the mirror image negates every sign.  So s_a f_top f_mid,
+# s_b f_top f_bot and s_c f_mid f_bot are one sign, the mirror's.  The move
+# itself reads every pair backwards, which is reversing all three strands.
 
 def _match_r3(d, kind, site):
     """The six positions of three adjacent pairs forming an R3 triangle,
-    pair by pair, else None.  A pattern joins three crossings, each once
-    over and once under in two different pairs, so it matches no site that
-    repeats a position or meets a crossing other than twice."""
-    positions, edges = [], []
+    pair by pair, else None.  The pairs, in any order, are the top (over at
+    both), the bottom (under at both) and the middle, under at a crossing a
+    of the top and over at a crossing c of the bottom; the top's other
+    crossing b is the bottom's other, a, b and c are distinct, and the signs
+    follow the rule above.  Each of a, b and c is then met once over and
+    once under, so no position repeats."""
+    positions, signs = [], {}
+    top = bottom = middle = None
     for ci, p in site:
         q = _pair(d, ci, p)
         if q is None:
             return None
         positions += [(ci, p), (ci, q)]
-        edges.append((d.components[ci][p], d.components[ci][q]))
-    return positions if _triple_key(edges) in _R3_PATTERNS else None
+        (x, rx, sx), (y, ry, sy) = d.components[ci][p], d.components[ci][q]
+        signs[x], signs[y] = sx, sy
+        if rx != ry:
+            middle = (x, y, 1) if rx == UNDER else (y, x, -1)
+        elif rx == OVER:
+            top = (x, y)
+        else:
+            bottom = (x, y)
+    # three pairs fill the three roles only if each fills a different one
+    if top is None or bottom is None or middle is None:
+        return None
+    a, c, f_mid = middle
+    if a == c or a not in top:
+        return None
+    f_top = 1 if top[0] == a else -1
+    b = top[1] if f_top == 1 else top[0]
+    if set(bottom) != {b, c}:
+        return None
+    f_bot = 1 if bottom[0] == b else -1
+    if signs[a] * f_top * f_mid == signs[b] * f_top * f_bot == signs[c] * f_mid * f_bot:
+        return positions
+    return None
 
 
 def _r3_sites(d, kind):
-    """Every pattern has one over-over pair (the top strand), one
-    under-under pair (the bottom strand) through one of its two crossings,
-    and a pair under at the top's other crossing and over at the bottom's
-    (the middle strand).  So for each OO pair {a, b} and each UU pair
-    {a, c} or {b, c}, the candidates are the pairs under at b (or a) and
-    over at c, in either order; ``_match_r3`` checks each."""
+    """For each top {a, b} and each bottom {b, c} or {a, c}, the candidates
+    are the pairs under at a (or b) and over at c, in either order;
+    ``_match_r3`` checks each."""
     tops, bottoms, middles = [], {}, {}
     for ci in range(d.mu):
         for p, (x, rx, _), (y, ry, _) in _pairs(d, ci):

@@ -6,14 +6,15 @@ arcs as explicit runs between under-passages with position maps, Alexander
 rows as Fox derivatives of the Wirtinger relators over those runs, colorings
 by exhaustive enumeration, elementary ideals by enumerating every minor of
 the raw Alexander matrix, the canonical key by trying every combination of
-basepoint rotations, divisibility by exact Laurent long division, and move
-sites by offering ``apply`` every tuple of a site's shape.
+basepoint rotations, divisibility by exact Laurent long division, move
+sites by offering ``apply`` every tuple of a site's shape, and R3 triangles
+by a pattern table closed from the braid relation.
 """
 
 import itertools
 
 from wld.algebra import AlgebraError, Laurent
-from wld.diagram import STRING_LINK, UNDER
+from wld.diagram import OVER, STRING_LINK, UNDER
 from wld.moves import MoveError, apply
 
 
@@ -321,6 +322,55 @@ def sites_bruteforce(d, kind):
             continue
         found.append(site)
     return sorted(found)
+
+
+# R3 pattern table, closed from the triangle of the braid relation
+#
+# s1 s2 s1 = s2 s1 s2 gives one R3 triangle: the top strand passes over its
+# two crossings, the middle strand under the top one and then over the
+# bottom one, the bottom strand under both, every crossing positive.  Every
+# oriented R3 configuration comes from it by reversing strands and taking
+# the mirror image (Polyak, Minimal generating sets of Reidemeister moves,
+# 2010).  A reversed strand meets its two crossings backwards and negates
+# their signs; the mirror image negates every sign.  The move itself reads
+# every pair backwards, which is reversing all three strands, so the table
+# is closed under it.  It holds every order of the three pairs, so a site's
+# pairs match as they come.
+
+# per strand (top, middle, bottom), its crossings in travel order, each
+# named by the two strands it joins, with the strand's role there
+R3_SEED = ((((0, 1), OVER), ((0, 2), OVER)),
+           (((0, 1), UNDER), ((1, 2), OVER)),
+           (((0, 2), UNDER), ((1, 2), UNDER)))
+
+
+def triple_key(edges):
+    """Key of three (first-passage, second-passage) pairs up to crossing
+    names.
+
+    Each passage is (crossing-key, role, sign); a crossing key is replaced
+    by the slots of the pairs it joins.
+    """
+    owners = {}
+    for ei, edge in enumerate(edges):
+        for ckey, _, _ in edge:
+            owners.setdefault(ckey, []).append(ei)
+    return tuple(tuple((tuple(owners[ckey]), role, sign) for ckey, role, sign in edge)
+                 for edge in edges)
+
+
+def r3_pattern_table():
+    patterns = set()
+    # flips[s] is -1 where strand s is reversed and mirror -1 for the mirror
+    # image; the crossing of strands i and j then has sign
+    # mirror * flips[i] * flips[j]
+    for flips in itertools.product((1, -1), repeat=3):
+        for mirror in (1, -1):
+            edges = [tuple((c, role, mirror * flips[c[0]] * flips[c[1]])
+                           for c, role in pair[::flips[s]])
+                     for s, pair in enumerate(R3_SEED)]
+            patterns.update(triple_key(order) for order in itertools.permutations(edges))
+    return frozenset(patterns)
 
 
 def hom_count_exhaustive(pres, group):

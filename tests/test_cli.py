@@ -98,6 +98,17 @@ def test_normal_form_arrows_file(capsys, tmp_path):
     assert code == 0 and doc["a"]["1,2"] == 2
 
 
+def test_normal_form_arrows_file_after_a_comment(capsys, tmp_path):
+    # the format is named by the first line that is neither blank nor a
+    # comment, as parse_presentation reads it
+    path = tmp_path / "h.arr"
+    path.write_text("# two arrows\n\narrows\nstringlink\ncomponent:\ncomponent:\n"
+                    "arrow: 1.1 2.1 +\narrow: 1.2 2.2 +\n")
+    code, doc = run_json(capsys, ["normal-form", str(path),
+                                  "--relation", "vn", "--n", "3", "--json"])
+    assert code == 0 and doc["a"]["1,2"] == 2
+
+
 def test_multiplex_output(capsys, trefoil_file):
     code = main(["multiplex", trefoil_file, "--m", "2"])
     out = capsys.readouterr().out

@@ -1,10 +1,11 @@
+import itertools
 import random
 import re
 
 import pytest
 
-from wld.diagram import (linking_matrix, parse, random_diagram,
-                         same_diagram)
+from wld.diagram import (STRING_LINK, Diagram, Passage, linking_matrix, parse,
+                         random_diagram, same_diagram)
 from wld.moves import (EXPAND, FAMILIES, REDUCE, MoveError, MoveKind,
                        MoveSite, apply, count_sites, find_sites, make_kind,
                        parse_kind, parse_kinds, replay, scramble, search_path)
@@ -668,13 +669,13 @@ def test_finders_list_exactly_the_sites_apply_accepts():
 
 
 def test_every_r3_pattern_has_one_top_and_one_bottom_pair():
-    # what _r3_sites prunes by: one over-over pair (the top strand) and one
-    # under-under pair (the bottom) through one common crossing; the third
-    # pair is under at the top's other crossing and over at the bottom's.
-    # A pattern names each crossing by the pairs it joins.
-    from wld.moves import _R3_PATTERNS
-    assert len(_R3_PATTERNS) == 96
-    for pattern in _R3_PATTERNS:
+    # what _match_r3 checks and _r3_sites prunes by: one over-over pair (the
+    # top strand) and one under-under pair (the bottom) through one common
+    # crossing; the third pair is under at the top's other crossing and over
+    # at the bottom's.  A pattern names each crossing by the pairs it joins.
+    patterns = oracles.r3_pattern_table()
+    assert len(patterns) == 96
+    for pattern in patterns:
         roles = [(a[1], b[1]) for a, b in pattern]
         assert roles.count(("O", "O")) == roles.count(("U", "U")) == 1
         top, bottom = roles.index(("O", "O")), roles.index(("U", "U"))
@@ -684,3 +685,29 @@ def test_every_r3_pattern_has_one_top_and_one_bottom_pair():
         under, over = sorted(pattern[middle], key=lambda passage: passage[1] == "O")
         assert under[0] == tuple(sorted((top, middle)))
         assert over[0] == tuple(sorted((bottom, middle)))
+
+
+def test_r3_accepts_exactly_the_patterns_of_the_braid_closure():
+    # every arrangement of three crossings' six passages, with every choice
+    # of signs, as three one-pair components of a string link
+    patterns = oracles.r3_pattern_table()
+    passages = [(cid, role) for cid in (1, 2, 3) for role in ("O", "U")]
+    site, kind = ((0, 0), (1, 0), (2, 0)), make_kind("r3")
+    seen = accepted = 0
+    for order in itertools.permutations(passages):
+        for signs in itertools.product((1, -1), repeat=3):
+            pairs = [tuple((cid, role, signs[cid - 1]) for cid, role in order[k:k + 2])
+                     for k in (0, 2, 4)]
+            d = Diagram(tuple(tuple(Passage(*p) for p in pair) for pair in pairs),
+                        STRING_LINK)
+            expected = oracles.triple_key(pairs) in patterns
+            try:
+                out = apply(d, kind, site)
+            except MoveError:
+                assert not expected, str(d)
+            else:
+                assert expected, str(d)
+                assert out.components == tuple(comp[::-1] for comp in d.components)
+                accepted += 1
+            seen += 1
+    assert (seen, accepted) == (5760, 576)
