@@ -6,8 +6,8 @@ from .diagram import (Diagram, DiagramError, ParseError, Passage,
 from .moves import (MoveKind, MoveSite, apply, count_sites, find_sites,
                     make_kind, parse_kinds, replay, scramble, search_path)
 from .algebra import (CyclicLattice, Laurent, f_n, format_poly, hnf,
-                      ideal_mod, member_of_principal, normalize_units,
-                      parse_poly, poly_gcd, snf)
+                      ideal_mod, normalize_units, parse_poly, poly_gcd,
+                      snf)
 from .invariants import (FiniteGroupTable, GroupPresentation, abelianization,
                          alexander, coloring_count, core_group, hom_count,
                          welded_group)

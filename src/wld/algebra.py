@@ -1,18 +1,19 @@
 """Exact integer algebra: Laurent polynomials in t, free-group word
-reduction, polynomial gcd, integer Hermite forms (``hnf``, which ``snf`` and
-lattice membership also read), ideal arithmetic in Z[t,t^-1]/(1-t^n) via
-shift-closed integer lattices, and minors of Laurent matrices.
+reduction, polynomial gcd, integer Hermite forms (``hnf``, which ``snf``
+also reads), ideal arithmetic in Z[t,t^-1]/(1-t^n) via shift-closed
+integer lattices, and minors of Laurent matrices.
 
 A Laurent polynomial is held in one dense form, a lowest exponent and a
 trimmed coefficient tuple, which gcd reads directly.  The same form serves
 R_n = Z[t]/(t^n - 1): ``fold``, the one residue map, reduces a polynomial
-to its representative with exponents in [0, n), which ``ideal_mod`` and
-``member_of_principal`` read.  ``INTEGERS``, ``LAURENT`` and
-``cyclic_ring(n)`` are the rings Z, Z[t^+-1] and R_n that unit-pivot
-elimination and ``laurent_minors`` multiply in; ``cyclic_ring`` holds the
-one check that a modulus n is at least 1.  ``laurent_minors`` computes the
-minors of every requested size of a sparse matrix (rows as {column:
-entry}) from one Laplace-expansion memo.
+to its representative with exponents in [0, n), which ``ideal_mod``
+reads; p lies in the ideal (1 - t^n) exactly when ``fold(p, n)`` is zero.
+``INTEGERS``, ``LAURENT`` and ``cyclic_ring(n)`` are the rings Z,
+Z[t^+-1] and R_n that unit-pivot elimination and ``laurent_minors``
+multiply in; ``cyclic_ring`` holds the one check that a modulus n is at
+least 1.  ``laurent_minors`` computes the minors of every requested size
+of a sparse matrix (rows as {column: entry}) from one Laplace-expansion
+memo.
 """
 
 from __future__ import annotations
@@ -391,10 +392,6 @@ class CyclicLattice:
     n: int
     basis: tuple
 
-    def contains(self, vec):
-        # an HNF is unique, so vec adds nothing exactly when it keeps the basis
-        return hnf(self.basis + (tuple(vec),)) == list(self.basis)
-
 
 def fold(p, n):
     """p modulo t^n - 1: the Laurent polynomial with exponents in [0, n)
@@ -489,11 +486,6 @@ def ideal_mod(gens, n):
         vec += [0] * (n - len(vec))
         rows.extend(tuple(vec[-s:] + vec[:-s]) for s in range(n))
     return CyclicLattice(n, tuple(hnf(rows)))
-
-
-def member_of_principal(p, n):
-    """Is p in the ideal of Z[t^{+-1}] generated by 1 - t^n?"""
-    return not fold(p, n)
 
 
 def f_n(p, n):

@@ -130,32 +130,29 @@ _ARROW_POSITION = re.compile(rf"({DIGITS})\.({DIGITS})")
 
 
 def parse_presentation(text):
-    """Parse the ``arrows`` file format.
+    """Parse a presentation: the ``arrows`` format, or a Gauss code read as
+    the presentation whose arrows are its crossings (``to_arrows``).
 
-    Header line ``arrows``; then the base diagram (crossing-free) in the
-    diagram format; then lines ``arrow: <comp>.<slot> <comp>.<slot> <+|->``
-    giving tail and head positions, 1-based.
+    The first line that is neither blank nor a comment names the format:
+    one starting ``arrows`` names the ``arrows`` format, whose header it
+    must be, and any other line a Gauss code.  After the header come the
+    base diagram (crossing-free) in the diagram format and lines ``arrow:
+    <comp>.<slot> <comp>.<slot> <+|->`` giving tail and head positions,
+    1-based.  The base is parsed from the whole text with the header and
+    arrow lines blanked, so its errors give the text's own line numbers.
     """
-    lines = text.splitlines()
-    base_lines = []
-    arrow_lines = []
-    header_seen = False
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not header_seen:
-            if line != "arrows":
-                raise ParseError("presentation text must start with 'arrows'", lineno)
-            header_seen = True
-            continue
-        if line.startswith("arrow:"):
-            arrow_lines.append((lineno, line))
-        else:
-            base_lines.append(line)
-    if not header_seen:
-        raise ParseError("presentation text must start with 'arrows'")
-    base = parse_diagram("\n".join(base_lines))
+    lines = [line.strip() for line in text.splitlines()]
+    header = next((i for i, line in enumerate(lines)
+                   if line and not line.startswith("#")), None)
+    if header is None or not lines[header].startswith("arrows"):
+        return to_arrows(parse_diagram(text))
+    if lines[header] != "arrows":
+        raise ParseError("presentation text must start with 'arrows'", header + 1)
+    lines[header] = ""
+    arrow_lines = [(lineno, line) for lineno, line in enumerate(lines, start=1)
+                   if line.startswith("arrow:")]
+    base = parse_diagram("\n".join("" if line.startswith("arrow:") else line
+                                   for line in lines))
     if base.crossing_count:
         raise ParseError("presentation base must be crossing-free")
     slots = [{} for _ in range(base.mu)]

@@ -18,16 +18,20 @@ from .diagram import (DiagramError, STRING_LINK, closure, linking_matrix,
                       parse, serialize)
 
 
-def _read_text(path):
+def _read(path, parse_text):
+    """``parse_text`` of the text of the file at ``path``.  Only the CLI
+    names files, so an error reading or parsing it names the file here."""
     try:
         with open(path) as fh:
-            return fh.read()
+            return parse_text(fh.read())
     except OSError as exc:
         raise DiagramError(f"cannot read {path}: {exc.strerror}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _read_diagram(path, close=True):
-    d = parse(_read_text(path))
+    d = _read(path, parse)
     if close and d.kind == STRING_LINK:
         d = closure(d)
     return d
@@ -44,7 +48,7 @@ def _emit(args, payload, text_lines):
 def _group_from_spec(spec):
     if spec.startswith("table:"):
         path = spec[len("table:"):]
-        return invariants.parse_group_csv(_read_text(path), path)
+        return _read(path, functools.partial(invariants.parse_group_csv, name=path))
     return invariants.builtin_group(spec)
 
 
@@ -103,17 +107,7 @@ def _cmd_obstruct(args):
 
 
 def _cmd_normal_form(args):
-    text = _read_text(args.file)
-    # the first line that is neither blank nor a comment names the format
-    first = next((line for line in map(str.strip, text.splitlines())
-                  if line and not line.startswith("#")), "")
-    if first.startswith("arrows"):
-        pres = arrows.parse_presentation(text)
-    else:
-        d = parse(text)
-        if d.kind != STRING_LINK:
-            raise DiagramError("normal-form expects a string link (or arrows file)")
-        pres = arrows.to_arrows(d)
+    pres = _read(args.file, arrows.parse_presentation)
     if args.relation == "vn":
         a_mat = classify.normalize_vn(pres, args.n)
         payload = {"relation": "vn", "n": args.n,

@@ -208,33 +208,23 @@ def _walk_start(kind, comp):
     return 0
 
 
-def arc_components(d):
-    """The component of every arc.  An arc runs from just after one
-    under-passage to the next; arcs are numbered 0, 1, ... component by
-    component, each read from its ``_walk_start``.  A link component has one
-    per under-passage (one if it has none), a string-link strand one more."""
-    extra = d.kind == STRING_LINK
-    out = []
-    for ci, comp in enumerate(d.components):
-        unders = sum(psg.role == UNDER for psg in comp)
-        out += [ci] * max(unders + extra, 1)
-    return tuple(out)
-
-
 def crossing_arcs(d):
-    """Per crossing id, in increasing order: (over-arc, under-in arc,
-    under-out arc, sign), arcs numbered as in ``arc_components``.
+    """(per crossing id, in increasing order: (over-arc, under-in arc,
+    under-out arc, sign); the component of every arc).
 
-    One walk labels them: every component is read from its ``_walk_start``
-    and the arc index goes up after each under-passage, so the under-in
-    arc ends at the crossing and the under-out arc starts just after it.
-    The last under-passage of a link component leads back into its first
-    arc; a string-link strand ends in one more arc, as does a link
-    component with no under-passage (its only arc).
+    An arc runs from just after one under-passage to the next.  One walk
+    numbers them 0, 1, ... component by component: every component is read
+    from its ``_walk_start`` and the arc index goes up after each
+    under-passage, so the under-in arc ends at the crossing and the
+    under-out arc starts just after it.  The last under-passage of a link
+    component leads back into its first arc; a string-link strand ends in
+    one more arc, as does a link component with no under-passage (its only
+    arc).
     """
     over, under, out, sign = {}, {}, {}, {}
+    components = []
     arc = 0
-    for comp in d.components:
+    for ci, comp in enumerate(d.components):
         first = arc
         start = _walk_start(d.kind, comp)
         for psg in comp[start:] + comp[:start]:
@@ -250,7 +240,9 @@ def crossing_arcs(d):
             out[cid] = first
         else:
             arc += 1
-    return {cid: (over[cid], under[cid], out[cid], sign[cid]) for cid in sorted(sign)}
+        components += [ci] * (arc - first)
+    return ({cid: (over[cid], under[cid], out[cid], sign[cid]) for cid in sorted(sign)},
+            tuple(components))
 
 
 def linking_matrix(d):

@@ -48,7 +48,8 @@ def welded_group(d):
     under-out arc, so the arcs of one component are conjugate and
     ``components`` records each arc's component."""
     relators = []
-    for y, x, z, sign in dg.crossing_arcs(d).values():
+    arcs, components = dg.crossing_arcs(d)
+    for y, x, z, sign in arcs.values():
         if sign > 0:
             word = ((z, -1), (y, 1), (x, 1), (y, -1))
         else:
@@ -56,7 +57,6 @@ def welded_group(d):
         word = free_reduce(word)
         if word:
             relators.append(word)
-    components = dg.arc_components(d)
     return GroupPresentation(len(components), tuple(relators), components)
 
 
@@ -65,11 +65,12 @@ def core_group(d):
     independent of crossing signs and of component orientations.  Arcs of
     one component need not be conjugate here, so ``components`` is empty."""
     relators = []
-    for y, x, z, _sign in dg.crossing_arcs(d).values():
+    arcs, components = dg.crossing_arcs(d)
+    for y, x, z, _sign in arcs.values():
         word = free_reduce(((y, 1), (x, -1), (y, 1), (z, -1)))
         if word:
             relators.append(word)
-    return GroupPresentation(len(dg.arc_components(d)), tuple(relators))
+    return GroupPresentation(len(components), tuple(relators))
 
 
 def abelianization(p):
@@ -112,7 +113,8 @@ def _alexander_rows(d, n=None):
     entries = {sign: ps if n is None else tuple(fold(p, n) for p in ps)
                for sign, ps in _FOX_ENTRIES.items()}
     rows = []
-    for y, x, z, sign in dg.crossing_arcs(d).values():
+    arcs, components = dg.crossing_arcs(d)
+    for y, x, z, sign in arcs.values():
         ex, ez, ey = entries[sign]
         # ex and ez are units; ey folds to 0 in R_1 only
         if x != z and y != x and y != z and ey:
@@ -122,7 +124,7 @@ def _alexander_rows(d, n=None):
             for arc, entry in ((x, ex), (z, ez), (y, ey)):
                 row[arc] = row[arc] + entry if arc in row else entry
             rows.append({arc: p for arc, p in row.items() if p})
-    return rows, len(dg.arc_components(d))
+    return rows, len(components)
 
 
 def _pivot_reduce(rows, ring):
@@ -367,15 +369,15 @@ def _builtin_group(name):
 
 
 def parse_group_csv(text, name):
-    """The group of a CSV multiplication table, one row per nonblank line;
-    ``name`` (the file it came from) names the table and its errors."""
+    """The group named ``name`` of a CSV multiplication table, one row per
+    nonblank line."""
     rows = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         try:
             if line.strip():
                 rows.append([int(x) for x in line.split(",")])
         except ValueError:
-            raise GroupTableError(f"{name}: line {lineno}: entries must be integers, "
+            raise GroupTableError(f"line {lineno}: entries must be integers, "
                                   f"got {line.strip()!r}") from None
     return FiniteGroupTable(str(name), rows)
 
@@ -388,8 +390,11 @@ _LENGTH_BUDGET = 4000
 def simplify_presentation(p):
     """Eliminate generators occurring exactly once in some relator.
 
-    Substitution plus free/cyclic reduction; relator growth is capped so the
-    procedure always terminates quickly.  The returned presentation defines
+    Substitution plus free/cyclic reduction.  A step is blocked when it
+    would take the total relator length above both ``_LENGTH_BUDGET`` and
+    the total at entry, so the procedure terminates quickly, and a
+    presentation that starts above the budget still takes every step that
+    keeps it within its starting total.  The returned presentation defines
     an isomorphic group; its generators are the survivors in their old
     order, and ``components`` follows them.  Each step eliminates, from the
     shortest relator holding one (the first such relator on ties), the
@@ -400,6 +405,7 @@ def simplify_presentation(p):
     relators = [r for r in map(cyclic_reduce, p.relators) if r]
     counts = [Counter(map(_generator, r)) for r in relators]
     total = sum(map(len, relators))
+    budget = max(_LENGTH_BUDGET, total)
     alive = list(range(p.ngens))
     blocked = set()
     while True:
@@ -427,7 +433,7 @@ def simplify_presentation(p):
                 if i != ri and gen in counts[i]}
         new_total = (total - len(rel) + sum(len(w) for w in subs.values())
                      - sum(len(relators[i]) for i in subs))
-        if new_total > _LENGTH_BUDGET and len(relators) > 1:
+        if new_total > budget and len(relators) > 1:
             blocked.add(gen)
             continue
         for i, w in subs.items():

@@ -6,11 +6,10 @@ report.  Every tolerance here is exact integer/polynomial equality.
 
 import random
 
-from wld.algebra import (Laurent, f_n, hnf, ideal_mod, member_of_principal,
-                         parse_poly, snf)
+from wld.algebra import Laurent, f_n, fold, hnf, ideal_mod, parse_poly, snf
 from wld.arrows import build_H, build_Hbar, surgery, to_arrows
 from wld.classify import decide_vn, decide_vn_uc, multiplex, named, obstruct_vn
-from wld.diagram import (Diagram, arc_components, closure, linking_matrix,
+from wld.diagram import (Diagram, closure, crossing_arcs, linking_matrix,
                          parse, random_diagram, same_diagram, serialize)
 from wld.invariants import (alexander, builtin_group, coloring_count,
                             core_group, elementary_ideals, hom_count)
@@ -51,7 +50,7 @@ def test_criterion_2_trefoil_obstruction():
         for eps in (1, -1):
             for r in range(n):
                 diff = tre_poly - Laurent({r: eps})
-                assert not member_of_principal(diff, n)  # residue route
+                assert fold(diff, n)  # residue route
                 assert f_n(diff, n) != 0                 # functional route
     report(2, "ideal certificates at k=1: trefoil vs unknot for n=2..12 except "
               "5, 7, 11, figure-eight vs unknot for n=2..12; residue and f_n "
@@ -189,7 +188,7 @@ def test_criterion_10_oracle_equivalence():
     small = 0
     while small < 25:
         d = random_diagram(rng, max_crossings=4, max_mu=2)
-        if len(arc_components(d)) > 4:
+        if len(crossing_arcs(d)[1]) > 4:
             continue
         for n in range(2, 6):
             assert coloring_count(d, n) == oracles.colorings_exhaustive(d, n)

@@ -7,8 +7,9 @@ from wld.arrows import (apply_arrow_move, build_H, build_Hbar,
                         serialize_presentation, stack, surgery, to_arrows,
                         trivial_string_link)
 from wld.classify import normalize_vn, normalize_vn_uc
-from wld.diagram import (Diagram, DiagramError, ParseError, Passage, closure,
-                         linking_matrix, parse, random_diagram, same_diagram)
+from wld.diagram import (LINK, STRING_LINK, Diagram, DiagramError, ParseError,
+                         Passage, closure, linking_matrix, parse, random_diagram,
+                         same_diagram, serialize)
 from wld.invariants import alexander, builtin_group, welded_group, hom_count
 from wld.moves import (EXPAND, REDUCE, MoveError, MoveKind, MoveSite,
                        find_sites, make_kind, scramble, apply as apply_move)
@@ -109,6 +110,16 @@ def test_presentation_rejects_bad_arrow_lines(line, message):
     with pytest.raises(ParseError) as err:
         parse_presentation(f"arrows\nstringlink\ncomponent:\ncomponent:\n{line}\n")
     assert message in str(err.value) and err.value.line == 5
+
+
+def test_presentation_of_a_gauss_code_is_its_surgery_diagram():
+    rng = random.Random(7)
+    texts = ["stringlink\ncomponent: O1+ U2+\ncomponent: U1+ O2+\n",
+             "# a comment first\n\nstringlink\ncomponent: O1- U1-\n"]
+    texts += [serialize(random_diagram(rng, max_crossings=6, kind=kind))
+              for kind in (STRING_LINK, LINK) for _ in range(10)]
+    for text in texts:
+        assert parse_presentation(text) == to_arrows(parse(text))
 
 
 def test_presentation_format_example():

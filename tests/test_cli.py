@@ -259,18 +259,40 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     (["examples", "trefoil", "-o", "{unwritable}"], ""),
     (["multiplex", "{trefoil}", "--m", "2", "-o", "{unwritable}"], ""),
     (["invariants", "{trefoil}", "--kmax", "-1"], ""),
-    (["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"], ""),
+    (["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"],
+     "{bad_arrow_sign}: line 5: bad arrow line"),
     (["homs", "{trefoil}", "--group", "table:{bad_table}"], "{bad_table}: line 2: "),
     (["homs", "{hopf_chain}", "--group", "z2"], "generators is too deep"),
+    # a content error names its file, and a Gauss or arrows error the
+    # file's own line
+    (["normal-form", "{bad_arrow_base}", "--relation", "vn", "--n", "3"],
+     "error: {bad_arrow_base}: line 7: unknown token 'X'"),
+    (["homs", "{trefoil}", "--group", "table:{empty_table}"],
+     "error: {empty_table}: table must be square and nonempty"),
+    (["homs", "{trefoil}", "--group", "table:{ragged_table}"],
+     "error: {ragged_table}: table must be square and nonempty"),
+    (["homs", "{trefoil}", "--group", "table:{no_inverse_table}"],
+     "error: {no_inverse_table}: element 1 has no inverse"),
+    (["equiv", "{trefoil}", "{bad_gauss}", "--relation", "vn", "--n", "3"],
+     "error: {bad_gauss}: line 2: unknown token 'Q2+'"),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
-        "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep"])
+        "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep",
+        "arrows-base-line", "group-table-empty", "group-table-not-square",
+        "group-table-no-inverse", "equiv-right-file"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
                                                 fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"
     bad_arrow_sign.write_text("arrows\nstringlink\ncomponent:\ncomponent:\narrow: 1.1 2.1 +-\n")
-    bad_table = tmp_path / "bad.csv"
-    bad_table.write_text("0,1\n1,x\n")
+    bad_arrow_base = tmp_path / "bad-base.arrows"
+    bad_arrow_base.write_text("arrows\nstringlink\ncomponent:\narrow: 1.1 2.1 +\n"
+                              "arrow: 1.2 1.1 -\ncomponent:\ncomponent: X\n")
+    bad_gauss = tmp_path / "bad.gc"
+    bad_gauss.write_text("component: O1+\ncomponent: Q2+\n")
+    tables = {"bad_table": "0,1\n1,x\n", "empty_table": "", "ragged_table": "0,1\n1\n",
+              "no_inverse_table": "0,1\n1,1\n"}
+    for name, text in tables.items():
+        (tmp_path / f"{name}.csv").write_text(text)
     # 1100 components, each clasping the next as in the Hopf link: one part
     # of the homomorphism search, deeper than the interpreter can recurse
     hopf_chain = tmp_path / "hopf-chain.gc"
@@ -280,8 +302,9 @@ def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, 
         for k in range(1100)))
     paths = {"missing": str(tmp_path / "missing.gc"), "trefoil": trefoil_file,
              "unwritable": str(tmp_path / "no-such-dir" / "x.gc"),
-             "bad_arrow_sign": str(bad_arrow_sign), "bad_table": str(bad_table),
-             "hopf_chain": str(hopf_chain)}
+             "bad_arrow_sign": str(bad_arrow_sign), "bad_arrow_base": str(bad_arrow_base),
+             "bad_gauss": str(bad_gauss), "hopf_chain": str(hopf_chain),
+             **{name: str(tmp_path / f"{name}.csv") for name in tables}}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert fragment.format(**paths) in err, err

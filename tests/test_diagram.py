@@ -6,8 +6,8 @@ import pytest
 import oracles
 from support import time_limit
 from wld.arrows import build_H, build_Hbar, stack, surgery
-from wld.diagram import (Diagram, DiagramError, ParseError, arc_components,
-                         canonical_key, closure, linking_matrix, parse,
+from wld.diagram import (Diagram, DiagramError, ParseError, canonical_key,
+                         closure, crossing_arcs, linking_matrix, parse,
                          random_diagram, same_diagram, serialize)
 from wld.moves import EXPAND, MoveKind, scramble
 
@@ -128,25 +128,25 @@ def test_closure_preserves_passages():
 
 
 def test_arcs_trefoil():
-    assert arc_components(parse(TREFOIL)) == (0, 0, 0)
+    assert crossing_arcs(parse(TREFOIL))[1] == (0, 0, 0)
 
 
 def test_arcs_unknot():
-    assert arc_components(parse("component:\n")) == (0,)
+    assert crossing_arcs(parse("component:\n"))[1] == (0,)
 
 
 def test_arcs_hopf():
-    assert arc_components(parse(HOPF)) == (0, 1)
+    assert crossing_arcs(parse(HOPF))[1] == (0, 1)
 
 
 def assert_arcs_partition(d, extra):
     """Each component has ``extra`` more arcs than under-passages (at least
     one), and the reference runs of its arcs cover its positions once."""
     ref_arcs, _, _ = oracles.arc_data_reference(d)
-    assert arc_components(d) == tuple(c for c, _ in ref_arcs)
+    assert crossing_arcs(d)[1] == tuple(c for c, _ in ref_arcs)
     for ci, comp in enumerate(d.components):
         unders = sum(1 for p in comp if p.role == "U")
-        assert arc_components(d).count(ci) == max(1, unders + extra)
+        assert crossing_arcs(d)[1].count(ci) == max(1, unders + extra)
         covered = sorted(pos for c, run in ref_arcs if c == ci for pos in run)
         assert covered == list(range(len(comp)))
 
@@ -174,7 +174,7 @@ def test_basepoint_rotation_invariance():
         rotated = Diagram((comp[r:] + comp[:r],), "link")
         assert same_diagram(d, rotated)
         assert linking_matrix(rotated) == linking_matrix(d)
-        assert len(arc_components(rotated)) == len(arc_components(d))
+        assert len(crossing_arcs(rotated)[1]) == len(crossing_arcs(d)[1])
 
 
 def test_canonical_key_detects_difference():

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from wld.classify import named
-from wld.diagram import Diagram, arc_components, random_diagram
+from wld.diagram import Diagram, crossing_arcs, random_diagram
 from wld.invariants import (FiniteGroupTable, GroupPresentation, builtin_group,
                             core_group, hom_count, simplify_presentation,
                             welded_group)
@@ -132,7 +132,7 @@ def test_components_follow_the_surviving_arcs():
     diagrams = [random_diagram(rng, max_crossings=8, max_mu=3) for _ in range(30)]
     for d in diagrams + list(v_scrambled()):
         pres = welded_group(d)
-        assert pres.components == arc_components(d)
+        assert pres.components == crossing_arcs(d)[1]
         # label every generator by itself to read off the survivors
         labelled = GroupPresentation(pres.ngens, pres.relators, tuple(range(pres.ngens)))
         survivors = simplify_presentation(labelled).components
