@@ -24,7 +24,12 @@ UNDER = "U"
 DIGITS = r"\d{1,640}"
 
 class DiagramError(ValueError):
-    """Structurally invalid diagram, or an operation misapplied to one."""
+    """Structurally invalid diagram, or an operation misapplied to one.
+    ``crossing`` is the id of the crossing a validation error is about."""
+
+    def __init__(self, message, crossing=None):
+        self.crossing = crossing
+        super().__init__(message)
 
 
 class ParseError(DiagramError):
@@ -91,13 +96,14 @@ class Diagram:
         for cid, (overs, unders, sign) in seen.items():
             if not overs or not unders:
                 raise DiagramError(
-                    f"crossing {cid} must appear exactly once over and once under")
+                    f"crossing {cid} must appear exactly once over and once under", cid)
             if not sign:
-                raise DiagramError(f"crossing {cid} has mismatched signs")
+                raise DiagramError(f"crossing {cid} has mismatched signs", cid)
             if miscount is None and overs + unders != 2:
                 miscount = (cid, overs + unders)
         if miscount is not None:
-            raise DiagramError(f"crossing {miscount[0]} appears {miscount[1]} times, expected 2")
+            cid, count = miscount
+            raise DiagramError(f"crossing {cid} appears {count} times, expected 2", cid)
 
     @property
     def mu(self):
@@ -158,7 +164,13 @@ def parse(text):
     try:
         return Diagram(tuple(components), kind)
     except DiagramError as exc:
-        raise ParseError(str(exc)) from exc
+        # name the line of the crossing's last passage; every line that
+        # starts with "component:" gave one component, in order
+        comp_lines = (lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                      if raw.strip().startswith("component:"))
+        line = max((lineno for lineno, comp in zip(comp_lines, components)
+                    if any(psg.crossing == exc.crossing for psg in comp)), default=None)
+        raise ParseError(str(exc), line) from exc
 
 
 _TOKEN = re.compile(rf"([{OVER}{UNDER}])({DIGITS})([+-])")

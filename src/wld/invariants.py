@@ -95,36 +95,98 @@ def abelianization(p):
 # ---------------------------------------------------------------------------
 # Alexander matrices and elementary ideals
 
-# entries (x, z, y) of the Fox row of z^-1 y x y^-1 times t (positive
-# crossing) and of z^-1 y^-1 x y times t^2 (negative crossing)
-_FOX_ENTRIES = {
-    1: (Laurent({1: 1}), Laurent({0: -1}), Laurent({0: 1, 1: -1})),
-    -1: (Laurent({0: 1}), Laurent({1: -1}), Laurent({0: -1, 1: 1})),
-}
+@functools.cache
+def _run_entries(sigma, n):
+    """The entries of the row of an under-run of sign sum sigma (see
+    ``_alexander_rows``): x: t^sigma, z: -1 and y: 1 - t^sigma, times the
+    unit t^-sigma when sigma < 0 so that no exponent is negative, and given
+    n folded into R_n, where the caller passes sigma mod n; then the sums
+    x + y, z + y and x + z for rows whose arcs coincide, and whether the y
+    entry is nonzero."""
+    u = Laurent({abs(sigma): 1})
+    one = Laurent({0: 1})
+    # 1 - t^sigma by subtraction: it is 0 at sigma = 0
+    ex, ez, ey = (u, -one, one - u) if sigma >= 0 else (one, -u, u - one)
+    entries = (ex, ez, ey, ex + ey, ez + ey, ex + ez)
+    if n is not None:
+        entries = tuple(fold(p, n) for p in entries)
+    return entries + (bool(entries[2]),)
+
+
+_UNDER_IN = operator.itemgetter(1)
 
 
 def _alexander_rows(d, n=None):
-    """(rows, g): the Alexander matrix as sparse rows {arc: nonzero entry},
-    one per crossing in id order, and the arc count g.  A row is the Fox row
-    of the crossing's relator (see ``welded_group``) times a unit, with the
-    entries of coinciding arcs summed; it cancels exactly when all three
-    arcs coincide (a trivial relator), and is then left out.  Given n, the
-    entries are folded into R_n (see ``fold``)."""
-    entries = {sign: ps if n is None else tuple(fold(p, n) for p in ps)
-               for sign, ps in _FOX_ENTRIES.items()}
-    rows = []
+    """(rows, g, pivots): the Alexander matrix with the inner arcs of every
+    under-run eliminated, as sparse rows {arc: nonzero entry}, one per
+    under-run in walk order; the arc count g; and the number of arcs
+    eliminated, each one unit pivot (see ``_pivot_reduce``).  Given n, the
+    entries are folded into R_n (see ``fold``).
+
+    An under-run is a maximal stretch of crossings consecutive along the
+    walk of ``diagram.crossing_arcs`` (the under-out arc of one is the
+    under-in arc of the next) that pass under one over-arc y and whose arcs
+    between them, its inner arcs, are empty: no crossing passes over them.
+    A run around a whole link component, every arc of it inner, keeps the
+    arc its walk starts on as both ends; one crossing is a run of its own.
+
+    The Fox row of a crossing's relator (see ``welded_group``), times the
+    unit t at a positive and t^2 at a negative crossing, is t^s x - z +
+    (1 - t^s) y up to a unit, s its sign: it says z = t^s x + (1 - t^s) y.
+    An inner arc a occurs in two rows only, with the unit -1 where a is the
+    under-out arc and t^s where it is the under-in arc, so it is one unit
+    pivot: substituting z_1 = t^s1 x + (1 - t^s1) y into z_2 = t^s2 z_1 +
+    (1 - t^s2) y gives z_2 = t^(s1+s2) x + (1 - t^(s1+s2)) y.  So a run of
+    sign sum sigma from x to z, after its inner arcs are eliminated, is the
+    row {x: t^sigma, z: -1, y: 1 - t^sigma}, times a unit.  A V^n block (n
+    crossings of one sign under one arc) and an R2 pair (two of opposite
+    signs) have t^sigma = 1 in R_n, and their row x - z only renames z.
+
+    The entries of coinciding arcs are summed and zero entries dropped; a
+    row that cancels (all three arcs coincide, or x = z where t^sigma = 1)
+    is left out.
+    """
     arcs, components = dg.crossing_arcs(d)
-    for y, x, z, sign in arcs.values():
-        ex, ez, ey = entries[sign]
-        # ex and ez are units; ey folds to 0 in R_1 only
-        if x != z and y != x and y != z and ey:
-            rows.append({x: ex, z: ez, y: ey})
-        elif not x == y == z:
-            row = {}
-            for arc, entry in ((x, ex), (z, ez), (y, ey)):
-                row[arc] = row[arc] + entry if arc in row else entry
-            rows.append({arc: p for arc, p in row.items() if p})
-    return rows, len(components)
+    overs = {y for y, _x, _z, _sign in arcs.values()}
+    # per run, keyed by its under-in arc x: [y, z, sigma]
+    runs = {}
+    wraps = []
+    pivots = 0
+    y0 = z0 = None
+    for y, x, z, sign in sorted(arcs.values(), key=_UNDER_IN):
+        if x == z0 and y == y0 and x not in overs:
+            run[1] = z
+            run[2] += sign
+            pivots += 1
+        else:
+            run = runs[x] = [y, z, sign]
+        if z <= x:
+            # the last crossing of a link component's walk leads back into
+            # its first arc, where the component's first run starts
+            wraps.append(run)
+        y0, z0 = y, z
+    for run in wraps:
+        y, z, sigma = run
+        first = runs[z]
+        if first is not run and first[0] == y and z not in overs:
+            run[1:] = first[1], sigma + first[2]
+            del runs[z]
+            pivots += 1
+    rows = []
+    for x, (y, z, sigma) in runs.items():
+        ex, ez, ey, exy, ezy, exz, has_y = _run_entries(
+            sigma if n is None else sigma % n, n)
+        # ex, ez, x + y and z + y are units; x + z = -y
+        if x != z and y != x and y != z:
+            rows.append({x: ex, z: ez, y: ey} if has_y else {x: ex, z: ez})
+        elif x == z:
+            if y != x and has_y:
+                rows.append({x: exz, y: ey})
+        elif y == x:
+            rows.append({x: exy, z: ez})
+        else:
+            rows.append({x: ex, z: ezy})
+    return rows, len(components), pivots
 
 
 def _pivot_reduce(rows, ring):
@@ -217,9 +279,12 @@ def elementary_ideals(d, kmax, n=None):
 
     E^k is the ideal of (g-k)-minors of the Alexander matrix: the whole ring
     when g-k <= 0 and the zero ideal when g-k exceeds the relator count.
-    Returned lists generate the same ideals as the full minor sets: unit
-    pivots are eliminated first (see ``_pivot_reduce``), and the minors of
-    every size needed come from one ``laurent_minors`` memo.
+    Returned lists generate the same ideals as the full minor sets.  The
+    matrix comes with the inner arcs of its under-runs eliminated, one row
+    per run (see ``_alexander_rows``); the unit pivots left are eliminated
+    next (see ``_pivot_reduce``).  Each pivot of either kind takes one from
+    every minor size, and the minors of every size needed come from one
+    ``laurent_minors`` memo.
 
     Given n >= 1 (n = None means Z[t^+-1]), the lists hold folded
     polynomials generating the images of the E^k in R_n = Z[t]/(t^n - 1).
@@ -231,8 +296,9 @@ def elementary_ideals(d, kmax, n=None):
     if kmax < 0:
         raise AlgebraError(f"E^k needs k >= 0, got {kmax}")
     ring = LAURENT if n is None else cyclic_ring(n)
-    rows, g = _alexander_rows(d, n)
+    rows, g, run_pivots = _alexander_rows(d, n)
     reduced, pivots = _pivot_reduce(rows, ring)
+    pivots += run_pivots
     # size 0 yields the 0 x 0 minor 1, the whole ring; a size beyond the
     # rows left yields no minor, the zero ideal, as g - k > len(rows) does
     sizes = [max(g - k - pivots, 0) for k in range(kmax + 1)]

@@ -3,7 +3,8 @@
 These deliberately avoid the library's own algorithms: Smith invariants via
 the minor-gcd characterization, lattice equality via gcds of maximal minors,
 arcs as explicit runs between under-passages with position maps, Alexander
-rows as Fox derivatives of the Wirtinger relators over those runs, colorings
+rows as Fox derivatives of the Wirtinger relators over those runs with the
+arcs inside under-runs substituted away, colorings
 by exhaustive enumeration, elementary ideals by enumerating every minor of
 the raw Alexander matrix, the canonical key by trying every combination of
 basepoint rotations, divisibility by exact Laurent long division, move
@@ -238,30 +239,106 @@ def _freely_trivial(word):
     return not out
 
 
+def under_runs_reference(d):
+    """Under-runs read off the Gauss code: per component, the maximal
+    stretches of adjacent under-passages (cyclically on a link component)
+    whose crossings pass under one arc, as (crossing ids in order, inner
+    arcs).  Two adjacent under-passages enclose an arc with no passage over
+    it, the arc holding the second.  A link component whose passages are
+    all under one arc is one run around it, every arc inner but the first
+    (the one holding position 0), which is both of its ends."""
+    _, pos_to_arc, _ = arc_data_reference(d)
+    over_at = {}
+    for ci, comp in enumerate(d.components):
+        for p, psg in enumerate(comp):
+            if psg.role == OVER:
+                over_at[psg.crossing] = pos_to_arc[(ci, p)]
+    runs = []
+    for ci, comp in enumerate(d.components):
+        n = len(comp)
+        cyclic = d.kind != STRING_LINK
+
+        def joined(p):
+            # the under-passage at p + 1 goes on the run of the one at p
+            q = (p + 1) % n
+            return (comp[p].role == comp[q].role == UNDER and (cyclic or q)
+                    and over_at[comp[p].crossing] == over_at[comp[q].crossing])
+
+        if cyclic and n and all(joined(p) for p in range(n)):
+            runs.append((tuple(psg.crossing for psg in comp),
+                         [pos_to_arc[(ci, p)] for p in range(1, n)]))
+            continue
+        # start each run at an under-passage not joined to the one before
+        for p in range(n):
+            if comp[p].role != UNDER or (p - 1 >= 0 or cyclic) and joined((p - 1) % n):
+                continue
+            crossings, inner = [comp[p].crossing], []
+            while joined(p):
+                p = (p + 1) % n
+                crossings.append(comp[p].crossing)
+                inner.append(pos_to_arc[(ci, p)])
+            runs.append((tuple(crossings), inner))
+    return runs
+
+
 def alexander_rows_reference(d, n=None):
-    """(rows, g) as ``invariants._alexander_rows`` documents them: per
-    crossing in id order whose Wirtinger relator (z^-1 y x y^-1 at a
-    positive crossing, z^-1 y^-1 x y at a negative one) is not freely
-    trivial, its Fox row times t (positive) or t^2 (negative), zero entries
-    left out; given n, every entry reduced by ``fold_bruteforce``."""
-    rows = []
-    for y, x, z, sign in crossing_arcs_reference(d).values():
+    """(rows, g, pivots) as ``invariants._alexander_rows`` documents them,
+    by substitution: per crossing whose Wirtinger relator (z^-1 y x y^-1 at
+    a positive crossing, z^-1 y^-1 x y at a negative one) is not freely
+    trivial, its Fox row; then every inner arc of ``under_runs_reference``
+    (one pivot each) solved from the row of the crossing it leaves, whose
+    entry there is a unit, and substituted into every other row.  The rows
+    left are in crossing id order; given n, every entry is reduced by
+    ``fold_bruteforce``; zero entries and rows are left out."""
+    arcs = crossing_arcs_reference(d)
+    rows = {}
+    for cid, (y, x, z, sign) in arcs.items():
         if sign > 0:
             word = ((z, -1), (y, 1), (x, 1), (y, -1))
         else:
             word = ((z, -1), (y, -1), (x, 1), (y, 1))
-        if _freely_trivial(word):
-            continue
-        unit = Laurent([(1 if sign > 0 else 2, 1)])
-        row = {}
-        for g, p in _fox_row_by_definition(word).items():
-            p = p * unit
-            if n:
-                p = fold_bruteforce(p, n)
-            if p:
-                row[g] = p
-        rows.append(row)
-    return rows, len(arc_data_reference(d)[0])
+        if not _freely_trivial(word):
+            rows[cid] = {g: p for g, p in _fox_row_by_definition(word).items() if p}
+    leaving = {z: cid for cid, (_y, _x, z, _sign) in arcs.items()}
+    inner = [a for _, arcs_in in under_runs_reference(d) for a in arcs_in]
+    for a in inner:
+        solved = rows.pop(leaving[a])
+        unit = solved.pop(a)
+        assert len(unit.coeffs) == 1 and unit.coeffs[0] in (1, -1), unit
+        # a = -unit^-1 * (the rest of the solved row)
+        factor = -Laurent({-unit.low: unit.coeffs[0]})
+        for row in rows.values():
+            e = row.pop(a, None)
+            if e is None:
+                continue
+            for g, p in solved.items():
+                row[g] = row.get(g, Laurent()) + e * factor * p
+    out = []
+    for row in rows.values():
+        row = {g: fold_bruteforce(p, n) if n else p for g, p in row.items()}
+        row = {g: p for g, p in sorted(row.items()) if p}
+        if row:
+            out.append(row)
+    return out, len(arc_data_reference(d)[0]), len(inner)
+
+
+def rows_up_to_units(rows, n=None):
+    """Sorted keys of sparse rows, each the least over the row's multiples
+    by every unit +-t^a (a in [0, n) in R_n; in Z[t^+-1] only the one that
+    puts the first column's entry at exponent 0 with a positive lowest
+    coefficient can be least)."""
+    keys = []
+    for row in rows:
+        first = row[min(row)]
+        if n:
+            units = [Laurent({a: c}) for a in range(n) for c in (1, -1)]
+        else:
+            units = [Laurent({-first.low: 1 if first.coeffs[0] > 0 else -1})]
+        keys.append(min(
+            tuple((g, q.low, q.coeffs) for g, q in sorted(
+                (g, fold_bruteforce(p * u, n) if n else p * u) for g, p in row.items()))
+            for u in units))
+    return sorted(keys)
 
 
 def colorings_exhaustive(d, n):

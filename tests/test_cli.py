@@ -275,11 +275,18 @@ def test_readme_command_walkthrough(tmp_path, capsys):
      "error: {no_inverse_table}: element 1 has no inverse"),
     (["equiv", "{trefoil}", "{bad_gauss}", "--relation", "vn", "--n", "3"],
      "error: {bad_gauss}: line 2: unknown token 'Q2+'"),
+    # a diagram validation error names the line of the crossing's last passage
+    (["invariants", "{two_overs}"],
+     "error: {two_overs}: line 3: crossing 1 must appear exactly once over and once under"),
+    (["invariants", "{mixed_signs}"], "error: {mixed_signs}: line 2: crossing 1 has mismatched signs"),
+    (["invariants", "{three_times}"],
+     "error: {three_times}: line 3: crossing 1 appears 3 times, expected 2"),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
         "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep",
         "arrows-base-line", "group-table-empty", "group-table-not-square",
-        "group-table-no-inverse", "equiv-right-file"])
+        "group-table-no-inverse", "equiv-right-file", "gauss-two-overs-line",
+        "gauss-mixed-signs-line", "gauss-three-times-line"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
                                                 fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"
@@ -289,6 +296,11 @@ def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, 
                               "arrow: 1.2 1.1 -\ncomponent:\ncomponent: X\n")
     bad_gauss = tmp_path / "bad.gc"
     bad_gauss.write_text("component: O1+\ncomponent: Q2+\n")
+    # crossing 1 twice over, with both signs, and three times
+    for name, text in {"two_overs": "component: O1+ U2+\n# the other\ncomponent: O2+ O1+\n",
+                       "mixed_signs": "component: O1+\ncomponent: U1-\n",
+                       "three_times": "component: O1+ U1+\n\ncomponent: U1+\n"}.items():
+        (tmp_path / f"{name}.gc").write_text(text)
     tables = {"bad_table": "0,1\n1,x\n", "empty_table": "", "ragged_table": "0,1\n1\n",
               "no_inverse_table": "0,1\n1,1\n"}
     for name, text in tables.items():
@@ -304,7 +316,9 @@ def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, 
              "unwritable": str(tmp_path / "no-such-dir" / "x.gc"),
              "bad_arrow_sign": str(bad_arrow_sign), "bad_arrow_base": str(bad_arrow_base),
              "bad_gauss": str(bad_gauss), "hopf_chain": str(hopf_chain),
-             **{name: str(tmp_path / f"{name}.csv") for name in tables}}
+             **{name: str(tmp_path / f"{name}.csv") for name in tables},
+             **{name: str(tmp_path / f"{name}.gc")
+                for name in ("two_overs", "mixed_signs", "three_times")}}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert fragment.format(**paths) in err, err

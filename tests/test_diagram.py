@@ -82,7 +82,9 @@ def test_parse_sign_mismatch():
 def test_diagram_rejection_messages(text, message):
     with pytest.raises(DiagramError) as err:
         parse(text)
-    assert str(err.value) == message
+    # parse names the line of the crossing's last passage
+    assert str(err.value) == f"line 1: {message}"
+    assert err.value.line == 1
 
 
 def test_serialize_round_trip_exact():

@@ -136,32 +136,48 @@ def test_elementary_ideals_match_bruteforce_minors():
                 assert ideal_mod(mine[k], n) == ideal_mod(brute, n)
 
 
+def _assert_rows_match_reference(d, n):
+    rows, g, pivots = _alexander_rows(d, n)
+    ref_rows, ref_g, ref_pivots = oracles.alexander_rows_reference(d, n)
+    assert (g, pivots) == (ref_g, ref_pivots)
+    assert oracles.rows_up_to_units(rows, n) == oracles.rows_up_to_units(ref_rows, n)
+
+
 def test_alexander_rows_are_fox_rows_times_a_unit():
-    # the unit is t at a positive crossing and t^2 at a negative one
+    # one row per under-run: the Fox rows of its crossings with the inner
+    # arcs substituted away, times a unit
     rng = random.Random(25)
     diagrams = [random_diagram(rng, max_crossings=8, max_mu=3, kind=kind)
                 for kind in (LINK, STRING_LINK) for _ in range(40)]
     r1 = [make_kind("r1", direction=EXPAND)]
     diagrams += [scramble(d, r1, 3, rng.randrange(10 ** 6)) for d in diagrams[::4]]
+    blocks = [make_kind("v^n", 3, EXPAND), make_kind("r2", direction=EXPAND)]
+    diagrams += [scramble(d, blocks, 3, rng.randrange(10 ** 6)) for d in diagrams[::8]]
+    diagrams += [parse("component: U2+ O1- O2+ U1-\n"),
+                 parse("component: O1+ O2- O3+\ncomponent: U1+ U2- U3+\n"),
+                 parse("component: O1+ O2+\ncomponent: U1+ U2+\n")]
     shapes = set()
     for d in diagrams:
-        pres = welded_group(d)
-        crossings = list(crossing_arcs(d)[0].values())
-        shapes.update((x == z, y == x, y == z) for y, x, z, _ in crossings)
-        signs = [sign for y, x, z, sign in crossings if not x == y == z]
-        assert len(signs) == len(pres.relators)
-        want = [{j: p * Laurent({1 if sign > 0 else 2: 1})
-                 for j, p in oracles._fox_row_by_definition(rel).items() if p}
-                for rel, sign in zip(pres.relators, signs)]
-        assert _alexander_rows(d) == (want, pres.ngens)
-        for n in range(1, 5):
-            folded = [{j: oracles.fold_bruteforce(p, n) for j, p in row.items()}
-                      for row in want]
-            folded = [{j: p for j, p in row.items() if p} for row in folded]
-            assert _alexander_rows(d, n) == (folded, pres.ngens)
+        crossings = crossing_arcs(d)[0]
+        shapes.update((x == z, y == x, y == z) for y, x, z, _ in crossings.values())
+        for run, _inner in oracles.under_runs_reference(d):
+            signs = [crossings[cid][3] for cid in run]
+            if len(run) > 1:
+                around = crossings[run[-1]][2] == crossings[run[0]][1]
+                shapes.add(("sigma = 0" if sum(signs) == 0 else "sigma != 0",
+                            "around a component" if around else ""))
+            if len(run) == 3 and len(set(signs)) == 1:
+                shapes.add("V^3 block")
+            if len(run) == 2 and sum(signs) == 0:
+                shapes.add("R2 pair")
+        for n in (None, 1, 2, 3, 4):
+            _assert_rows_match_reference(d, n)
     # kinks: x = z (a one-arc component passing under), y = x, y = z, all equal
     assert {(True, False, False), (False, True, False), (False, False, True),
             (True, True, True)} <= shapes
+    assert {"V^3 block", "R2 pair", ("sigma = 0", ""), ("sigma != 0", ""),
+            ("sigma = 0", "around a component"),
+            ("sigma != 0", "around a component")} <= shapes
 
 
 def test_crossing_arcs_and_alexander_rows_match_run_reference():
@@ -176,7 +192,7 @@ def test_crossing_arcs_and_alexander_rows_match_run_reference():
         assert crossing_arcs(d) == (oracles.crossing_arcs_reference(d),
                                     tuple(c for c, _ in ref_arcs))
         for n in (None, 2, 3, 5, 7):
-            assert _alexander_rows(d, n) == oracles.alexander_rows_reference(d, n)
+            _assert_rows_match_reference(d, n)
         for comp in d.components:
             unders = sum(psg.role == "U" for psg in comp)
             seen.add("empty component" if not comp else
@@ -186,6 +202,23 @@ def test_crossing_arcs_and_alexander_rows_match_run_reference():
                         else "trailing arc with passages" for comp in d.components)
     assert {"empty component", "no under-passage", "passage-free trailing arc",
             "trailing arc with passages"} <= seen
+
+
+def test_sigma_zero_run_with_coinciding_arcs_cancels():
+    # the two crossings pass under arc 1 with signs -1 and +1, and the run
+    # around the component starts and ends on arc 1, so x = z = y: its row
+    # (t^0 - 1) x + (1 - t^0) y is zero and is left out
+    d = parse("component: U2+ O1- O2+ U1-\n")
+    assert _alexander_rows(d) == ([], 2, 1)
+    brute = [oracles.elementary_ideal_bruteforce(d, k) for k in range(3)]
+    mine = elementary_ideals(d, 2)
+    assert [poly_gcd(gens) for gens in mine] == [poly_gcd(gens) for gens in brute]
+    for n in (1, 2, 3, 5):
+        mine = elementary_ideals(d, 2, n)
+        assert [ideal_mod(gens, n) for gens in mine] == [ideal_mod(gens, n) for gens in brute]
+    # V^3 blocks collapse: a per-crossing fallback would give a row per crossing
+    d = scramble(TREFOIL, [make_kind("v^n", 3, EXPAND)], 4, 7)
+    assert len(_alexander_rows(d, 3)[0]) < d.crossing_count
 
 
 def test_folded_elementary_ideals_match_bruteforce_images():
