@@ -269,10 +269,6 @@ def free_reduce(word):
     return tuple(out)
 
 
-def word_inverse(word):
-    return tuple((g, -e) for g, e in reversed(word))
-
-
 def cyclic_reduce(word):
     w = list(free_reduce(word))
     while len(w) >= 2 and w[0][0] == w[-1][0] and w[0][1] == -w[-1][1]:

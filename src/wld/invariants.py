@@ -18,13 +18,12 @@ import heapq
 import math
 import re
 import operator
-from collections import Counter
 from dataclasses import dataclass
 
 from . import diagram as dg
 from .algebra import (INTEGERS, LAURENT, AlgebraError, Laurent, cyclic_reduce,
                       cyclic_ring, fold, free_reduce, laurent_minors, poly_gcd,
-                      snf, word_inverse)
+                      snf)
 
 
 @dataclass(frozen=True)
@@ -464,86 +463,162 @@ def simplify_presentation(p):
     an isomorphic group; its generators are the survivors in their old
     order, and ``components`` follows them.  Each step eliminates, from the
     shortest relator holding one (the first such relator on ties), the
-    first generator occurring exactly once there.  Generator counts are kept
-    per relator, and a step rewrites and recounts only the relators that
-    contain the eliminated generator.
+    first generator occurring exactly once there.  Duplicate relators, equal
+    up to rotation and inversion, are kept once.
+
+    A step costs only the relators it touches, and the output is that of
+    rescanning every relator at every step.  An index maps each generator
+    to the relators that may hold it: a rewrite files the relator under the
+    generators of the replacement, and a step skips those that no longer
+    hold its generator.  A lazy heap of (length, position) picks the step.
+    An entry goes stale when its relator is rewritten or deleted; a blocked
+    step puts its entry back, and an entry whose once-occurring generators
+    are all blocked waits for the next step that succeeds.  Substitution,
+    free and cyclic reduction are one pass, and duplicates are found by the
+    least rotation (Booth, "Lexicographically least circular substrings",
+    1980) of each relator and of its inverse.
     """
-    relators = [r for r in map(cyclic_reduce, p.relators) if r]
-    counts = [Counter(map(_generator, r)) for r in relators]
-    total = sum(map(len, relators))
+    # letters are signed ints, +-(g + 1) for (g, +-1)
+    rels = [[(g + 1) * e for g, e in r] for r in map(cyclic_reduce, p.relators)]
+    rels = [r for r in rels if r]
+    # holders[a]: every relator holding generator a, and perhaps some that
+    # held it once; None once a is eliminated
+    holders = [set() for _ in range(p.ngens + 1)]
+    for i, r in enumerate(rels):
+        for x in r:
+            holders[abs(x)].add(i)
+    total = sum(map(len, rels))
     budget = max(_LENGTH_BUDGET, total)
-    alive = list(range(p.ngens))
+    # heap entries (length, position, stamp); stamp[i] -1 marks a deleted
+    # relator, and a rewrite makes the entries before it stale
+    stamp = [0] * len(rels)
+    heap = [(len(r), i, 0) for i, r in enumerate(rels)]
+    heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
+    waiting = []
     blocked = set()
-    while True:
-        best = None
-        for ri, rel in enumerate(relators):
-            if best is not None and len(rel) >= best[0]:
-                continue
-            for g, c in counts[ri].items():
-                if c == 1 and g not in blocked:
-                    best = (len(rel), ri, g)
-                    break
-        if best is None:
-            break
-        _, ri, gen = best
-        rel = relators[ri]
-        pos = next(i for i, (g, _) in enumerate(rel) if g == gen)
+    while heap:
+        entry = pop(heap)
+        ri = entry[1]
+        if entry[2] != stamp[ri]:
+            continue
+        rel = rels[ri]
+        once = _once_generators(rel)
+        free = [a for a in once if a not in blocked] if blocked else once
+        if not free:
+            if once:
+                waiting.append(entry)
+            continue
+        gen = free[0]
+        pos = rel.index(gen) if gen in rel else rel.index(-gen)
         # rel = before g^e after = 1  =>  g^e = (after before)^-1; a rotation
         # of the cyclically reduced rel, after before needs no reduction
         rest = rel[pos + 1:] + rel[:pos]
-        if rel[pos][1] == -1:
-            repl, inv = rest, word_inverse(rest)
+        inv = [-x for x in reversed(rest)]
+        if rel[pos] < 0:
+            repl = rest
         else:
-            repl, inv = word_inverse(rest), rest
-        subs = {i: _substitute(r, gen, repl, inv) for i, r in enumerate(relators)
-                if i != ri and gen in counts[i]}
-        new_total = (total - len(rel) + sum(len(w) for w in subs.values())
-                     - sum(len(relators[i]) for i in subs))
-        if new_total > budget and len(relators) > 1:
+            repl, inv = inv, rest
+        subs = [(ri, [])]
+        growth = -len(rel)
+        for i in holders[gen]:
+            r = rels[i]
+            if i != ri and r is not None and (gen in r or -gen in r):
+                w = _substituted(r, gen, repl, inv)
+                growth += len(w) - len(r)
+                subs.append((i, w))
+        if total + growth > budget:
             blocked.add(gen)
+            push(heap, entry)
             continue
-        for i, w in subs.items():
-            relators[i] = w
-            counts[i] = Counter(map(_generator, w))
-        for i in sorted([ri] + [i for i, w in subs.items() if not w], reverse=True):
-            del relators[i], counts[i]
-        total = new_total
-        alive.remove(gen)
-        blocked.clear()
-    index = {g: i for i, g in enumerate(alive)}
+        total += growth
+        new_gens = set(map(abs, rest))
+        for i, w in subs:
+            if w:
+                rels[i] = w
+                stamp[i] += 1
+                push(heap, (len(w), i, stamp[i]))
+                for a in new_gens:
+                    holders[a].add(i)
+            else:
+                rels[i] = None
+                stamp[i] = -1
+        holders[gen] = None
+        if blocked:
+            blocked.clear()
+            for entry in waiting:
+                push(heap, entry)
+            waiting.clear()
+    alive = [g for g in range(p.ngens) if holders[g + 1] is not None]
+    index = {g + 1: i for i, g in enumerate(alive)}
     out = []
     seen = set()
-    for rel in relators:
-        rel = cyclic_reduce(tuple((index[g], e) for g, e in rel))
-        if not rel:
+    for rel in rels:
+        if rel is None:
             continue
-        key = min(_cyclic_keys(rel))
+        key = min(_least_rotation(rel), _least_rotation([-x for x in reversed(rel)]))
         if key in seen:
             continue
         seen.add(key)
-        out.append(rel)
+        out.append(tuple((index[abs(x)], 1 if x > 0 else -1) for x in rel))
     components = tuple(p.components[g] for g in alive) if p.components else ()
     return GroupPresentation(len(alive), tuple(out), components)
 
 
-_generator = operator.itemgetter(0)
+def _once_generators(rel):
+    """The generators occurring exactly once in ``rel``, in order of first
+    occurrence."""
+    count = {}
+    for x in rel:
+        a = x if x > 0 else -x
+        count[a] = count.get(a, 0) + 1
+    return [a for a, c in count.items() if c == 1]
 
 
-def _substitute(rel, gen, repl, inv):
-    word = []
-    for g, e in rel:
-        if g == gen:
-            word.extend(repl if e == 1 else inv)
+def _substituted(rel, gen, repl, inv):
+    """``rel`` with the letter gen replaced by ``repl`` and -gen by ``inv``,
+    freely and cyclically reduced in one stack pass; ``repl`` and ``inv``
+    are reduced, so each cancels only where it meets what precedes it."""
+    out = []
+    for x in rel:
+        if x == gen or x == -gen:
+            piece = repl if x == gen else inv
+            k = 0
+            while out and k < len(piece) and out[-1] == -piece[k]:
+                out.pop()
+                k += 1
+            out.extend(piece[k:])
+        elif out and out[-1] == -x:
+            out.pop()
         else:
-            word.append((g, e))
-    return cyclic_reduce(tuple(word))
+            out.append(x)
+    i, j = 0, len(out) - 1
+    while i < j and out[i] == -out[j]:
+        i += 1
+        j -= 1
+    return out[i:j + 1]
 
 
-def _cyclic_keys(rel):
-    words = [rel, word_inverse(rel)]
-    for w in words:
-        for k in range(len(w)):
-            yield w[k:] + w[:k]
+def _least_rotation(word):
+    """The lexicographically least rotation of ``word``, as a tuple, by
+    Booth's linear-time failure-function scan of the doubled word."""
+    doubled = word + word
+    fail = [-1] * len(doubled)
+    k = 0
+    for j in range(1, len(doubled)):
+        x = doubled[j]
+        i = fail[j - k - 1]
+        while i != -1 and x != doubled[k + i + 1]:
+            if x < doubled[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if i == -1 and x != doubled[k]:
+            if x < doubled[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return tuple(doubled[k:k + len(word)])
 
 
 def hom_count(p, group):

@@ -8,13 +8,17 @@ arcs inside under-runs substituted away, colorings
 by exhaustive enumeration, elementary ideals by enumerating every minor of
 the raw Alexander matrix, the canonical key by trying every combination of
 basepoint rotations, divisibility by exact Laurent long division, move
-sites by offering ``apply`` every tuple of a site's shape, and R3 triangles
-by a pattern table closed from the braid relation.
+sites by offering ``apply`` every tuple of a site's shape, R3 triangles
+by a pattern table closed from the braid relation, and Tietze simplification
+by rescanning every relator at every step.
 """
 
 import itertools
+import operator
+from collections import Counter
 
-from wld.algebra import AlgebraError, Laurent
+from wld import invariants
+from wld.algebra import AlgebraError, Laurent, cyclic_reduce
 from wld.diagram import OVER, STRING_LINK, UNDER
 from wld.moves import MoveError, apply
 
@@ -469,6 +473,92 @@ def hom_count_exhaustive(pres, group):
         if ok:
             count += 1
     return count
+
+
+def simplify_presentation_rescan(p):
+    """``invariants.simplify_presentation`` as a rescan: each step scans every
+    relator for the shortest one holding a generator that occurs once in it,
+    and every relator again for the ones to rewrite; duplicates are found by
+    comparing all rotations of each relator and its inverse.  Reads the
+    budget from ``invariants._LENGTH_BUDGET``."""
+    relators = [r for r in map(cyclic_reduce, p.relators) if r]
+    counts = [Counter(map(_generator, r)) for r in relators]
+    total = sum(map(len, relators))
+    budget = max(invariants._LENGTH_BUDGET, total)
+    alive = list(range(p.ngens))
+    blocked = set()
+    while True:
+        best = None
+        for ri, rel in enumerate(relators):
+            if best is not None and len(rel) >= best[0]:
+                continue
+            for g, c in counts[ri].items():
+                if c == 1 and g not in blocked:
+                    best = (len(rel), ri, g)
+                    break
+        if best is None:
+            break
+        _, ri, gen = best
+        rel = relators[ri]
+        pos = next(i for i, (g, _) in enumerate(rel) if g == gen)
+        rest = rel[pos + 1:] + rel[:pos]
+        if rel[pos][1] == -1:
+            repl, inv = rest, _word_inverse(rest)
+        else:
+            repl, inv = _word_inverse(rest), rest
+        subs = {i: _substitute(r, gen, repl, inv) for i, r in enumerate(relators)
+                if i != ri and gen in counts[i]}
+        new_total = (total - len(rel) + sum(len(w) for w in subs.values())
+                     - sum(len(relators[i]) for i in subs))
+        if new_total > budget and len(relators) > 1:
+            blocked.add(gen)
+            continue
+        for i, w in subs.items():
+            relators[i] = w
+            counts[i] = Counter(map(_generator, w))
+        for i in sorted([ri] + [i for i, w in subs.items() if not w], reverse=True):
+            del relators[i], counts[i]
+        total = new_total
+        alive.remove(gen)
+        blocked.clear()
+    index = {g: i for i, g in enumerate(alive)}
+    out = []
+    seen = set()
+    for rel in relators:
+        rel = cyclic_reduce(tuple((index[g], e) for g, e in rel))
+        if not rel:
+            continue
+        key = min(_cyclic_keys(rel))
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append(rel)
+    components = tuple(p.components[g] for g in alive) if p.components else ()
+    return invariants.GroupPresentation(len(alive), tuple(out), components)
+
+
+_generator = operator.itemgetter(0)
+
+
+def _word_inverse(word):
+    return tuple((g, -e) for g, e in reversed(word))
+
+
+def _substitute(rel, gen, repl, inv):
+    word = []
+    for g, e in rel:
+        if g == gen:
+            word.extend(repl if e == 1 else inv)
+        else:
+            word.append((g, e))
+    return cyclic_reduce(tuple(word))
+
+
+def _cyclic_keys(rel):
+    words = [rel, _word_inverse(rel)]
+    for w in words:
+        for k in range(len(w)):
+            yield w[k:] + w[:k]
 
 
 def laurent_det_bruteforce(matrix):
