@@ -61,6 +61,11 @@ class Diagram:
     reading order (= orientation), cyclic for links and linear for string
     links.  Every crossing id occurs exactly twice overall, once over and
     once under, with equal signs.
+
+    The constructor checks that by one walk over every passage, so
+    ``parse``, ``with_components`` and every diagram built directly are
+    checked whole.  A move's result is built by ``moved`` instead, which
+    checks only what the move changed of a diagram already checked.
     """
 
     components: tuple
@@ -129,11 +134,61 @@ class Diagram:
     def with_components(self, components):
         return Diagram(tuple(tuple(c) for c in components), self.kind)
 
+    def moved(self, components, removed=(), added=(), fresh=None):
+        """The diagram of this kind with these components, made from this
+        one by removing the passages ``removed`` and adding ``added``.
+
+        This diagram's passages were checked when it was built, so only the
+        change is: the removed passages, and the added ones, each pair up
+        into whole crossings (every id once over and once under, with one
+        sign); the added ids are at least ``fresh`` (default
+        ``fresh_crossing_id()``), so none is in use; and the passage count
+        changes by ``len(added) - len(removed)``.  Raises DiagramError
+        otherwise.
+        """
+        components = tuple(tuple(c) for c in components)
+        if not components:
+            raise DiagramError("a diagram needs at least one component")
+        _check_whole(removed, "removed")
+        if added:
+            _check_whole(added, "added")
+            if fresh is None:
+                fresh = self.fresh_crossing_id()
+            low = min(psg.crossing for psg in added)
+            if low < max(fresh, 1):
+                raise DiagramError(f"added crossing {low} is below the fresh id {fresh}", low)
+        count = sum(map(len, components))
+        if count != sum(map(len, self.components)) + len(added) - len(removed):
+            raise DiagramError(f"{count} passages after removing {len(removed)} "
+                               f"and adding {len(added)} of {2 * self.crossing_count}")
+        out = object.__new__(Diagram)
+        object.__setattr__(out, "components", components)
+        object.__setattr__(out, "kind", self.kind)
+        return out
+
     def fresh_crossing_id(self):
         return max([p.crossing for comp in self.components for p in comp], default=0) + 1
 
     def __str__(self):
         return serialize(self)
+
+
+def _check_whole(passages, what):
+    """Raise DiagramError unless the passages pair up into whole crossings:
+    each id once over and once under, with one sign."""
+    overs, unders = {}, {}
+    for psg in passages:
+        if not isinstance(psg, Passage) or psg.role not in (OVER, UNDER) or psg.sign not in (1, -1):
+            raise DiagramError(f"{what}: {psg!r} is not a passage")
+        side = overs if psg.role == OVER else unders
+        if psg.crossing in side:
+            raise DiagramError(f"{what} passages hold crossing {psg.crossing} twice "
+                               f"with role {psg.role}", psg.crossing)
+        side[psg.crossing] = psg.sign
+    if overs != unders:
+        cid = min(set(overs.items()) ^ set(unders.items()))[0]
+        raise DiagramError(f"{what} passages do not hold crossing {cid} once over and "
+                           "once under with one sign", cid)
 
 
 def parse(text):

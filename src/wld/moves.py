@@ -232,15 +232,16 @@ def _swap_pairs(d, kind, positions):
     comps = [list(c) for c in d.components]
     for (ci, p), (cj, q) in zip(positions[::2], positions[1::2]):
         comps[ci][p], comps[cj][q] = comps[cj][q], comps[ci][p]
-    return d.with_components(comps)
+    return d.moved(comps)
 
 
 def _delete(d, kind, positions):
     """Delete the passages at the positions."""
     comps = [list(c) for c in d.components]
-    for ci, p in sorted(set(positions), reverse=True):
+    positions = sorted(set(positions), reverse=True)
+    for ci, p in positions:
         del comps[ci][p]
-    return d.with_components(comps)
+    return d.moved(comps, removed=[d.components[ci][p] for ci, p in positions])
 
 
 # ---------------------------------------------------------------------------
@@ -315,13 +316,16 @@ def _match_gaps(d, kind, site):
 def _expand(d, kind, found):
     ((c1, g1), (c2, g2)), variants = found
     roles, signs, backwards = _block(kind, variants)
+    fresh = d.fresh_crossing_id()
     block1 = [Passage(cid, role, sign)
-              for cid, role, sign in zip(itertools.count(d.fresh_crossing_id()), roles, signs)]
+              for cid, role, sign in zip(itertools.count(fresh), roles, signs)]
     block2 = [Passage(p.crossing, _OPPOSITE[p.role], p.sign)
               for p in (block1[::-1] if backwards else block1)]
     if _splices(kind):
-        return d.with_components(_splice(d.components, (c1, g1), (c2, g2), block1, block2))
-    return d.with_components(_insert_two(d.components, (c1, g1, block1), (c2, g2, block2)))
+        comps = _splice(d.components, (c1, g1), (c2, g2), block1, block2)
+    else:
+        comps = _insert_two(d.components, (c1, g1, block1), (c2, g2, block2))
+    return d.moved(comps, added=block1 + block2, fresh=fresh)
 
 
 def _match_block(d, kind, site):
@@ -434,7 +438,8 @@ def _unsplice(d, kind, positions):
     else:
         gb = (pb - pa) % len(sa) - n
         comps[ca] = sa[n:n + gb] + sa[2 * n + gb:]
-    return d.with_components(_splice(comps, (ca, 0), (cb, gb), [], []))
+    return d.moved(_splice(comps, (ca, 0), (cb, gb), [], []),
+                   removed=[d.components[ci][p] for ci, p in positions])
 
 
 # ---------------------------------------------------------------------------
@@ -646,7 +651,8 @@ def count_sites(d, kind):
     finder = _rule(d, kind)[2]
     if finder is _expand_sites:
         strands, axes = _EXPAND[kind.family]
-        return len(_all_gaps(d)) ** strands * math.prod(len(axis) for axis in axes)
+        gaps = sum(_gap_count(d, ci) for ci in range(d.mu))
+        return gaps ** strands * math.prod(len(axis) for axis in axes)
     return len(finder(d, kind))
 
 
@@ -659,20 +665,27 @@ def apply(d, kind, site):
 # ---------------------------------------------------------------------------
 # scrambling and search
 
-def _sample_expand_site(d, kind, rng):
+def _sample_expand_site(d, kind, rule, rng):
     """A random expand site, or None for an even twist on a string link.
-    The draws (every gap, even for that None, then one value per axis in
-    axis order) fix what ``scramble`` makes of a seed."""
+    The draws (a gap index per strand, even for that None, then one value
+    per axis in axis order) fix what ``scramble`` makes of a seed; gap
+    indices count ``_all_gaps``' order, component by component."""
     strands, axes = _EXPAND[kind.family]
-    gaps = _all_gaps(d)
+    counts = [_gap_count(d, ci) for ci in range(d.mu)]
+    total = sum(counts)
     site = ()
     for _ in range(strands):
-        site += gaps[rng.randrange(len(gaps))]
-    if _rule(d, kind)[2] is not _expand_sites:
+        g = rng.randrange(total)
+        ci = 0
+        while g >= counts[ci]:
+            g -= counts[ci]
+            ci += 1
+        site += (ci, g)
+    if rule[2] is not _expand_sites:
         return None
     for axis in axes:
         site += (rng.choice(axis),)
-    return MoveSite(site)
+    return site
 
 
 def scramble(d, kinds, steps, seed):
@@ -680,30 +693,39 @@ def scramble(d, kinds, steps, seed):
 
     Deterministic in ``seed``.  Kinds may omit the direction, in which case
     one is drawn per step; a drawn kind with no applicable site is redrawn.
+    Each kind's directed kinds and their rules are made once, when it is
+    first drawn: a diagram's kind, all a rule depends on, is the same after
+    every move.
     """
     if steps < 0:
         raise MoveError("steps must be >= 0")
     kinds = sorted(set(kinds))
     if not kinds and steps > 0:
         raise MoveError("no move kinds to draw from")
+    # per kind drawn, its directed kinds with their rules and whether a
+    # draw samples an expand site rather than picking a listed one
+    table = {}
     rng = random.Random(seed)
     cur = d
     for _ in range(steps):
         for attempt in range(1000):
-            kind = kinds[rng.randrange(len(kinds))]
-            direction = kind.direction or (
-                "" if kind.family in _UNDIRECTED else rng.choice((EXPAND, REDUCE)))
-            concrete = MoveKind(kind.family, kind.n, direction)
-            if direction == EXPAND and kind.family in _EXPAND:
-                site = _sample_expand_site(cur, concrete, rng)
+            drawn = kinds[rng.randrange(len(kinds))]
+            if drawn not in table:
+                table[drawn] = [
+                    (dk, _rule(d, dk), dk.direction == EXPAND and dk.family in _EXPAND)
+                    for dk in directed_kinds(drawn)]
+            options = table[drawn]
+            kind, rule, sampled = options[0] if len(options) == 1 else rng.choice(options)
+            if sampled:
+                site = _sample_expand_site(cur, kind, rule, rng)
                 if site is None:
                     continue
-                cur = apply(cur, concrete, site)
-                break
-            sites = find_sites(cur, concrete)
-            if not sites:
-                continue
-            cur = apply(cur, concrete, sites[rng.randrange(len(sites))])
+            else:
+                sites = sorted(rule[2](cur, kind))
+                if not sites:
+                    continue
+                site = sites[rng.randrange(len(sites))]
+            cur = _apply(cur, kind, rule, site)
             break
         else:
             raise MoveError("no applicable move found while scrambling")

@@ -6,9 +6,9 @@ import pytest
 import oracles
 from support import time_limit
 from wld.arrows import build_H, build_Hbar, stack, surgery
-from wld.diagram import (Diagram, DiagramError, ParseError, canonical_key,
-                         closure, crossing_arcs, linking_matrix, parse,
-                         random_diagram, same_diagram, serialize)
+from wld.diagram import (Diagram, DiagramError, ParseError, Passage,
+                         canonical_key, closure, crossing_arcs, linking_matrix,
+                         parse, random_diagram, same_diagram, serialize)
 from wld.moves import EXPAND, MoveKind, scramble
 
 TREFOIL = "component: O1+ U2+ O3+ U1+ O2+ U3+\n"
@@ -263,3 +263,35 @@ def test_canonical_key_of_many_tied_rotations_is_fast():
     rotated = _rotate_and_relabel(d, random.Random(17))
     with time_limit(2):
         assert canonical_key(d) == canonical_key(rotated)
+
+
+def test_moved_checks_what_the_move_changed():
+    d = parse(TREFOIL)
+    comps = d.components[0]
+    o1, u2, o3, u1, o2, u3 = comps
+    # a whole crossing removed, a fresh one added, passages swapped
+    assert d.moved([comps[1:3] + comps[4:]], removed=[o1, u1]) == parse(
+        "component: U2+ O3+ O2+ U3+\n")
+    block = [Passage(4, "O", -1), Passage(4, "U", -1)]
+    assert d.moved([comps + tuple(block)], added=block) == parse(
+        TREFOIL.replace("U3+", "U3+ O4- U4-"))
+    assert d.moved([(u2, o1) + comps[2:]]).components[0][:2] == (u2, o1)
+    # one passage of a crossing removed
+    with pytest.raises(DiagramError, match="crossing 1"):
+        d.moved([comps[1:]], removed=[o1])
+    # an added block that reuses an id in use, whether fresh is given or not
+    reused = [Passage(3, "O", 1), Passage(3, "U", 1)]
+    for fresh in ({}, {"fresh": 4}):
+        with pytest.raises(DiagramError, match="added crossing 3"):
+            d.moved([comps + tuple(reused)], added=reused, **fresh)
+    # an added block that is not one over and one under of one sign
+    for bad in ([Passage(4, "O", 1)], [Passage(4, "O", 1), Passage(4, "U", -1)],
+                [Passage(4, "O", 1), Passage(4, "O", 1)]):
+        with pytest.raises(DiagramError, match="crossing 4"):
+            d.moved([comps + tuple(bad)], added=bad)
+    # a component list that lost or repeated a passage
+    for wrong in ([comps[1:]], [comps + (o1,)], [comps[:3], comps[3:] + (u3,)]):
+        with pytest.raises(DiagramError, match="passages after removing"):
+            d.moved(wrong)
+    with pytest.raises(DiagramError, match="at least one component"):
+        d.moved([], removed=list(comps))

@@ -1,6 +1,7 @@
 """The package's internal imports follow the README's module order, all at
-module level, only the command-line front end opens files, and only the
-move engine checks site entries."""
+module level, only the command-line front end opens files, only the move
+engine checks site entries, and only the diagram module builds a diagram
+without the full walk, for the move engine alone."""
 
 import ast
 from pathlib import Path
@@ -45,22 +46,33 @@ def test_each_module_imports_only_earlier_modules():
     assert not later, later
 
 
+def calls(func, skip, first_arg=None):
+    """``module:line`` of each call, outside module ``skip``, of a function
+    or method named ``func`` (whose first argument is the name
+    ``first_arg``, if given)."""
+    return sorted(f"{name}:{node.lineno}" for name, tree in MODULES.items()
+                  if name != skip for node in ast.walk(tree)
+                  if isinstance(node, ast.Call)
+                  and func in (getattr(node.func, "id", None),
+                               getattr(node.func, "attr", None))
+                  and (first_arg is None
+                       or getattr(next(iter(node.args), None), "id", None) == first_arg))
+
+
 def test_only_the_cli_opens_files():
-    opens = sorted(f"{name}:{node.lineno}" for name, tree in MODULES.items()
-                   if name != "cli" for node in ast.walk(tree)
-                   if isinstance(node, ast.Call)
-                   and "open" in (getattr(node.func, "id", None),
-                                  getattr(node.func, "attr", None)))
-    assert not opens, opens
+    assert not calls("open", "cli"), calls("open", "cli")
 
 
 def test_only_the_move_engine_checks_site_entries():
-    checks = sorted(f"{name}:{node.lineno}" for name, tree in MODULES.items()
-                    if name != "moves" for node in ast.walk(tree)
-                    if isinstance(node, ast.Call)
-                    and "_check_entries" in (getattr(node.func, "id", None),
-                                             getattr(node.func, "attr", None)))
-    assert not checks, checks
+    assert not calls("_check_entries", "moves"), calls("_check_entries", "moves")
+
+
+def test_only_the_diagram_module_skips_the_walk():
+    # __new__(Diagram) builds a diagram without __post_init__'s walk;
+    # Diagram.moved does so after checking what a move changed, and only
+    # the move engine's actions call it
+    assert not calls("__new__", "diagram", "Diagram"), calls("__new__", "diagram", "Diagram")
+    assert not calls("moved", "moves"), calls("moved", "moves")
 
 
 def test_no_function_imports_a_wld_module():

@@ -4,14 +4,16 @@ import re
 
 import pytest
 
-from wld.diagram import (STRING_LINK, Diagram, Passage, linking_matrix, parse,
-                         random_diagram, same_diagram)
+from wld import moves
+from wld.diagram import (STRING_LINK, Diagram, DiagramError, Passage,
+                         linking_matrix, parse, random_diagram, same_diagram)
 from wld.moves import (EXPAND, FAMILIES, REDUCE, MoveError, MoveKind,
                        MoveSite, apply, count_sites, find_sites, make_kind,
                        parse_kind, parse_kinds, replay, scramble, search_path)
 
 import oracles
 from support import PANEL, time_limit
+from test_moves_golden import KINDS, SCRAMBLE_CASES, golden_diagrams, scramble_digest
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
 HOPF = parse("component: O1+ U2+\ncomponent: U1+ O2+\n")
@@ -711,3 +713,54 @@ def test_r3_accepts_exactly_the_patterns_of_the_braid_closure():
                 accepted += 1
             seen += 1
     assert (seen, accepted) == (5760, 576)
+
+
+def _checked_whole(r):
+    """The full walk accepts a move result and builds the same diagram."""
+    assert Diagram(r.components, r.kind) == r, r
+
+
+def test_move_results_pass_the_full_walk_at_every_site():
+    # ``apply`` builds a result by ``Diagram.moved``, which checks only what
+    # the move changed; the walk over every passage must accept each one
+    rng = random.Random(24)
+    checked = 0
+    for d in golden_diagrams():
+        for kind in KINDS:
+            sites = find_sites(d, kind)
+            if kind.direction == EXPAND:
+                sites = rng.sample(sites, min(6, len(sites)))
+            for site in sites:
+                _checked_whole(apply(d, kind, site))
+                checked += 1
+    assert checked > 1000
+
+
+def test_scramble_steps_pass_the_full_walk(monkeypatch):
+    results = []
+
+    def recording_apply(*args):
+        results.append(real_apply(*args))
+        return results[-1]
+    real_apply = moves._apply
+    monkeypatch.setattr(moves, "_apply", recording_apply)
+    for case in SCRAMBLE_CASES:
+        scramble_digest(*case)
+    assert len(results) == sum(steps for _, _, steps, _ in SCRAMBLE_CASES)
+    for r in results:
+        _checked_whole(r)
+
+
+def test_apply_raises_when_an_action_drops_one_passage_too_many(monkeypatch):
+    # an R1 reduce whose deletion takes one more passage than the kink
+    d = parse("component: O1+ U1+ O2+ U3+ U2+ O3+\n")
+    length, axes, finder, match, delete = moves._REDUCE["r1"]
+
+    def delete_one_more(d, kind, positions):
+        ci, p = positions[-1]
+        return delete(d, kind, positions + [(ci, p + 1)])
+    assert apply(d, MoveKind("r1", 0, REDUCE), (0, 0)) == parse(
+        "component: O2+ U3+ U2+ O3+\n")
+    monkeypatch.setitem(moves._REDUCE, "r1", (length, axes, finder, match, delete_one_more))
+    with pytest.raises(DiagramError, match="crossing 2"):
+        apply(d, MoveKind("r1", 0, REDUCE), (0, 0))

@@ -99,12 +99,19 @@ SCRAMBLE_CASES = [
     ("figure8", "directed", 30, 18),
     ("string:H(2,1,2,2)", "directed", 30, 19),
     ("h-closure:2,1,2,2", "r1,r2,r3,oc,uc,v,v^n:2,vbar^n:2,v(n):2,v(n):3,vbar(n):3", 60, 20),
+    ("trefoil", "repeated", 40, 21),
 ]
 
 _DIRECTED = [MoveKind("r1", 0, EXPAND), MoveKind("r2", 0, REDUCE),
              MoveKind("v(n)", 2, EXPAND), MoveKind("v(n)", 2, REDUCE),
              MoveKind("vbar^n", 3, EXPAND), MoveKind("v^n", 2, REDUCE),
              MoveKind("oc")]
+
+# kinds that repeat, and undirected families given a direction beside their
+# plain kind, to pin how the scrambler draws from such a list
+_REPEATED = [MoveKind("oc"), MoveKind("oc", 0, EXPAND), MoveKind("r1"), MoveKind("r1"),
+             MoveKind("r3", 0, REDUCE), MoveKind("r2"), MoveKind("r2"),
+             MoveKind("v^n", 2, EXPAND), MoveKind("v^n", 2)]
 
 
 def scramble_digest(base, moves, steps, seed):
@@ -113,7 +120,7 @@ def scramble_digest(base, moves, steps, seed):
         d = surgery(build_H(mu, i, j, a))
     else:
         d = named(base)
-    kinds = _DIRECTED if moves == "directed" else parse_kinds(moves)
+    kinds = {"directed": _DIRECTED, "repeated": _REPEATED}.get(moves) or parse_kinds(moves)
     return _digest(serialize(scramble(d, kinds, steps, seed)))
 
 
@@ -311,6 +318,7 @@ SCRAMBLE_DIGESTS = [
     '4b2d496547e964bf',
     'ec4a2f7d300bf19d',
     'bb66b824dec3e68b',
+    '6a4713af2b906224',
 ]
 
 
