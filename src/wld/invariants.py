@@ -17,7 +17,6 @@ import functools
 import heapq
 import math
 import re
-import operator
 from dataclasses import dataclass
 
 from . import diagram as dg
@@ -96,96 +95,143 @@ def abelianization(p):
 
 @functools.cache
 def _run_entries(sigma, n):
-    """The entries of the row of an under-run of sign sum sigma (see
+    """The entries of the row of a run of sign sum sigma (see
     ``_alexander_rows``): x: t^sigma, z: -1 and y: 1 - t^sigma, times the
     unit t^-sigma when sigma < 0 so that no exponent is negative, and given
-    n folded into R_n, where the caller passes sigma mod n; then the sums
-    x + y, z + y and x + z for rows whose arcs coincide, and whether the y
-    entry is nonzero."""
+    n folded into R_n, where the caller passes sigma mod n; then the sum
+    x + z for a run whose ends are one class."""
     u = Laurent({abs(sigma): 1})
     one = Laurent({0: 1})
-    # 1 - t^sigma by subtraction: it is 0 at sigma = 0
     ex, ez, ey = (u, -one, one - u) if sigma >= 0 else (one, -u, u - one)
-    entries = (ex, ez, ey, ex + ey, ez + ey, ex + ez)
+    entries = (ex, ez, ey, ex + ez)
     if n is not None:
         entries = tuple(fold(p, n) for p in entries)
-    return entries + (bool(entries[2]),)
-
-
-_UNDER_IN = operator.itemgetter(1)
+    return entries
 
 
 def _alexander_rows(d, n=None):
-    """(rows, g, pivots): the Alexander matrix with the inner arcs of every
-    under-run eliminated, as sparse rows {arc: nonzero entry}, one per
-    under-run in walk order; the arc count g; and the number of arcs
-    eliminated, each one unit pivot (see ``_pivot_reduce``).  Given n, the
-    entries are folded into R_n (see ``fold``).
+    """(rows, g, pivots): the Alexander matrix after the unit pivots that
+    integer bookkeeping alone can take, as sparse rows {column: nonzero
+    entry}; the arc count g; and the number of pivots taken (see
+    ``_pivot_reduce``).  Given n, the entries are folded into R_n (see
+    ``fold``).  The columns are classes of arcs, each labelled by one arc.
 
-    An under-run is a maximal stretch of crossings consecutive along the
-    walk of ``diagram.crossing_arcs`` (the under-out arc of one is the
-    under-in arc of the next) that pass under one over-arc y and whose arcs
-    between them, its inner arcs, are empty: no crossing passes over them.
-    A run around a whole link component, every arc of it inner, keeps the
-    arc its walk starts on as both ends; one crossing is a run of its own.
+    A run from arc x to arc z under the over-arc y, of sign sum sigma,
+    stands for the row t^sigma x - z + (1 - t^sigma) y up to a unit, the
+    relation z = t^sigma x + (1 - t^sigma) y; the entries of arcs of one
+    class add up.  Each crossing starts as a run: the Fox row of its
+    relator (see ``welded_group``) times the unit t at a positive and t^2
+    at a negative crossing is t^s x - z + (1 - t^s) y, s its sign.  Every
+    arc is the under-in arc of at most one crossing and the under-out arc
+    of at most one, so every class starts at most one run and ends at most
+    one; both steps below keep this, and the runs form paths and cycles
+    through the classes.  Two steps repeat until neither applies:
 
-    The Fox row of a crossing's relator (see ``welded_group``), times the
-    unit t at a positive and t^2 at a negative crossing, is t^s x - z +
-    (1 - t^s) y up to a unit, s its sign: it says z = t^s x + (1 - t^s) y.
-    An inner arc a occurs in two rows only, with the unit -1 where a is the
-    under-out arc and t^s where it is the under-in arc, so it is one unit
-    pivot: substituting z_1 = t^s1 x + (1 - t^s1) y into z_2 = t^s2 z_1 +
-    (1 - t^s2) y gives z_2 = t^(s1+s2) x + (1 - t^(s1+s2)) y.  So a run of
-    sign sum sigma from x to z, after its inner arcs are eliminated, is the
-    row {x: t^sigma, z: -1, y: 1 - t^sigma}, times a unit.  A V^n block (n
-    crossings of one sign under one arc) and an R2 pair (two of opposite
-    signs) have t^sigma = 1 in R_n, and their row x - z only renames z.
+    - Rename.  If t^sigma = 1 (sigma = 0 mod n in R_n, sigma = 0 over
+      Z[t^+-1]), or y is in x's class, or in z's, the row is x - z, x - z
+      or t^sigma (x - z).  If x and z are one class it is zero and is
+      dropped, with no pivot.  Otherwise its entry at z is a unit; adding
+      column z to column x and clearing column z with this row leaves
+      diag(unit, M'), where M' is the other rows with z's class merged into
+      x's: one pivot (see ``_pivot_reduce`` for why a pivot keeps the
+      ideals).  The runs over either class are then over the merged one.
+    - Compose.  If run A goes from x to a and run B from a to z, both under
+      one class y, and no run passes over a, then column a holds -1 in A
+      and t^sigma_B in B and nothing else: a is not y, and it is neither x
+      nor z, since it starts and ends only B and A.  Pivoting on A's -1
+      substitutes a = t^sA x + (1 - t^sA) y into B, giving t^(sA+sB) x - z
+      + (1 - t^(sA+sB)) y, the run from x to z of sign sum sA + sB: one
+      pivot.
 
-    The entries of coinciding arcs are summed and zero entries dropped; a
-    row that cancels (all three arcs coincide, or x = z where t^sigma = 1)
-    is left out.
+    Each step removes a run, so the loop stops.  It sweeps the live runs,
+    and a step puts the runs it may have made eligible back on the sweep's
+    worklist: a composition its new run; a rename the runs ending and
+    starting at the merged class, and at the renamed run's over-arc class
+    if no run passes over it any more.  A merge of two over-arc classes can
+    also let two runs compose; a later sweep finds them.  The loop ends
+    after a sweep that takes no step, so neither step applies to what is
+    left: each row is t^sigma x - z + (1 - t^sigma) y with t^sigma != 1 and
+    y apart from x and z, or (t^sigma - 1)(x - y) where x and z are one
+    class.  A V^n block (n crossings of one sign under one arc) or an R2
+    pair (two of opposite signs) with no crossing over its inner arcs
+    composes into one run with t^sigma = 1 in R_n, and its rename leaves no
+    row of it.
     """
     arcs, components = dg.crossing_arcs(d)
-    overs = {y for y, _x, _z, _sign in arcs.values()}
-    # per run, keyed by its under-in arc x: [y, z, sigma]
-    runs = {}
-    wraps = []
+    g = len(components)
+    # per run, one per crossing: its ends and over-arc (x and z are always
+    # class roots, y is read through find) and its sign sum, mod n in R_n
+    ys, xs, zs, sigmas = map(list, zip(*arcs.values())) if arcs else ([], [], [], [])
+    if n is not None:
+        sigmas = [s % n for s in sigmas]
+    # per class root: the run ending there, the run starting there and the
+    # number of runs over it
+    into, out_of, over = [None] * g, [None] * g, [0] * g
+    for i, x in enumerate(xs):
+        out_of[x] = i
+    for i, z in enumerate(zs):
+        into[z] = i
+    for y in ys:
+        over[y] += 1
+    live = [True] * len(xs)
+    parent = list(range(g))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        return a
+
     pivots = 0
-    y0 = z0 = None
-    for y, x, z, sign in sorted(arcs.values(), key=_UNDER_IN):
-        if x == z0 and y == y0 and x not in overs:
-            run[1] = z
-            run[2] += sign
+    changed = True
+    while changed:
+        changed = False
+        work = [i for i in range(len(xs) - 1, -1, -1) if live[i]]
+        while work:
+            i = work.pop()
+            if i is None or not live[i]:
+                continue
+            x, z, y = xs[i], zs[i], find(ys[i])
+            if not sigmas[i] or y == x or y == z:
+                # rename: merge z into x
+                live[i] = False
+                over[y] -= 1
+                out_of[x] = into[z] = None
+                if x != z:
+                    pivots += 1
+                    parent[z] = x
+                    over[x] += over[z]
+                    after = out_of[x] = out_of[z]
+                    if after is not None:
+                        xs[after] = x
+                    work += (into[x], after)
+                y = find(y)
+                if not over[y]:
+                    work += (into[y], out_of[y])
+                changed = True
+                continue
+            # compose with the run after i, or else with the run before it
+            a, b, v = i, out_of[z], z
+            if b is None or b == i or over[z] or find(ys[b]) != y:
+                a, b, v = into[x], i, x
+                if a is None or a == i or over[x] or find(ys[a]) != y:
+                    continue
+            live[a] = False
+            u = xs[b] = xs[a]
+            out_of[u] = b
+            into[v] = out_of[v] = None
+            sigma = sigmas[a] + sigmas[b]
+            sigmas[b] = sigma if n is None else sigma % n
+            over[y] -= 1
             pivots += 1
-        else:
-            run = runs[x] = [y, z, sign]
-        if z <= x:
-            # the last crossing of a link component's walk leads back into
-            # its first arc, where the component's first run starts
-            wraps.append(run)
-        y0, z0 = y, z
-    for run in wraps:
-        y, z, sigma = run
-        first = runs[z]
-        if first is not run and first[0] == y and z not in overs:
-            run[1:] = first[1], sigma + first[2]
-            del runs[z]
-            pivots += 1
+            changed = True
+            work.append(b)
     rows = []
-    for x, (y, z, sigma) in runs.items():
-        ex, ez, ey, exy, ezy, exz, has_y = _run_entries(
-            sigma if n is None else sigma % n, n)
-        # ex, ez, x + y and z + y are units; x + z = -y
-        if x != z and y != x and y != z:
-            rows.append({x: ex, z: ez, y: ey} if has_y else {x: ex, z: ez})
-        elif x == z:
-            if y != x and has_y:
-                rows.append({x: exz, y: ey})
-        elif y == x:
-            rows.append({x: exy, z: ez})
-        else:
-            rows.append({x: ex, z: ezy})
-    return rows, len(components), pivots
+    for i in range(len(xs)):
+        if live[i]:
+            x, z, y = xs[i], zs[i], find(ys[i])
+            ex, ez, ey, exz = _run_entries(sigmas[i], n)
+            rows.append({x: ex, z: ez, y: ey} if x != z else {x: exz, y: ey})
+    return rows, g, pivots
 
 
 def _pivot_reduce(rows, ring):
@@ -278,11 +324,20 @@ def elementary_ideals(d, kmax, n=None):
 
     E^k is the ideal of (g-k)-minors of the Alexander matrix: the whole ring
     when g-k <= 0 and the zero ideal when g-k exceeds the relator count.
-    Returned lists generate the same ideals as the full minor sets.  The
-    matrix comes with the inner arcs of its under-runs eliminated, one row
-    per run (see ``_alexander_rows``); the unit pivots left are eliminated
-    next (see ``_pivot_reduce``).  Each pivot of either kind takes one from
-    every minor size, and the minors of every size needed come from one
+    Returned lists generate the same ideals as the full minor sets.
+
+    The matrix comes collapsed by two integer steps (see
+    ``_alexander_rows``), each a unit pivot or a zero row dropped.  A
+    rename takes a row that is a unit times x - z, because t^sigma = 1 (in
+    R_n, the row of a V^n block) or because its over-arc is one of its
+    ends, and merges column z into column x.  A composition takes a column
+    a with two entries only, the unit -1 in one run's row and t^sigma in
+    the next run's, and substitutes the first row into the second.  A unit
+    pivot leaves diag(unit, M') (see ``_pivot_reduce``), so the ideal of
+    (s + 1)-minors is that of the s-minors of M', and a zero row adds no
+    nonzero minor.  The unit pivots left are then eliminated by
+    ``_pivot_reduce``.  Each pivot of either kind takes one from every
+    minor size, and the minors of every size needed come from one
     ``laurent_minors`` memo.
 
     Given n >= 1 (n = None means Z[t^+-1]), the lists hold folded

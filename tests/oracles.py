@@ -286,13 +286,15 @@ def under_runs_reference(d):
 
 
 def alexander_rows_reference(d, n=None):
-    """(rows, g, pivots) as ``invariants._alexander_rows`` documents them,
-    by substitution: per crossing whose Wirtinger relator (z^-1 y x y^-1 at
-    a positive crossing, z^-1 y^-1 x y at a negative one) is not freely
-    trivial, its Fox row; then every inner arc of ``under_runs_reference``
-    (one pivot each) solved from the row of the crossing it leaves, whose
-    entry there is a unit, and substituted into every other row.  The rows
-    left are in crossing id order; given n, every entry is reduced by
+    """(rows, g, pivots) of the Alexander matrix with the inner arcs of
+    every under-run eliminated, one row per under-run, which
+    ``invariants._alexander_rows`` collapses further; by substitution: per
+    crossing whose Wirtinger relator (z^-1 y x y^-1 at a positive crossing,
+    z^-1 y^-1 x y at a negative one) is not freely trivial, its Fox row;
+    then every inner arc of ``under_runs_reference`` (one pivot each)
+    solved from the row of the crossing it leaves, whose entry there is a
+    unit, and substituted into every other row.  The rows left are in
+    crossing id order; given n, every entry is reduced by
     ``fold_bruteforce``; zero entries and rows are left out."""
     arcs = crossing_arcs_reference(d)
     rows = {}
@@ -324,25 +326,6 @@ def alexander_rows_reference(d, n=None):
         if row:
             out.append(row)
     return out, len(arc_data_reference(d)[0]), len(inner)
-
-
-def rows_up_to_units(rows, n=None):
-    """Sorted keys of sparse rows, each the least over the row's multiples
-    by every unit +-t^a (a in [0, n) in R_n; in Z[t^+-1] only the one that
-    puts the first column's entry at exponent 0 with a positive lowest
-    coefficient can be least)."""
-    keys = []
-    for row in rows:
-        first = row[min(row)]
-        if n:
-            units = [Laurent({a: c}) for a in range(n) for c in (1, -1)]
-        else:
-            units = [Laurent({-first.low: 1 if first.coeffs[0] > 0 else -1})]
-        keys.append(min(
-            tuple((g, q.low, q.coeffs) for g, q in sorted(
-                (g, fold_bruteforce(p * u, n) if n else p * u) for g, p in row.items()))
-            for u in units))
-    return sorted(keys)
 
 
 def colorings_exhaustive(d, n):

@@ -3,14 +3,14 @@ import random
 
 import pytest
 
-from wld.algebra import (AlgebraError, Laurent, f_n, fold, ideal_mod, parse_poly,
-                         poly_gcd)
+from wld.algebra import (LAURENT, AlgebraError, Laurent, cyclic_ring, f_n, fold,
+                         ideal_mod, laurent_minors, parse_poly, poly_gcd)
 from wld.classify import named
 from wld.diagram import (LINK, STRING_LINK, Diagram, crossing_arcs,
                          linking_matrix, parse, random_diagram)
 from wld.invariants import (GroupPresentation, GroupTableError,
-                            _alexander_rows, abelianization, alexander,
-                            alexander_polynomials,
+                            _alexander_rows, _pivot_reduce, abelianization,
+                            alexander, alexander_polynomials,
                             builtin_group, coloring_count, core_group,
                             elementary_ideals, hom_count, parse_group_csv,
                             simplify_presentation, welded_group)
@@ -136,16 +136,58 @@ def test_elementary_ideals_match_bruteforce_minors():
                 assert ideal_mod(mine[k], n) == ideal_mod(brute, n)
 
 
-def _assert_rows_match_reference(d, n):
-    rows, g, pivots = _alexander_rows(d, n)
+def _ideals_of_rows(rows, g, pivots, n, kmax=3):
+    """E^0..E^kmax of a matrix given as rows after ``pivots`` unit pivots,
+    finished as ``elementary_ideals`` finishes the rows of
+    ``_alexander_rows``."""
+    ring = LAURENT if n is None else cyclic_ring(n)
+    reduced, more = _pivot_reduce([dict(row) for row in rows], ring)
+    sizes = [max(g - k - pivots - more, 0) for k in range(kmax + 1)]
+    by_size = {}
+    for (rset, _cols), minor in laurent_minors(reduced, sizes, ring).items():
+        by_size.setdefault(len(rset), []).append(minor)
+    return [by_size.get(s, []) for s in sizes]
+
+
+def _assert_same_ideals(mine, theirs, n):
+    # over Z[t^+-1]: the gcds, and the images in R_2, R_3 and R_7
+    for a, b in zip(mine, theirs, strict=True):
+        if n is None:
+            assert poly_gcd(a) == poly_gcd(b)
+            for m in (2, 3, 7):
+                assert ideal_mod(a, m) == ideal_mod(b, m)
+        else:
+            assert ideal_mod(a, n) == ideal_mod(b, n)
+
+
+def _assert_rows_collapse_reference(d, n, brute=None):
+    # the collapse keeps the arc count and E^0..E^3 of the under-run rows,
+    # returns no more rows than they hold, and leaves no rename undone: no
+    # row is a unit times x - z; ``brute`` holds E^0..E^3 by raw minors
+    rows, g, _pivots = _alexander_rows(d, n)
     ref_rows, ref_g, ref_pivots = oracles.alexander_rows_reference(d, n)
-    assert (g, pivots) == (ref_g, ref_pivots)
-    assert oracles.rows_up_to_units(rows, n) == oracles.rows_up_to_units(ref_rows, n)
+    assert g == ref_g
+    assert len(rows) <= len(ref_rows)
+    is_unit = (LAURENT if n is None else cyclic_ring(n)).is_unit
+    for row in rows:
+        entries = list(row.values())
+        assert all(entries)
+        assert not (len(entries) == 2 and is_unit(entries[0])
+                    and not entries[0] + entries[1]), row
+    mine = elementary_ideals(d, 3, n)
+    _assert_same_ideals(mine, _ideals_of_rows(ref_rows, ref_g, ref_pivots, n), n)
+    if brute is not None:
+        _assert_same_ideals(mine, brute, n)
+
+
+def _bruteforce_ideals(d):
+    return [oracles.elementary_ideal_bruteforce(d, k) for k in range(4)]
 
 
 def test_alexander_rows_are_fox_rows_times_a_unit():
-    # one row per under-run: the Fox rows of its crossings with the inner
-    # arcs substituted away, times a unit
+    # the collapsed rows against the under-run rows (the Fox rows with the
+    # inner arcs of every under-run substituted away) and, up to 6
+    # crossings, against the raw minors
     rng = random.Random(25)
     diagrams = [random_diagram(rng, max_crossings=8, max_mu=3, kind=kind)
                 for kind in (LINK, STRING_LINK) for _ in range(40)]
@@ -170,8 +212,9 @@ def test_alexander_rows_are_fox_rows_times_a_unit():
                 shapes.add("V^3 block")
             if len(run) == 2 and sum(signs) == 0:
                 shapes.add("R2 pair")
+        brute = _bruteforce_ideals(d) if d.crossing_count <= 6 else None
         for n in (None, 1, 2, 3, 4):
-            _assert_rows_match_reference(d, n)
+            _assert_rows_collapse_reference(d, n, brute)
     # kinks: x = z (a one-arc component passing under), y = x, y = z, all equal
     assert {(True, False, False), (False, True, False), (False, False, True),
             (True, True, True)} <= shapes
@@ -191,8 +234,9 @@ def test_crossing_arcs_and_alexander_rows_match_run_reference():
         ref_arcs, _, _ = oracles.arc_data_reference(d)
         assert crossing_arcs(d) == (oracles.crossing_arcs_reference(d),
                                     tuple(c for c, _ in ref_arcs))
+        brute = _bruteforce_ideals(d) if d.crossing_count <= 6 else None
         for n in (None, 2, 3, 5, 7):
-            _assert_rows_match_reference(d, n)
+            _assert_rows_collapse_reference(d, n, brute)
         for comp in d.components:
             unders = sum(psg.role == "U" for psg in comp)
             seen.add("empty component" if not comp else
@@ -216,9 +260,38 @@ def test_sigma_zero_run_with_coinciding_arcs_cancels():
     for n in (1, 2, 3, 5):
         mine = elementary_ideals(d, 2, n)
         assert [ideal_mod(gens, n) for gens in mine] == [ideal_mod(gens, n) for gens in brute]
-    # V^3 blocks collapse: a per-crossing fallback would give a row per crossing
+    # V^3 blocks collapse to no row: the trefoil's rows are all that is left
     d = scramble(TREFOIL, [make_kind("v^n", 3, EXPAND)], 4, 7)
-    assert len(_alexander_rows(d, 3)[0]) < d.crossing_count
+    assert len(_alexander_rows(d, 3)[0]) == len(_alexander_rows(TREFOIL, 3)[0])
+
+
+def test_runs_compose_once_their_over_arcs_merge():
+    # crossing 3 passes under its own under-in arc 0, so its rename merges
+    # arc 1 into arc 0; crossings 2 (under arc 0) and 1 (under arc 1) then
+    # pass under one class across arc 3, which no crossing passes over, and
+    # compose into one run: one row is left, not two
+    d = parse("stringlink\ncomponent: O3+ O2- U3+ O1-\ncomponent: U2- U1-\n")
+    assert crossing_arcs(d)[0] == {1: (1, 3, 4, -1), 2: (0, 2, 3, -1), 3: (0, 0, 1, 1)}
+    for n in (None, 3):
+        rows, g, pivots = _alexander_rows(d, n)
+        assert (len(rows), g, pivots) == (1, 5, 2)
+        _assert_rows_collapse_reference(d, n, _bruteforce_ideals(d))
+
+
+def test_one_vn_block_leaves_no_row_in_r_n():
+    # a V^n block's row is x - z in R_n: it only renames an arc, so one
+    # block added anywhere leaves the rows and the matrix size of its base
+    bases = ["trefoil", "figure8", "hopf+", "h-closure:2,1,2,3", "hbar-closure:3,2,3,3",
+             "h-closure:3,1,2,2"]
+    for name in bases:
+        base = named(name)
+        for n in (2, 3, 5):
+            rows, g, pivots = _alexander_rows(base, n)
+            for seed in range(60):
+                d = scramble(base, [make_kind("v^n", n, EXPAND)], 1, seed)
+                assert d.crossing_count == base.crossing_count + n
+                got, g_d, pivots_d = _alexander_rows(d, n)
+                assert (len(got), g_d - pivots_d) == (len(rows), g - pivots), (name, n, seed)
 
 
 def test_folded_elementary_ideals_match_bruteforce_images():
