@@ -56,9 +56,11 @@ def _cmd_invariants(args):
     d = _read_diagram(args.file)
     lam = linking_matrix(d)
     polys = invariants.alexander_polynomials(d, args.kmax)
-    welded_ab = invariants.abelianization(invariants.welded_group(d))
+    # each welded relator abelianizes to x - z, joining the arcs of each
+    # component, so the welded abelianization is Z^mu (tests pin this)
+    welded_ab = (d.mu, ())
     core_ab = invariants.abelianization(invariants.core_group(d))
-    colorings = {str(n): invariants.coloring_count(d, n) for n in range(2, 8)}
+    colorings = {str(n): invariants.cyclic_hom_count(core_ab, n) for n in range(2, 8)}
     payload = {
         "mu": d.mu,
         "crossings": d.crossing_count,

@@ -385,6 +385,8 @@ class FiniteGroupTable:
     Rows are tuples, so one instance can be shared (``builtin_group`` does).
     ``classes`` lists the conjugacy classes as sorted tuples, ordered by
     their least element; ``class_of[x]`` indexes the class of ``x``.
+    ``by_inverse[a][x]`` is a x^-1 and ``element_orders[x]`` the order of
+    x, both for ``hom_count``.
     """
 
     def __init__(self, name, table):
@@ -430,6 +432,14 @@ class FiniteGroupTable:
                 classes.append(members)
         self.classes = tuple(classes)
         self.class_of = tuple(class_of)
+        self.by_inverse = tuple(tuple(row[x] for x in inverse) for row in self.table)
+        orders = []
+        for x in range(n):
+            k, power = 1, x
+            while power != identity:
+                k, power = k + 1, self.table[power][x]
+            orders.append(k)
+        self.element_orders = tuple(orders)
 
     def __repr__(self):
         return f"FiniteGroupTable({self.name!r}, order={self.order})"
@@ -677,21 +687,55 @@ def _least_rotation(word):
 
 
 def hom_count(p, group):
-    """Exact number of homomorphisms from the presented group into ``group``.
+    """Exact number of homomorphisms from the presented group pi into ``group``.
 
-    Backtracking over generator images with relator pruning, run on the
-    Tietze-simplified presentation.  Generators that share a relator or a
-    ``components`` index fall into one part.  The presented group is the
-    free product of its parts, so the count is the product of the parts'
-    counts; a generator in no relator and alone in its component is a part
-    that counts |G|.  Hom(part, G) is closed under conjugation by G, so a
-    part's first generator runs over one representative per conjugacy
-    class and each count is weighted by the class size.  Generators that
+    An abelian target (every conjugacy class a singleton) is counted from
+    the abelianization, with no search.  Every homomorphism into an abelian
+    A factors through pi^ab = Z^rank + Z/d_1 + ... + Z/d_m, so Hom(pi, A) =
+    Hom(pi^ab, A): a free generator goes anywhere in A, and a generator of
+    order d to any a with a^d = 1, that is with ord(a) dividing d.  The
+    count is |A|^rank times, per invariant factor d, the number of such a
+    (see ``_abelian_hom_count``).
+
+    Any other target is counted by backtracking over generator images with
+    relator pruning, run on the Tietze-simplified presentation.  Generators
+    that share a relator or a ``components`` index fall into one part.  The
+    presented group is the free product of its parts, so the count is the
+    product of the parts' counts; a generator in no relator and alone in
+    its component is a part that counts |G|.  Generators that
     ``components`` marks as conjugate take images in one class: once one of
     them is assigned, the later ones run over the members of its image's
-    class only.  A part too deep for the interpreter's recursion limit
-    raises ``AlgebraError``.
+    class only.  Two symmetries cut each part's search:
+
+    - Conjugation.  Hom(part, G) is closed under conjugation by G, and so
+      is its subset with given central images at the generators assigned
+      so far.  So the first generator whose image is free runs over one
+      representative per conjugacy class, and each count is weighted by
+      the class size.
+    - Right translation.  Take a part in which every relator has even
+      length and exponents that alternate cyclically, as in the core
+      relator y x^-1 y z^-1.  Sending every generator x to x a, for one a
+      in G, sends each relator word w to w or to a^-1 w a: between
+      neighbours x^1 y^-1 the letters become x a a^-1 y^-1 and cancel, and
+      the a^-1 left before a leading x^-1 and the a after a trailing x^1
+      conjugate.  So the map takes Hom(part, G) to itself, and G acts on it
+      freely (x_1 goes to x_1 a).  Each orbit holds exactly one
+      homomorphism with the identity at the part's first generator: fix it
+      there and multiply by |G|.  The identity is central, so the second
+      generator then runs over class representatives, unless a
+      ``components`` anchor already confines it.  Tietze steps keep
+      alternation (the word put in for x^1 alternates and starts and ends
+      with exponent 1, and a free cancellation leaves neighbours of
+      opposite sign), so simplified core presentations keep it; the check
+      is per relator all the same.
+
+    A part too deep for the interpreter's recursion limit raises
+    ``AlgebraError``.
     """
+    if len(group.classes) == group.order:
+        orders = group.element_orders
+        return _abelian_hom_count(abelianization(p), group.order,
+                                  lambda d: sum(1 for k in orders if d % k == 0))
     simp = simplify_presentation(p)
     gens_in = [{g for g, _ in rel} for rel in simp.relators]
     order = sorted(range(simp.ngens), key=lambda g: min(
@@ -699,8 +743,7 @@ def hom_count(p, group):
     rank = {g: i for i, g in enumerate(order)}
     # a relator is checked once its last generator is assigned, each letter
     # g^e as (the table of right multiplication by x^e, g)
-    table = group.table
-    by_inverse = tuple(tuple(row[x] for x in group.inverse) for row in table)
+    table, by_inverse = group.table, group.by_inverse
     ready_at = [[] for _ in range(simp.ngens)]
     for rel, gens in zip(simp.relators, gens_in):
         ready_at[max(gens, key=rank.__getitem__)].append(
@@ -725,6 +768,9 @@ def hom_count(p, group):
         r = find(min(gens))
         for g in gens:
             root[find(g)] = r
+    # the parts holding a relator whose exponents do not alternate cyclically
+    rigid = {find(rel[0][0]) for rel in simp.relators
+             if any(e == rel[i - 1][1] for i, (_, e) in enumerate(rel))}
     ident = group.identity
     classes = group.classes
     class_of = group.class_of
@@ -752,17 +798,27 @@ def hom_count(p, group):
                 total += rec(part, level + 1)
         return total
 
-    def count(part):
+    def by_class(part, level):
+        gen = part[level]
         total = 0
+        for members in classes:
+            assign[gen] = members[0]
+            if fits(gen):
+                total += len(members) * rec(part, level + 1)
+        return total
+
+    def count(part):
         try:
-            for members in classes:
-                assign[part[0]] = members[0]
-                if fits(part[0]):
-                    total += len(members) * rec(part, 1)
+            if find(part[0]) in rigid:
+                return by_class(part, 0)
+            assign[part[0]] = ident
+            if not fits(part[0]):
+                return 0
+            free = len(part) > 1 and anchor[part[1]] is None
+            return group.order * (by_class(part, 1) if free else rec(part, 1))
         except RecursionError:
             raise AlgebraError(f"hom_count: a part of {len(part)} generators is too "
                                "deep for the interpreter's recursion limit") from None
-        return total
 
     parts = {}
     for g in order:
@@ -770,14 +826,29 @@ def hom_count(p, group):
     return math.prod(map(count, parts.values()))
 
 
+def _abelian_hom_count(ab, size, solutions):
+    """The number of homomorphisms into an abelian group A of order
+    ``size`` from a group whose abelianization is ab = (rank, invariant
+    factors), given solutions(d) = #{a in A : a^d = 1}: |A|^rank times the
+    product of solutions(d) (see ``hom_count``)."""
+    rank, torsion = ab
+    return size ** rank * math.prod(map(solutions, torsion))
+
+
+def cyclic_hom_count(ab, n):
+    """The number of homomorphisms into Z/n from a group whose
+    abelianization is ab: n^rank times gcd(d, n) per invariant factor d,
+    since d a = 0 has gcd(d, n) solutions in Z/n."""
+    if n < 1:
+        raise AlgebraError("modulus n must be >= 1")
+    return _abelian_hom_count(ab, n, lambda d: math.gcd(d, n))
+
+
 def coloring_count(d, n):
     """Number of maps arcs -> Z/n with 2y = x + z at every crossing.
 
-    These are the homomorphisms of the core group into Z/n, counted from
-    its abelianization: n per free generator times gcd(t, n) per torsion
-    coefficient t.  (Each core relator abelianizes to 2y - x - z.)
+    These are the homomorphisms of the core group into Z/n (each core
+    relator abelianizes to 2y - x - z), counted from its abelianization by
+    ``cyclic_hom_count``.
     """
-    if n < 1:
-        raise AlgebraError("modulus n must be >= 1")
-    rank, torsion = abelianization(core_group(d))
-    return n ** rank * math.prod(math.gcd(t, n) for t in torsion)
+    return cyclic_hom_count(abelianization(core_group(d)), n)

@@ -1,8 +1,11 @@
-"""Test helpers that are not oracles: the panel of target groups and a
-wall-clock limit for one slow call."""
+"""Test helpers that are not oracles: the panel of target groups, a
+wall-clock limit for one slow call, and the large scrambled links."""
 
 import signal
 from contextlib import contextmanager
+
+from wld.classify import named
+from wld.moves import EXPAND, make_kind, scramble
 
 # the built-in groups that invariance tests count homomorphisms into
 PANEL = ("z2", "z3", "z5", "s3", "d4", "q8")
@@ -22,3 +25,12 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def scrambled_link(steps):
+    """h-closure:3,1,2,2 scrambled by welded, V^3 and V(3) moves with seed 5:
+    80, 115 and 150 steps give 110, 156 and 203 crossings, all with mu = 3."""
+    kinds = [make_kind("r1", direction=EXPAND), make_kind("r2", direction=EXPAND),
+             make_kind("r3"), make_kind("oc"), make_kind("v^n", 3, EXPAND),
+             make_kind("v(n)", 3, EXPAND)]
+    return scramble(named("h-closure:3,1,2,2"), kinds, steps, 5)

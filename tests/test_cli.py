@@ -1,11 +1,13 @@
 import json
+import random
 
 import pytest
 
 from wld.cli import main
 from wld.classify import named
-from wld.diagram import parse, serialize
-from wld.invariants import coloring_count, hom_count, welded_group, builtin_group
+from wld.diagram import LINK, STRING_LINK, closure, parse, random_diagram, serialize
+from wld.invariants import (abelianization, coloring_count, core_group, hom_count,
+                            welded_group, builtin_group)
 from wld.moves import (EXPAND, directed_kinds, find_sites, make_kind,
                        parse_kinds, scramble)
 
@@ -44,6 +46,24 @@ def test_invariants_json(capsys, trefoil_file):
     assert doc["alexander"]["1"] == "1 - t + t^2"
     assert doc["mu"] == 1 and doc["crossings"] == 3
     assert doc["colorings"]["3"] == 9
+
+
+def test_invariants_abelianizations_and_colorings_match_the_library(capsys, tmp_path):
+    # the CLI prints (mu, ()) for the welded group and reads the colorings
+    # off its one core abelianization
+    rng = random.Random(44)
+    path = tmp_path / "d.gc"
+    for _ in range(30):
+        d = random_diagram(rng, max_crossings=8, max_mu=3,
+                           kind=rng.choice((LINK, STRING_LINK)))
+        path.write_text(serialize(d))
+        code, doc = run_json(capsys, ["invariants", str(path), "--kmax", "0", "--json"])
+        closed = closure(d) if d.kind == STRING_LINK else d
+        for key, build in (("welded_abelianization", welded_group),
+                           ("core_abelianization", core_group)):
+            rank, torsion = abelianization(build(closed))
+            assert doc[key] == {"rank": rank, "torsion": list(torsion)}
+        assert doc["colorings"] == {str(n): coloring_count(closed, n) for n in range(2, 8)}
 
 
 def test_invariants_json_deterministic(capsys, trefoil_file):
@@ -262,7 +282,7 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     (["normal-form", "{bad_arrow_sign}", "--relation", "vn", "--n", "3"],
      "{bad_arrow_sign}: line 5: bad arrow line"),
     (["homs", "{trefoil}", "--group", "table:{bad_table}"], "{bad_table}: line 2: "),
-    (["homs", "{hopf_chain}", "--group", "z2"], "generators is too deep"),
+    (["homs", "{hopf_chain}", "--group", "s3"], "generators is too deep"),
     # a content error names its file, and a Gauss or arrows error the
     # file's own line
     (["normal-form", "{bad_arrow_base}", "--relation", "vn", "--n", "3"],

@@ -17,7 +17,7 @@ from wld.invariants import (GroupPresentation, GroupTableError,
 from wld.moves import EXPAND, MoveSite, apply, make_kind, scramble
 
 import oracles
-from support import PANEL, time_limit
+from support import PANEL, scrambled_link, time_limit
 
 TREFOIL = parse("component: O1+ U2+ O3+ U1+ O2+ U3+\n")
 HOPF = parse("component: O1+ U2+\ncomponent: U1+ O2+\n")
@@ -43,9 +43,12 @@ def test_welded_group_trefoil_shape():
 
 
 def test_welded_abelianization_is_z_mu():
+    # each relator abelianizes to x - z, joining the arcs of each component;
+    # `wld invariants` prints (mu, ()) without computing it
     rng = random.Random(20)
-    for _ in range(60):
-        d = random_diagram(rng, max_crossings=8, max_mu=3)
+    for _ in range(300):
+        kind = rng.choice((LINK, STRING_LINK))
+        d = random_diagram(rng, max_crossings=8, max_mu=3, kind=kind)
         assert abelianization(welded_group(d)) == (d.mu, ())
 
 
@@ -313,10 +316,7 @@ def test_folded_first_ideal_at_156_crossings_within_budget():
     # unit pivots leave a 12 x 12 matrix; over Z[t^+-1] its 11 x 11 minors
     # span up to 80 terms with 11-digit coefficients, while folded into
     # Z[t]/(t^3 - 1) every entry and minor has at most three
-    kinds = [make_kind("r1", direction=EXPAND), make_kind("r2", direction=EXPAND),
-             make_kind("r3"), make_kind("oc"), make_kind("v^n", 3, EXPAND),
-             make_kind("v(n)", 3, EXPAND)]
-    d = scramble(named("h-closure:3,1,2,2"), kinds, 115, 5)
+    d = scrambled_link(115)
     assert d.crossing_count == 156
     with time_limit(10):
         lattice = ideal_mod(elementary_ideals(d, 1, 3)[1], 3)
@@ -460,22 +460,31 @@ def test_hom_count_of_a_large_unlink_is_immediate():
 
 
 def test_hom_count_of_split_hopf_links_multiplies_the_parts():
-    # every Hopf link is a part of its own with 4 homomorphisms into z2;
-    # one search over all 24 arcs would cost the product of the parts
+    # every Hopf link is a part of its own with 18 homomorphisms into s3,
+    # the commuting pairs; one search over all 24 arcs would cost the
+    # product of the parts (z2, abelian, is counted with no search at all)
     text = "".join(f"component: O{2 * k + 1}+ U{2 * k + 2}+\n"
                    f"component: U{2 * k + 1}+ O{2 * k + 2}+\n" for k in range(12))
     pres = welded_group(parse(text))
     with time_limit(1):
-        count = hom_count(pres, builtin_group("z2"))
-    assert count == 4 ** 12
+        count = hom_count(pres, builtin_group("s3"))
+    assert count == 18 ** 12
 
 
 def test_hom_count_of_a_part_too_deep_to_search_is_an_error():
     # commutators chain 1200 generators into one part that no Tietze step
     # shortens; the depth-first search would nest one call per generator
+    # (an abelian target is counted from the abelianization, with no search)
     rels = tuple(((g, 1), (g + 1, 1), (g, -1), (g + 1, -1)) for g in range(1199))
     with pytest.raises(AlgebraError, match="1200 generators"):
-        hom_count(GroupPresentation(1200, rels), builtin_group("z2"))
+        hom_count(GroupPresentation(1200, rels), builtin_group("s3"))
+
+
+def test_hom_count_of_a_deep_commutator_chain_into_an_abelian_group():
+    # the chain above abelianizes to Z^1200, which z2 counts with no search
+    rels = tuple(((g, 1), (g + 1, 1), (g, -1), (g + 1, -1)) for g in range(1199))
+    with time_limit(1):
+        assert hom_count(GroupPresentation(1200, rels), builtin_group("z2")) == 2 ** 1200
 
 
 def test_hom_count_above_the_tietze_budget_keeps_the_period():
