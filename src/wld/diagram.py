@@ -62,10 +62,9 @@ class Diagram:
     links.  Every crossing id occurs exactly twice overall, once over and
     once under, with equal signs.
 
-    The constructor checks that by one walk over every passage, so
-    ``parse``, ``with_components`` and every diagram built directly are
-    checked whole.  A move's result is built by ``moved`` instead, which
-    checks only what the move changed of a diagram already checked.
+    The constructor checks that by one walk over every passage.  ``parse``
+    checks what it reads as it reads it, ``moved`` only what a move changed
+    and ``closure`` changes only the kind: the three skip the walk.
     """
 
     components: tuple
@@ -161,16 +160,21 @@ class Diagram:
         if count != sum(map(len, self.components)) + len(added) - len(removed):
             raise DiagramError(f"{count} passages after removing {len(removed)} "
                                f"and adding {len(added)} of {2 * self.crossing_count}")
-        out = object.__new__(Diagram)
-        object.__setattr__(out, "components", components)
-        object.__setattr__(out, "kind", self.kind)
-        return out
+        return _unchecked(components, self.kind)
 
     def fresh_crossing_id(self):
         return max([p.crossing for comp in self.components for p in comp], default=0) + 1
 
     def __str__(self):
         return serialize(self)
+
+
+def _unchecked(components, kind):
+    """``Diagram(components, kind)`` without the walk, for checked components."""
+    out = object.__new__(Diagram)
+    object.__setattr__(out, "components", components)
+    object.__setattr__(out, "kind", kind)
+    return out
 
 
 def _check_whole(passages, what):
@@ -197,9 +201,20 @@ def parse(text):
     Format: an optional header line ``stringlink``; one line per component,
     ``component:`` followed by tokens ``O<id><+|->`` / ``U<id><+|->``;
     ``#`` starts a comment line.
+
+    A ``component:`` line that ``_LINE`` matches is ``_TOKEN``s apart by
+    ``\\s`` (``str.isspace``, what ``str.split`` splits on), so
+    ``_TOKEN.findall`` reads its passages: roles O or U, signs +1 or -1,
+    integer ids, 0 caught per line.  ``over`` and ``under`` map each id to
+    the sign of its over and its under passage.  When they are equal, the
+    N passages hold 2 len(over) distinct (id, role), so N = 2 len(over)
+    means each id occurs once over and once under with one sign: the
+    diagram is whole and skips the walk.  Else the walk names what does
+    not pair up.
     """
     kind = LINK
     components = []
+    over, under = {}, {}
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -213,9 +228,19 @@ def parse(text):
         if not line.startswith("component:"):
             raise ParseError(f"expected 'component:' line, got {line!r}", lineno)
         body = line[len("component:"):]
-        components.append(tuple(_parse_token(tok, lineno) for tok in body.split()))
+        comp = _LINE.fullmatch(body) and [tuple.__new__(Passage, (int(cid), role, _SIGN[sign]))
+                                          for role, cid, sign in _TOKEN.findall(body)]
+        for cid, role, sign in comp or ():
+            (over if role == OVER else under)[cid] = sign
+        if comp is None or 0 in over or 0 in under:
+            # then some token fails _TOKEN or has id 0: name the first
+            tok = next(t for t in body.split() if not (m := _TOKEN.fullmatch(t)) or not int(m[2]))
+            raise ParseError(f"unknown token {tok!r}", lineno)
+        components.append(tuple(comp))
     if not components:
         raise ParseError("no components found")
+    if over == under and 2 * len(over) == sum(map(len, components)):
+        return _unchecked(tuple(components), kind)
     try:
         return Diagram(tuple(components), kind)
     except DiagramError as exc:
@@ -229,14 +254,9 @@ def parse(text):
 
 
 _TOKEN = re.compile(rf"([{OVER}{UNDER}])({DIGITS})([+-])")
-
-
-def _parse_token(tok, lineno):
-    m = _TOKEN.fullmatch(tok)
-    cid = int(m[2]) if m else 0
-    if cid < 1:
-        raise ParseError(f"unknown token {tok!r}", lineno)
-    return Passage(cid, m[1], 1 if m[3] == "+" else -1)
+# groups that do not capture, and a possessive repeat: no backtracking
+_LINE = re.compile(r"\s*(?:{0}(?:\s+{0})*+)?\s*".format(_TOKEN.pattern.replace("(", "(?:")))
+_SIGN = {"+": 1, "-": -1}
 
 
 def serialize(d):
@@ -260,7 +280,7 @@ def closure(d):
     """
     if d.kind != STRING_LINK:
         raise DiagramError("closure expects a string link diagram")
-    return Diagram(d.components, LINK)
+    return _unchecked(d.components, LINK)
 
 
 def _walk_start(kind, comp):

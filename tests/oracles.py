@@ -9,17 +9,20 @@ by exhaustive enumeration, elementary ideals by enumerating every minor of
 the raw Alexander matrix, the canonical key by trying every combination of
 basepoint rotations, divisibility by exact Laurent long division, move
 sites by offering ``apply`` every tuple of a site's shape, R3 triangles
-by a pattern table closed from the braid relation, and Tietze simplification
-by rescanning every relator at every step.
+by a pattern table closed from the braid relation, Tietze simplification
+by rescanning every relator at every step, and Gauss codes by matching each
+token on its own and checking the diagram by the constructor's walk.
 """
 
 import itertools
 import operator
+import re
 from collections import Counter
 
 from wld import invariants
 from wld.algebra import AlgebraError, Laurent, cyclic_reduce
-from wld.diagram import OVER, STRING_LINK, UNDER
+from wld.diagram import (DIGITS, LINK, OVER, STRING_LINK, UNDER, Diagram, DiagramError,
+                         ParseError, Passage)
 from wld.moves import MoveError, apply
 
 
@@ -608,3 +611,48 @@ def elementary_ideal_bruteforce(d, k):
             if det:
                 out.append(det)
     return out
+
+
+def parse_per_token(text):
+    """``diagram.parse`` as a per-token reader: each token is matched on its
+    own and built through ``Passage``, and the constructor's walk checks the
+    whole diagram."""
+    kind = LINK
+    components = []
+    header_allowed = True
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line == "stringlink" and header_allowed:
+            kind = STRING_LINK
+            header_allowed = False
+            continue
+        header_allowed = False
+        if not line.startswith("component:"):
+            raise ParseError(f"expected 'component:' line, got {line!r}", lineno)
+        body = line[len("component:"):]
+        components.append(tuple(_parse_token(tok, lineno) for tok in body.split()))
+    if not components:
+        raise ParseError("no components found")
+    try:
+        return Diagram(tuple(components), kind)
+    except DiagramError as exc:
+        # name the line of the crossing's last passage; every line that
+        # starts with "component:" gave one component, in order
+        comp_lines = (lineno for lineno, raw in enumerate(text.splitlines(), start=1)
+                      if raw.strip().startswith("component:"))
+        line = max((lineno for lineno, comp in zip(comp_lines, components)
+                    if any(psg.crossing == exc.crossing for psg in comp)), default=None)
+        raise ParseError(str(exc), line) from exc
+
+
+_TOKEN = re.compile(rf"([{OVER}{UNDER}])({DIGITS})([+-])")
+
+
+def _parse_token(tok, lineno):
+    m = _TOKEN.fullmatch(tok)
+    cid = int(m[2]) if m else 0
+    if cid < 1:
+        raise ParseError(f"unknown token {tok!r}", lineno)
+    return Passage(cid, m[1], 1 if m[3] == "+" else -1)

@@ -301,12 +301,17 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     (["invariants", "{mixed_signs}"], "error: {mixed_signs}: line 2: crossing 1 has mismatched signs"),
     (["invariants", "{three_times}"],
      "error: {three_times}: line 3: crossing 1 appears 3 times, expected 2"),
+    (["invariants", "{glued}"], "error: {glued}: line 1: unknown token 'O1+U1+'"),
+    (["invariants", "{id_00}"], "error: {id_00}: line 2: unknown token 'O00+'"),
+    (["invariants", "{after_valid}"],
+     "error: {after_valid}: line 2: crossing 3 must appear exactly once over and once under"),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
         "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep",
         "arrows-base-line", "group-table-empty", "group-table-not-square",
         "group-table-no-inverse", "equiv-right-file", "gauss-two-overs-line",
-        "gauss-mixed-signs-line", "gauss-three-times-line"])
+        "gauss-mixed-signs-line", "gauss-three-times-line", "gauss-glued-tokens",
+        "gauss-id-00", "gauss-pairing-after-a-valid-line"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
                                                 fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"
@@ -316,10 +321,15 @@ def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, 
                               "arrow: 1.2 1.1 -\ncomponent:\ncomponent: X\n")
     bad_gauss = tmp_path / "bad.gc"
     bad_gauss.write_text("component: O1+\ncomponent: Q2+\n")
-    # crossing 1 twice over, with both signs, and three times
-    for name, text in {"two_overs": "component: O1+ U2+\n# the other\ncomponent: O2+ O1+\n",
-                       "mixed_signs": "component: O1+\ncomponent: U1-\n",
-                       "three_times": "component: O1+ U1+\n\ncomponent: U1+\n"}.items():
+    # crossing 1 twice over, with both signs, and three times; two tokens
+    # glued, an id of 00, and crossing 3 left unpaired after a whole line
+    gauss = {"two_overs": "component: O1+ U2+\n# the other\ncomponent: O2+ O1+\n",
+             "mixed_signs": "component: O1+\ncomponent: U1-\n",
+             "three_times": "component: O1+ U1+\n\ncomponent: U1+\n",
+             "glued": "component: O1+U1+\n",
+             "id_00": "component: O1+ U1+\ncomponent: O00+ U00+\n",
+             "after_valid": "component: O1+ U1+\ncomponent: O2+ U3+\n# the last\ncomponent: U2+\n"}
+    for name, text in gauss.items():
         (tmp_path / f"{name}.gc").write_text(text)
     tables = {"bad_table": "0,1\n1,x\n", "empty_table": "", "ragged_table": "0,1\n1\n",
               "no_inverse_table": "0,1\n1,1\n"}
@@ -337,8 +347,7 @@ def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, 
              "bad_arrow_sign": str(bad_arrow_sign), "bad_arrow_base": str(bad_arrow_base),
              "bad_gauss": str(bad_gauss), "hopf_chain": str(hopf_chain),
              **{name: str(tmp_path / f"{name}.csv") for name in tables},
-             **{name: str(tmp_path / f"{name}.gc")
-                for name in ("two_overs", "mixed_signs", "three_times")}}
+             **{name: str(tmp_path / f"{name}.gc") for name in gauss}}
     assert main([arg.format(**paths) for arg in argv]) == 1
     err = capsys.readouterr().err
     assert fragment.format(**paths) in err, err

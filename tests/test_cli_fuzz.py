@@ -3,9 +3,10 @@
 Every run of ``wld.cli.main`` exits 0, 1 or 2, prints exactly one ``error:``
 line when it exits 1, and raises nothing else.  The inputs are mutated
 Gauss codes and headers, arrows files and group tables, and mutated
-move-kind and example names.  Numbers keep to three digits, and obstruct's
-``--n`` to two (its ideals live in Z[t]/(t^n - 1), whose lattices grow with
-n), so every run is quick without work budgets.
+move-kind and example names.  Gauss crossing ids go up to 640 digits,
+which reading needs no budget for; other numbers keep to three digits, and
+obstruct's ``--n`` to two (its ideals live in Z[t]/(t^n - 1), whose
+lattices grow with n), so every run is quick without work budgets.
 """
 
 import contextlib
@@ -46,16 +47,22 @@ FIXED_EXAMPLES = ["trefoil", "TREFOIL", "unknot", "figure8", "hopf+", "hopf-",
 
 small = st.integers(-3, 12)
 three_digits = st.integers(-999, 999)
+# a passage of any id DIGITS allows, and both passages of one crossing
+passage = st.builds("{}{}{}".format, st.sampled_from("OU"),
+                    st.integers(0, 10 ** 640 - 1) | st.integers(0, 999), st.sampled_from("+-"))
+crossing = st.builds("O{0}{1} U{0}{1}".format, st.integers(1, 10 ** 640 - 1),
+                     st.sampled_from("+-"))
+gauss_token = st.sampled_from(TOKENS) | passage | crossing
 
 
 @st.composite
 def mutated(draw, texts, tokens):
-    """One of ``texts`` with up to four tokens replaced, inserted or
-    deleted."""
+    """One of ``texts`` with up to four tokens, drawn from the strategy
+    ``tokens``, replaced, inserted or deleted."""
     words = draw(st.sampled_from(texts)).replace("\n", " \n ").split(" ")
     for _ in range(draw(st.integers(0, 4))):
         at = draw(st.integers(0, len(words)))
-        token = draw(st.sampled_from(tokens))
+        token = draw(tokens)
         action = draw(st.sampled_from(("replace", "insert", "delete")))
         if action == "insert":
             words.insert(at, token)
@@ -128,8 +135,9 @@ commands = st.one_of(
 
 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
-@given(argv=commands, gauss=mutated(GAUSS, TOKENS), other=mutated(GAUSS, TOKENS),
-       arrows=mutated(ARROWS, TOKENS), table=group_csv(), drop=st.integers(0, 30))
+@given(argv=commands, gauss=mutated(GAUSS, gauss_token), other=mutated(GAUSS, gauss_token),
+       arrows=mutated(ARROWS, st.sampled_from(TOKENS)), table=group_csv(),
+       drop=st.integers(0, 30))
 def test_cli_exits_0_1_or_2_with_one_error_line(argv, gauss, other, arrows, table, drop):
     with tempfile.TemporaryDirectory() as folder:
         paths = {key: os.path.join(folder, name) for key, name in

@@ -1,7 +1,8 @@
 """The package's internal imports follow the README's module order, all at
 module level, only the command-line front end opens files, only the move
 engine checks site entries, and only the diagram module builds a diagram
-without the full walk, for the move engine alone."""
+without the full walk: in one helper, for its reader, its closure and the
+move engine."""
 
 import ast
 from pathlib import Path
@@ -46,17 +47,39 @@ def test_each_module_imports_only_earlier_modules():
     assert not later, later
 
 
+def is_call(node, func, first_arg=None):
+    """Whether ``node`` calls a function or method named ``func`` (whose
+    first argument is the name ``first_arg``, if given)."""
+    return (isinstance(node, ast.Call)
+            and func in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+            and (first_arg is None
+                 or getattr(next(iter(node.args), None), "id", None) == first_arg))
+
+
 def calls(func, skip, first_arg=None):
-    """``module:line`` of each call, outside module ``skip``, of a function
-    or method named ``func`` (whose first argument is the name
-    ``first_arg``, if given)."""
+    """``module:line`` of each call, outside module ``skip``, as ``is_call``
+    reads it."""
     return sorted(f"{name}:{node.lineno}" for name, tree in MODULES.items()
                   if name != skip for node in ast.walk(tree)
-                  if isinstance(node, ast.Call)
-                  and func in (getattr(node.func, "id", None),
-                               getattr(node.func, "attr", None))
-                  and (first_arg is None
-                       or getattr(next(iter(node.args), None), "id", None) == first_arg))
+                  if is_call(node, func, first_arg))
+
+
+def callers(func, first_arg=None):
+    """``module.function`` of each call, as ``is_call`` reads it, by the
+    innermost function around it."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = f"{where.partition('.')[0]}.{node.name}"
+        if is_call(node, func, first_arg):
+            found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    for name, tree in MODULES.items():
+        visit(tree, name)
+    return sorted(found)
 
 
 def test_only_the_cli_opens_files():
@@ -68,10 +91,12 @@ def test_only_the_move_engine_checks_site_entries():
 
 
 def test_only_the_diagram_module_skips_the_walk():
-    # __new__(Diagram) builds a diagram without __post_init__'s walk;
-    # Diagram.moved does so after checking what a move changed, and only
-    # the move engine's actions call it
-    assert not calls("__new__", "diagram", "Diagram"), calls("__new__", "diagram", "Diagram")
+    # __new__(Diagram) builds a diagram without __post_init__'s walk, once,
+    # in diagram._unchecked; parse calls that after checking what it read,
+    # Diagram.moved after checking what a move changed, and closure, which
+    # changes only the kind; only the move engine's actions call moved
+    assert callers("__new__", "Diagram") == ["diagram._unchecked"]
+    assert callers("_unchecked") == ["diagram.closure", "diagram.moved", "diagram.parse"]
     assert not calls("moved", "moves"), calls("moved", "moves")
 
 
