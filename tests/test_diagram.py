@@ -58,7 +58,7 @@ def test_parse_names_a_malformed_token_and_its_line(tok):
 @pytest.mark.parametrize("bad", ["U50000", "U" + "9" * 641 + "+", "U50000+U1+"],
                          ids=["no-sign", "641-digits", "glued"])
 def test_a_long_line_with_a_bad_last_token_fails_fast(bad):
-    # 100,000 tokens: the line is matched once, without backtracking over it
+    # 100,000 tokens: each is matched on its own, so the line is read once
     toks = [f"{role}{k}+" for k in range(1, 50001) for role in "OU"]
     toks[-1] = bad
     with time_limit(1), pytest.raises(ParseError) as err:

@@ -1,8 +1,8 @@
-"""The one-pass Gauss reader against the per-token reader it replaced.
+"""The Gauss reader against the reader it replaced.
 
-``diagram.parse`` matches each ``component:`` line once and checks the
-diagram on what it read; ``oracles.parse_per_token`` matches each token on
-its own and checks the diagram by the constructor's walk.  On every text
+``diagram.parse`` checks the diagram on what it read as it reads each
+token; ``oracles.parse_per_token`` builds each passage through its
+constructor and checks the diagram by the constructor's walk.  On every text
 they must give the same diagram, or the same error class, message, line
 and crossing.  The texts are random diagrams, written out and then mutated
 at the character and the token level.
