@@ -26,6 +26,8 @@ import re
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
+from .diagram import DIGITS, MAX_DIGITS
+
 
 class AlgebraError(ValueError):
     pass
@@ -170,8 +172,8 @@ def format_poly(p):
 
 
 _SIGN_SPLIT = re.compile(r"(?<!\^)([+-])")
-# numbers have at most 640 digits, the bound of ``diagram.DIGITS``
-_TERM = re.compile(r"(\d{0,640})(t(?:\^(-?\d{1,640}))?)?")
+# numbers have at most MAX_DIGITS digits, as in ``diagram.DIGITS``
+_TERM = re.compile(rf"(\d{{0,{MAX_DIGITS}}})(t(?:\^(-?{DIGITS}))?)?")
 
 
 def parse_poly(text):

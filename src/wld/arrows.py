@@ -216,7 +216,7 @@ def _reverse(d, kind, positions):
     comps = [list(c) for c in d.components]
     for (ci, q), role in zip(positions, (UNDER, OVER)):
         comps[ci][q] = comps[ci][q]._replace(role=role)
-    return d.with_components(comps)
+    return Diagram(comps, d.kind)
 
 
 def _kinks(role, d, kind):

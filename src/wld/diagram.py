@@ -20,8 +20,11 @@ OVER = "O"
 UNDER = "U"
 
 # a number in text has at most 640 digits, the least limit ``int`` can be
-# held to (``sys.set_int_max_str_digits``), so reading one never fails
-DIGITS = r"\d{1,640}"
+# held to (``sys.set_int_max_str_digits``), so reading one never fails; a
+# crossing id, written out as one, is below ID_BOUND
+MAX_DIGITS = 640
+DIGITS = rf"\d{{1,{MAX_DIGITS}}}"
+ID_BOUND = 10 ** MAX_DIGITS
 
 class DiagramError(ValueError):
     """Structurally invalid diagram, or an operation misapplied to one.
@@ -59,12 +62,14 @@ class Diagram:
 
     ``components[i]`` is the passage sequence of the ``i``-th component in
     reading order (= orientation), cyclic for links and linear for string
-    links.  Every crossing id occurs exactly twice overall, once over and
-    once under, with equal signs.
+    links.  Every crossing id, from 1 to 10^640 - 1 so that it can be
+    written out, occurs exactly twice overall, once over and once under,
+    with equal signs.
 
-    The constructor checks that by one walk over every passage.  ``parse``
-    checks what it reads as it reads it, ``moved`` only what a move changed
-    and ``closure`` changes only the kind: the three skip the walk.
+    The constructor checks that by ``_check_whole``, the one rule, over
+    every passage.  ``parse`` runs its test inline on what it reads,
+    ``moved`` runs it over only what a move changed and ``closure`` changes
+    only the kind: the three skip the constructor.
     """
 
     components: tuple
@@ -76,38 +81,7 @@ class Diagram:
         object.__setattr__(self, "components", tuple(tuple(c) for c in self.components))
         if len(self.components) < 1:
             raise DiagramError("a diagram needs at least one component")
-        # one walk: per crossing id, [over count, under count, sign], the
-        # sign set to 0 once two passages disagree
-        seen = {}
-        for comp in self.components:
-            for psg in comp:
-                if not isinstance(psg, Passage):
-                    raise DiagramError(f"not a passage: {psg!r}")
-                cid, role, sign = psg
-                if cid < 1:
-                    raise DiagramError(f"crossing ids must be positive, got {cid}")
-                if role not in (OVER, UNDER):
-                    raise DiagramError(f"bad role {role!r}")
-                if sign not in (1, -1):
-                    raise DiagramError(f"bad sign {sign!r}")
-                entry = seen.get(cid)
-                if entry is None:
-                    seen[cid] = entry = [0, 0, sign]
-                elif entry[2] != sign:
-                    entry[2] = 0
-                entry[role == UNDER] += 1
-        miscount = None
-        for cid, (overs, unders, sign) in seen.items():
-            if not overs or not unders:
-                raise DiagramError(
-                    f"crossing {cid} must appear exactly once over and once under", cid)
-            if not sign:
-                raise DiagramError(f"crossing {cid} has mismatched signs", cid)
-            if miscount is None and overs + unders != 2:
-                miscount = (cid, overs + unders)
-        if miscount is not None:
-            cid, count = miscount
-            raise DiagramError(f"crossing {cid} appears {count} times, expected 2", cid)
+        _check_whole([psg for comp in self.components for psg in comp])
 
     @property
     def mu(self):
@@ -130,17 +104,13 @@ class Diagram:
                 sign[cid] = s
         return {cid: (over[cid], under[cid], sign[cid]) for cid in sorted(sign)}
 
-    def with_components(self, components):
-        return Diagram(tuple(tuple(c) for c in components), self.kind)
-
     def moved(self, components, removed=(), added=(), fresh=None):
         """The diagram of this kind with these components, made from this
         one by removing the passages ``removed`` and adding ``added``.
 
         This diagram's passages were checked when it was built, so only the
-        change is: the removed passages, and the added ones, each pair up
-        into whole crossings (every id once over and once under, with one
-        sign); the added ids are at least ``fresh`` (default
+        change is: the lists ``removed`` and ``added`` each pass
+        ``_check_whole``; the added ids are at least ``fresh`` (default
         ``fresh_crossing_id()``), so none is in use; and the passage count
         changes by ``len(added) - len(removed)``.  Raises DiagramError
         otherwise.
@@ -148,9 +118,9 @@ class Diagram:
         components = tuple(tuple(c) for c in components)
         if not components:
             raise DiagramError("a diagram needs at least one component")
-        _check_whole(removed, "removed")
+        _check_whole(removed)
         if added:
-            _check_whole(added, "added")
+            _check_whole(added)
             if fresh is None:
                 fresh = self.fresh_crossing_id()
             low = min(psg.crossing for psg in added)
@@ -170,29 +140,62 @@ class Diagram:
 
 
 def _unchecked(components, kind):
-    """``Diagram(components, kind)`` without the walk, for checked components."""
+    """``Diagram(components, kind)`` without ``_check_whole``, for checked
+    components."""
     out = object.__new__(Diagram)
     object.__setattr__(out, "components", components)
     object.__setattr__(out, "kind", kind)
     return out
 
 
-def _check_whole(passages, what):
-    """Raise DiagramError unless the passages pair up into whole crossings:
-    each id once over and once under, with one sign."""
-    overs, unders = {}, {}
+def _check_whole(passages):
+    """Raise DiagramError unless the passages, a list, pair up into whole
+    crossings: each id, from 1 to 10^640 - 1, once over and once under,
+    with one sign.
+
+    ``over`` and ``under`` map each id to the sign of its over and its
+    under passage.  When they are equal, the N passages hold 2 len(over)
+    distinct (id, role), so N = 2 len(over) means each id occurs once over
+    and once under with one sign.  Only when that test fails are the
+    passages counted per id, to name the first crossing, in the order of
+    first passages, that is not once over and once under, else that has
+    mismatched signs, else the first that does not occur twice.
+    """
+    over, under = {}, {}
     for psg in passages:
-        if not isinstance(psg, Passage) or psg.role not in (OVER, UNDER) or psg.sign not in (1, -1):
-            raise DiagramError(f"{what}: {psg!r} is not a passage")
-        side = overs if psg.role == OVER else unders
-        if psg.crossing in side:
-            raise DiagramError(f"{what} passages hold crossing {psg.crossing} twice "
-                               f"with role {psg.role}", psg.crossing)
-        side[psg.crossing] = psg.sign
-    if overs != unders:
-        cid = min(set(overs.items()) ^ set(unders.items()))[0]
-        raise DiagramError(f"{what} passages do not hold crossing {cid} once over and "
-                           "once under with one sign", cid)
+        if not isinstance(psg, Passage):
+            raise DiagramError(f"not a passage: {psg!r}")
+        cid, role, sign = psg
+        if cid < 1:
+            raise DiagramError(f"crossing ids must be positive, got {cid}")
+        if cid >= ID_BOUND:
+            # too long to write out, and so to print in this message
+            raise DiagramError(f"crossing ids must be below 10^{MAX_DIGITS}")
+        if role not in (OVER, UNDER):
+            raise DiagramError(f"bad role {role!r}")
+        if sign not in (1, -1):
+            raise DiagramError(f"bad sign {sign!r}")
+        (over if role == OVER else under)[cid] = sign
+    if over == under and 2 * len(over) == len(passages):
+        return
+    # per crossing id: [over count, under count, sign], the sign set to 0
+    # once two passages disagree
+    seen = {}
+    for cid, role, sign in passages:
+        entry = seen.get(cid)
+        if entry is None:
+            seen[cid] = entry = [0, 0, sign]
+        elif entry[2] != sign:
+            entry[2] = 0
+        entry[role == UNDER] += 1
+    for cid, (overs, unders, sign) in seen.items():
+        if not overs or not unders:
+            raise DiagramError(
+                f"crossing {cid} must appear exactly once over and once under", cid)
+        if not sign:
+            raise DiagramError(f"crossing {cid} has mismatched signs", cid)
+    cid, count = next((cid, o + u) for cid, (o, u, _) in seen.items() if o + u != 2)
+    raise DiagramError(f"crossing {cid} appears {count} times, expected 2", cid)
 
 
 def parse(text):
@@ -203,16 +206,14 @@ def parse(text):
     ``#`` starts a comment line.
 
     Each token that ``_TOKEN`` matches with an id of 1 or more is a
-    passage: role O or U, sign +1 or -1, a positive integer id; any other
-    token is an error.  ``over`` and ``under`` map each id to the sign of
-    its over and its under passage.  When they are equal, the
-    N passages hold 2 len(over) distinct (id, role), so N = 2 len(over)
-    means each id occurs once over and once under with one sign: the
-    diagram is whole and skips the walk.  Else the walk names what does
-    not pair up.
+    passage: role O or U, sign +1 or -1, a positive integer id of at most
+    640 digits; any other token is an error.  The passages read are
+    checked by ``_check_whole``'s test, inline: when it holds the diagram
+    is whole and skips the constructor, else the constructor names what
+    does not pair up, and the line of that crossing's last passage.
     """
     kind = LINK
-    components = []
+    components, lines = [], []
     over, under = {}, {}
     header_allowed = True
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,6 +239,7 @@ def parse(text):
             (over if role == OVER else under)[cid] = sign
             comp.append(tuple.__new__(Passage, (cid, role, sign)))
         components.append(tuple(comp))
+        lines.append(lineno)
     if not components:
         raise ParseError("no components found")
     if over == under and 2 * len(over) == sum(map(len, components)):
@@ -245,11 +247,8 @@ def parse(text):
     try:
         return Diagram(tuple(components), kind)
     except DiagramError as exc:
-        # name the line of the crossing's last passage; every line that
-        # starts with "component:" gave one component, in order
-        comp_lines = (lineno for lineno, raw in enumerate(text.splitlines(), start=1)
-                      if raw.strip().startswith("component:"))
-        line = max((lineno for lineno, comp in zip(comp_lines, components)
+        # name the line of the crossing's last passage
+        line = max((lineno for lineno, comp in zip(lines, components)
                     if any(psg.crossing == exc.crossing for psg in comp)), default=None)
         raise ParseError(str(exc), line) from exc
 

@@ -705,13 +705,15 @@ def hom_count(p, group):
     its component is a part that counts |G|.  Generators that
     ``components`` marks as conjugate take images in one class: once one of
     them is assigned, the later ones run over the members of its image's
-    class only.  Two symmetries cut each part's search:
+    class only.  Each part's one search carries a flag, set while every
+    image assigned so far is central.  Two symmetries cut it:
 
     - Conjugation.  Hom(part, G) is closed under conjugation by G, and so
       is its subset with given central images at the generators assigned
-      so far.  So the first generator whose image is free runs over one
-      representative per conjugacy class, and each count is weighted by
-      the class size.
+      so far.  So while the flag is set, the next free generator runs over
+      one representative per conjugacy class, each count weighted by the
+      class size, and the flag stays set below a central one.  An anchored
+      generator then takes its anchor's central image alone.
     - Right translation.  Take a part in which every relator has even
       length and exponents that alternate cyclically, as in the core
       relator y x^-1 y z^-1.  Sending every generator x to x a, for one a
@@ -721,9 +723,9 @@ def hom_count(p, group):
       conjugate.  So the map takes Hom(part, G) to itself, and G acts on it
       freely (x_1 goes to x_1 a).  Each orbit holds exactly one
       homomorphism with the identity at the part's first generator: fix it
-      there and multiply by |G|.  The identity is central, so the second
-      generator then runs over class representatives, unless a
-      ``components`` anchor already confines it.  Tietze steps keep
+      there and multiply by |G|; the identity is central, so the flag
+      stays set.  A relator checked at that first generator holds no other,
+      and the identity satisfies it, so none is checked.  Tietze steps keep
       alternation (the word put in for x^1 alternates and starts and ends
       with exponent 1, and a free cancellation leaves neighbours of
       opposite sign), so simplified core presentations keep it; the check
@@ -772,50 +774,40 @@ def hom_count(p, group):
     rigid = {find(rel[0][0]) for rel in simp.relators
              if any(e == rel[i - 1][1] for i, (_, e) in enumerate(rel))}
     ident = group.identity
-    classes = group.classes
-    class_of = group.class_of
+    classes, class_of = group.classes, group.class_of
+    reps = [members[0] for members in classes]
+    size = [len(classes[class_of[x]]) for x in range(group.order)]
     every = range(group.order)
     assign = [0] * simp.ngens
 
-    def fits(gen):
-        for rel in ready_at[gen]:
-            acc = ident
-            for tab, g in rel:
-                acc = tab[acc][assign[g]]
-            if acc != ident:
-                return False
-        return True
-
-    def rec(part, level):
+    def search(part, level, central):
+        # the weighted count of extensions of the images of part[:level]
         if level == len(part):
             return 1
         gen = part[level]
         first = anchor[gen]
         total = 0
-        for val in every if first is None else classes[class_of[assign[first]]]:
+        values = (classes[class_of[assign[first]]] if first is not None
+                  else reps if central else every)
+        for val in values:
             assign[gen] = val
-            if fits(gen):
-                total += rec(part, level + 1)
-        return total
-
-    def by_class(part, level):
-        gen = part[level]
-        total = 0
-        for members in classes:
-            assign[gen] = members[0]
-            if fits(gen):
-                total += len(members) * rec(part, level + 1)
+            for rel in ready_at[gen]:
+                acc = ident
+                for tab, g in rel:
+                    acc = tab[acc][assign[g]]
+                if acc != ident:
+                    break
+            else:
+                found = search(part, level + 1, central and size[val] == 1)
+                total += size[val] * found if central else found
         return total
 
     def count(part):
         try:
             if find(part[0]) in rigid:
-                return by_class(part, 0)
+                return search(part, 0, True)
             assign[part[0]] = ident
-            if not fits(part[0]):
-                return 0
-            free = len(part) > 1 and anchor[part[1]] is None
-            return group.order * (by_class(part, 1) if free else rec(part, 1))
+            return group.order * search(part, 1, True)
         except RecursionError:
             raise AlgebraError(f"hom_count: a part of {len(part)} generators is too "
                                "deep for the interpreter's recursion limit") from None
@@ -838,9 +830,8 @@ def _abelian_hom_count(ab, size, solutions):
 def cyclic_hom_count(ab, n):
     """The number of homomorphisms into Z/n from a group whose
     abelianization is ab: n^rank times gcd(d, n) per invariant factor d,
-    since d a = 0 has gcd(d, n) solutions in Z/n."""
-    if n < 1:
-        raise AlgebraError("modulus n must be >= 1")
+    since d a = 0 has gcd(d, n) solutions in Z/n; ``cyclic_ring`` checks n."""
+    cyclic_ring(n)
     return _abelian_hom_count(ab, n, lambda d: math.gcd(d, n))
 
 

@@ -1,9 +1,14 @@
 """Test helpers that are not oracles: the panel of target groups, a
-wall-clock limit for one slow call, and the large scrambled links."""
+wall-clock limit for one slow call, the command line in a fresh process,
+and the large scrambled links."""
 
+import os
 import signal
+import subprocess
+import sys
 from contextlib import contextmanager
 
+import wld
 from wld.classify import named
 from wld.moves import EXPAND, make_kind, scramble
 
@@ -25,6 +30,16 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of ``python -m wld`` with ``argv``, in a
+    new interpreter."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(wld.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-m", "wld", *argv], capture_output=True,
+                          text=True, env=env, check=False)
+    return done.returncode, done.stdout, done.stderr
 
 
 def scrambled_link(steps):

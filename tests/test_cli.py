@@ -11,7 +11,7 @@ from wld.invariants import (abelianization, coloring_count, core_group, hom_coun
 from wld.moves import (EXPAND, directed_kinds, find_sites, make_kind,
                        parse_kinds, scramble)
 
-from support import time_limit
+from support import run_fresh, time_limit
 
 ENUMERATE_KINDS = "r1,r2,r3,oc,uc,v,v(n):2,v(n):3,v^n:3,vbar(n):3,vbar^n:3"
 # scramble kinds that only add crossings (or keep their number)
@@ -270,6 +270,35 @@ def test_readme_command_walkthrough(tmp_path, capsys):
         capsys.readouterr()
 
 
+def test_scramble_to_an_id_too_long_to_write_out_fails_and_writes_nothing(capsys, tmp_path):
+    # seed 1 draws an R1 expansion, whose fresh crossing would be 10^640
+    src, dst = tmp_path / "nines.gc", tmp_path / "out.gc"
+    src.write_text(f"component: O{'9' * 640}+ U{'9' * 640}+\n")
+    argv = ["scramble", str(src), "--moves", "r1", "--steps", "1", "--seed", "1",
+            "-o", str(dst)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: crossing ids must be below 10^640\n"
+    assert not dst.exists()
+
+
+def test_python_m_wld_reads_the_files_it_writes(tmp_path):
+    # each command reads the file the one before it wrote
+    tre, mixed = str(tmp_path / "trefoil.gc"), str(tmp_path / "scrambled.gc")
+    steps = [["examples", "trefoil", "-o", tre],
+             ["scramble", tre, "--moves", "r1,r2,r3,oc", "--steps", "20", "--seed", "3",
+              "-o", mixed],
+             ["invariants", mixed, "--json"],
+             ["obstruct", mixed, tre, "--n", "2", "--kmax", "1"]]
+    outs = []
+    for argv in steps:
+        code, out, err = run_fresh(argv)
+        assert (code, err) == (0, ""), argv
+        outs.append(out)
+    doc = json.loads(outs[2])
+    assert doc["alexander"]["1"] == "1 - t + t^2" and doc["colorings"]["3"] == 9
+    assert outs[3] == "vn-only n=2: inconclusive (no ideal obstruction up to k=1)\n"
+
+
 @pytest.mark.parametrize("argv, fragment", [
     (["normal-form", "{missing}", "--relation", "vn", "--n", "3"],
      "cannot read {missing}"),
@@ -305,13 +334,16 @@ def test_readme_command_walkthrough(tmp_path, capsys):
     (["invariants", "{id_00}"], "error: {id_00}: line 2: unknown token 'O00+'"),
     (["invariants", "{after_valid}"],
      "error: {after_valid}: line 2: crossing 3 must appear exactly once over and once under"),
+    (["colorings", "{trefoil}", "--n", "0"], "error: modulus n must be >= 1, got 0"),
+    (["colorings", "{trefoil}", "--n", "-3"], "error: modulus n must be >= 1, got -3"),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
         "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep",
         "arrows-base-line", "group-table-empty", "group-table-not-square",
         "group-table-no-inverse", "equiv-right-file", "gauss-two-overs-line",
         "gauss-mixed-signs-line", "gauss-three-times-line", "gauss-glued-tokens",
-        "gauss-id-00", "gauss-pairing-after-a-valid-line"])
+        "gauss-id-00", "gauss-pairing-after-a-valid-line", "colorings-n-0",
+        "colorings-n-negative"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
                                                 fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"

@@ -1,11 +1,7 @@
 """The CLI parser is built once per process; reusing it must leak nothing
 from one ``main`` call into the next."""
 
-import os
-import subprocess
-import sys
-
-import wld
+from support import run_fresh
 from wld.classify import named
 from wld.cli import main
 from wld.diagram import serialize
@@ -18,14 +14,6 @@ def run_in_process(capsys, argv):
         code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
-
-
-def run_fresh(argv):
-    src = os.path.dirname(os.path.dirname(os.path.abspath(wld.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-    done = subprocess.run([sys.executable, "-m", "wld", *argv], capture_output=True,
-                          text=True, env=env, check=False)
-    return done.returncode, done.stdout, done.stderr
 
 
 def test_parser_reuse_leaks_nothing(capsys, tmp_path):

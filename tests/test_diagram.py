@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from support import time_limit
-from wld.arrows import build_H, build_Hbar, stack, surgery
+from wld.arrows import build_H, build_Hbar, stack, surgery, to_arrows
 from wld.diagram import (Diagram, DiagramError, ParseError, Passage,
                          canonical_key, closure, crossing_arcs, linking_matrix,
                          parse, random_diagram, same_diagram, serialize)
@@ -306,3 +306,48 @@ def test_moved_checks_what_the_move_changed():
             d.moved(wrong)
     with pytest.raises(DiagramError, match="at least one component"):
         d.moved([], removed=list(comps))
+
+
+BOUND = 10 ** 640
+
+
+def _crossing(cid, role="O", sign=1):
+    return [Passage(cid, role, sign), Passage(cid, "U", sign)]
+
+
+@pytest.mark.parametrize("passages, message", [
+    (["O1+", Passage(1, "U", 1)], "not a passage: 'O1+'"),
+    (_crossing(1, role="X"), "bad role 'X'"),
+    (_crossing(1, sign=0), "bad sign 0"),
+    (_crossing(0), "crossing ids must be positive, got 0"),
+    (_crossing(BOUND - 1), None),
+    (_crossing(BOUND), "crossing ids must be below 10^640"),
+], ids=["not-a-passage", "bad-role", "bad-sign", "id-0", "id-10^640-1", "id-10^640"])
+def test_one_rule_checks_passages_built_removed_and_added(passages, message):
+    # the constructor, and moved over what a move removes and what it adds
+    empty = parse("component:\n")
+    builds = [lambda: Diagram((tuple(passages),)),
+              lambda: empty.moved([tuple(passages)], added=passages),
+              lambda: (empty if message else Diagram((tuple(passages),))).moved(
+                  [()], removed=passages)]
+    for build in builds:
+        if message is None:
+            d = build()
+            assert parse(serialize(d)) == d
+        else:
+            with pytest.raises(DiagramError) as err:
+                build()
+            assert str(err.value) == message
+
+
+def test_diagram_rejects_an_unknown_kind():
+    with pytest.raises(DiagramError, match="unknown diagram kind 'loop'"):
+        Diagram(((),), "loop")
+
+
+def test_stack_rejects_ids_too_long_to_write_out():
+    # stacking offsets the second factor's ids by the first's largest
+    top = to_arrows(Diagram(((Passage(BOUND - 1, "O", 1),), (Passage(BOUND - 1, "U", 1),)),
+                            "stringlink"))
+    with pytest.raises(DiagramError, match="below 10\\^640"):
+        stack(top, build_H(2, 1, 2, 1))
