@@ -430,10 +430,10 @@ LAURENT = Ring(Laurent.is_unit, lambda u: Laurent._raw(-u.low, (-u.coeffs[0],)),
                Laurent.__mul__)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=256)
 def cyclic_ring(n):
     """R_n = Z[t]/(t^n - 1) on folded polynomials (see ``fold``), with the
-    units +-t^a; built once per n, and only for n >= 1.
+    units +-t^a; only for n >= 1, and kept for the 256 latest n.
 
     The product of two folded polynomials adds the coefficient products
     straight into n slots, exponent e going to slot e mod n; a monomial

@@ -39,8 +39,8 @@ from functools import partial
 from .diagram import (DIGITS, OVER, STRING_LINK, UNDER, Diagram, DiagramError,
                       ParseError, Passage)
 from .diagram import parse as parse_diagram
-from .moves import (_PARAMETRIC, EXPAND, REDUCE, MoveError, MoveKind, _apply, _find,
-                    _match_v, _pair_move, _rule, _swap_pairs, _v_sites)
+from .moves import (_PARAMETRIC, EXPAND, MoveError, MoveKind, _apply, _check_direction,
+                    _find, _match_v, _pair_move, _rule, _swap_pairs, _v_sites)
 
 
 @dataclass(frozen=True)
@@ -202,8 +202,7 @@ def make_arrow_kind(name, n=None, direction=None):
     name, direction = name.lower(), direction or ""
     if name not in _ARROW_MOVES:
         raise MoveError(f"unknown arrow move {name!r}")
-    if direction not in ("", EXPAND, REDUCE):
-        raise MoveError(f"bad direction {direction!r}")
+    _check_direction(direction)
     # the surgery image's MoveKind checks n; a move without one ignores it
     entry = _ARROW_MOVES[name]
     n = MoveKind(entry, n or 0).n if entry in _PARAMETRIC else 0

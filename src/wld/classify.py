@@ -18,7 +18,7 @@ import itertools
 import re
 from dataclasses import dataclass
 
-from .algebra import ideal_mod
+from .algebra import cyclic_ring, ideal_mod
 from .arrows import build_H, build_Hbar, surgery
 from .diagram import (DIGITS, LINK, Diagram, DiagramError, Passage, closure,
                       linking_matrix, parse)
@@ -90,8 +90,7 @@ def _check(n, *diagrams):
         if d.kind != LINK:
             raise DiagramError("equivalence decisions expect link diagrams; "
                                "close string links first")
-    if n < 1:
-        raise DiagramError("n must be >= 1")
+    cyclic_ring(n)
 
 
 def twist_residues(d, n):
@@ -189,9 +188,12 @@ def obstruct_vn(left, right, n, kmax=3):
     _check(n, left, right)
     if kmax < 0:
         raise DiagramError("need kmax >= 0")
-    ideals_l = elementary_ideals(left, kmax, n)
-    ideals_r = elementary_ideals(right, kmax, n)
-    for k in range(kmax + 1):
+    # E^k is the whole ring once k reaches the arc count, which is at most
+    # the crossing count plus the component count, so no later k differs
+    top = min(kmax, max(d.crossing_count + d.mu for d in (left, right)))
+    ideals_l = elementary_ideals(left, top, n)
+    ideals_r = elementary_ideals(right, top, n)
+    for k in range(top + 1):
         lat_l = ideal_mod(ideals_l[k], n)
         lat_r = ideal_mod(ideals_r[k], n)
         if lat_l != lat_r:

@@ -38,11 +38,19 @@ def _read_diagram(path, close=True):
 
 
 def _emit(args, payload, text_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+    """Print the payload as one JSON document under ``--json``, else the
+    lines ``text_lines()`` gives.  An exact count may have more digits than
+    Python turns into text by default, so the limit is lifted while they
+    are formatted, and only then: inputs are still read under it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        json_out = getattr(args, "json", False)
+        lines = [json.dumps(payload, sort_keys=True, indent=2)] if json_out else text_lines()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for line in lines:
+        print(line)
 
 
 def _group_from_spec(spec):
@@ -70,17 +78,14 @@ def _cmd_invariants(args):
         "core_abelianization": {"rank": core_ab[0], "torsion": list(core_ab[1])},
         "colorings": colorings,
     }
-    lines = [
+    _emit(args, payload, lambda: [
         f"components: {d.mu}",
         f"crossings:  {d.crossing_count}",
         "linking matrix: " + "; ".join(" ".join(str(x) for x in row) for row in lam),
-    ]
-    for k, p in enumerate(polys):
-        lines.append(f"alexander[{k}]: {format_poly(p)}")
-    lines.append(f"welded abelianization: rank {welded_ab[0]}, torsion {list(welded_ab[1])}")
-    lines.append(f"core abelianization:   rank {core_ab[0]}, torsion {list(core_ab[1])}")
-    lines.append("colorings: " + ", ".join(f"{n}:{c}" for n, c in colorings.items()))
-    _emit(args, payload, lines)
+        *(f"alexander[{k}]: {p}" for k, p in payload["alexander"].items()),
+        f"welded abelianization: rank {welded_ab[0]}, torsion {list(welded_ab[1])}",
+        f"core abelianization:   rank {core_ab[0]}, torsion {list(core_ab[1])}",
+        "colorings: " + ", ".join(f"{n}:{c}" for n, c in colorings.items())])
     return 0
 
 
@@ -90,7 +95,7 @@ def _cmd_equiv(args):
     decide = classify.decide_vn if args.relation == "vn" else classify.decide_vn_uc
     verdict = decide(left, right, args.n, any_order=args.any_order)
     _emit(args, verdict.to_json_dict(),
-          [f"{verdict.relation} n={verdict.n}: {verdict.verdict}"])
+          lambda: [f"{verdict.relation} n={verdict.n}: {verdict.verdict}"])
     return 0
 
 
@@ -100,11 +105,12 @@ def _cmd_obstruct(args):
     cert = classify.obstruct_vn(left, right, args.n, args.kmax)
     if cert is None:
         _emit(args, {"relation": "vn-only", "n": args.n, "verdict": "inconclusive"},
-              [f"vn-only n={args.n}: inconclusive (no ideal obstruction up to k={args.kmax})"])
+              lambda: [f"vn-only n={args.n}: inconclusive "
+                       f"(no ideal obstruction up to k={args.kmax})"])
     else:
         _emit(args, cert.to_json_dict(),
-              [f"vn-only n={args.n}: obstruction at k={cert.k} "
-               "(elementary ideals differ mod 1 - t^n)"])
+              lambda: [f"vn-only n={args.n}: obstruction at k={cert.k} "
+                       "(elementary ideals differ mod 1 - t^n)"])
     return 0
 
 
@@ -124,7 +130,7 @@ def _cmd_normal_form(args):
         lines = [f"vn-uc normal form, n={args.n}:"]
         lines += [f"  a[{i},{j}] = {v}  b[{i},{j}] = {b_mat[(i, j)]}"
                   for (i, j), v in sorted(a_mat.items())]
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: lines)
     return 0
 
 
@@ -164,7 +170,7 @@ def _cmd_moves(args):
             count = moves.count_sites(d, dk)
             payload[str(dk)] = count
             lines.append(f"{dk}: {count} site(s)")
-    _emit(args, payload, lines)
+    _emit(args, payload, lambda: lines)
     return 0
 
 
@@ -176,14 +182,14 @@ def _cmd_homs(args):
     count = invariants.hom_count(pres, group)
     _emit(args, {"group": args.group, "presentation": args.presentation,
                  "count": count},
-          [f"|Hom({args.presentation} group -> {args.group})| = {count}"])
+          lambda: [f"|Hom({args.presentation} group -> {args.group})| = {count}"])
     return 0
 
 
 def _cmd_colorings(args):
     d = _read_diagram(args.file)
     count = invariants.coloring_count(d, args.n)
-    _emit(args, {"n": args.n, "count": count}, [f"colorings mod {args.n}: {count}"])
+    _emit(args, {"n": args.n, "count": count}, lambda: [f"colorings mod {args.n}: {count}"])
     return 0
 
 
@@ -192,7 +198,7 @@ def _cmd_examples(args):
         _write_diagram(args, classify.named(args.name))
         return 0
     payload = classify.example_names()
-    _emit(args, payload, payload)
+    _emit(args, payload, lambda: payload)
     return 0
 
 

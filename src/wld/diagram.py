@@ -150,8 +150,8 @@ def _unchecked(components, kind):
 
 def _check_whole(passages):
     """Raise DiagramError unless the passages, a list, pair up into whole
-    crossings: each id, from 1 to 10^640 - 1, once over and once under,
-    with one sign.
+    crossings: each id, an integer from 1 to 10^640 - 1, once over and once
+    under, with one sign, the integer 1 or -1.
 
     ``over`` and ``under`` map each id to the sign of its over and its
     under passage.  When they are equal, the N passages hold 2 len(over)
@@ -166,6 +166,8 @@ def _check_whole(passages):
         if not isinstance(psg, Passage):
             raise DiagramError(f"not a passage: {psg!r}")
         cid, role, sign = psg
+        if not isinstance(cid, int) or isinstance(cid, bool):
+            raise DiagramError(f"crossing id {cid!r} is not an integer")
         if cid < 1:
             raise DiagramError(f"crossing ids must be positive, got {cid}")
         if cid >= ID_BOUND:
@@ -173,7 +175,7 @@ def _check_whole(passages):
             raise DiagramError(f"crossing ids must be below 10^{MAX_DIGITS}")
         if role not in (OVER, UNDER):
             raise DiagramError(f"bad role {role!r}")
-        if sign not in (1, -1):
+        if sign not in (1, -1) or not isinstance(sign, int) or isinstance(sign, bool):
             raise DiagramError(f"bad sign {sign!r}")
         (over if role == OVER else under)[cid] = sign
     if over == under and 2 * len(over) == len(passages):

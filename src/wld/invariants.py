@@ -41,34 +41,29 @@ class GroupPresentation:
 
 
 def welded_group(d):
-    """Arc-generated presentation of the diagram group, one relator per
-    classical crossing.  Each relator conjugates the under-in arc into the
-    under-out arc, so the arcs of one component are conjugate and
-    ``components`` records each arc's component."""
-    relators = []
-    arcs, components = dg.crossing_arcs(d)
-    for y, x, z, sign in arcs.values():
-        if sign > 0:
-            word = ((z, -1), (y, 1), (x, 1), (y, -1))
-        else:
-            word = ((z, -1), (y, -1), (x, 1), (y, 1))
-        word = free_reduce(word)
-        if word:
-            relators.append(word)
-    return GroupPresentation(len(components), tuple(relators), components)
+    """Arc-generated presentation of the diagram group, one relator
+    z^-1 y^s x y^-s per classical crossing of sign s.  Each relator
+    conjugates the under-in arc into the under-out arc, so the arcs of one
+    component are conjugate and ``components`` records each arc's
+    component."""
+    return _arc_presentation(d, lambda y, x, z, s: ((z, -1), (y, s), (x, 1), (y, -s)))
 
 
 def core_group(d):
     """Unoriented core presentation: relator y x^-1 y z^-1 per crossing,
     independent of crossing signs and of component orientations.  Arcs of
     one component need not be conjugate here, so ``components`` is empty."""
-    relators = []
+    p = _arc_presentation(d, lambda y, x, z, s: ((y, 1), (x, -1), (y, 1), (z, -1)))
+    return GroupPresentation(p.ngens, p.relators)
+
+
+def _arc_presentation(d, word):
+    """The presentation on the arcs of d, each recorded with its component,
+    whose relators are the freely reduced, nonempty ``word(over-arc,
+    under-in arc, under-out arc, sign)`` of each crossing."""
     arcs, components = dg.crossing_arcs(d)
-    for y, x, z, _sign in arcs.values():
-        word = free_reduce(((y, 1), (x, -1), (y, 1), (z, -1)))
-        if word:
-            relators.append(word)
-    return GroupPresentation(len(components), tuple(relators))
+    relators = tuple(rel for rel in (free_reduce(word(*arc)) for arc in arcs.values()) if rel)
+    return GroupPresentation(len(components), relators, components)
 
 
 def abelianization(p):
@@ -160,7 +155,7 @@ def _alexander_rows(d, n=None):
     arcs, components = dg.crossing_arcs(d)
     g = len(components)
     # per run, one per crossing: its ends and over-arc (x and z are always
-    # class roots, y is read through find) and its sign sum, mod n in R_n
+    # class roots, y is read through _root) and its sign sum, mod n in R_n
     ys, xs, zs, sigmas = map(list, zip(*arcs.values())) if arcs else ([], [], [], [])
     if n is not None:
         sigmas = [s % n for s in sigmas]
@@ -175,12 +170,6 @@ def _alexander_rows(d, n=None):
         over[y] += 1
     live = [True] * len(xs)
     parent = list(range(g))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        return a
-
     pivots = 0
     changed = True
     while changed:
@@ -190,7 +179,7 @@ def _alexander_rows(d, n=None):
             i = work.pop()
             if i is None or not live[i]:
                 continue
-            x, z, y = xs[i], zs[i], find(ys[i])
+            x, z, y = xs[i], zs[i], _root(parent, ys[i])
             if not sigmas[i] or y == x or y == z:
                 # rename: merge z into x
                 live[i] = False
@@ -204,16 +193,16 @@ def _alexander_rows(d, n=None):
                     if after is not None:
                         xs[after] = x
                     work += (into[x], after)
-                y = find(y)
+                y = _root(parent, y)
                 if not over[y]:
                     work += (into[y], out_of[y])
                 changed = True
                 continue
             # compose with the run after i, or else with the run before it
             a, b, v = i, out_of[z], z
-            if b is None or b == i or over[z] or find(ys[b]) != y:
+            if b is None or b == i or over[z] or _root(parent, ys[b]) != y:
                 a, b, v = into[x], i, x
-                if a is None or a == i or over[x] or find(ys[a]) != y:
+                if a is None or a == i or over[x] or _root(parent, ys[a]) != y:
                     continue
             live[a] = False
             u = xs[b] = xs[a]
@@ -228,10 +217,18 @@ def _alexander_rows(d, n=None):
     rows = []
     for i in range(len(xs)):
         if live[i]:
-            x, z, y = xs[i], zs[i], find(ys[i])
+            x, z, y = xs[i], zs[i], _root(parent, ys[i])
             ex, ez, ey, exz = _run_entries(sigmas[i], n)
             rows.append({x: ex, z: ez, y: ey} if x != z else {x: exz, y: ey})
     return rows, g, pivots
+
+
+def _root(parent, a):
+    """The root of a in the union-find forest ``parent``, halving the path
+    to it."""
+    while parent[a] != a:
+        parent[a] = a = parent[parent[a]]
+    return a
 
 
 def _pivot_reduce(rows, ring):
@@ -759,19 +756,12 @@ def hom_count(p, group):
         if simp.components:
             first = first_of.setdefault(simp.components[g], g)
             anchor[g] = first if first != g else None
-
-    def find(g):
-        while root[g] != g:
-            root[g] = root[root[g]]
-            g = root[g]
-        return g
-
     for gens in gens_in + [(first_of[c], g) for g, c in enumerate(simp.components)]:
-        r = find(min(gens))
+        r = _root(root, min(gens))
         for g in gens:
-            root[find(g)] = r
+            root[_root(root, g)] = r
     # the parts holding a relator whose exponents do not alternate cyclically
-    rigid = {find(rel[0][0]) for rel in simp.relators
+    rigid = {_root(root, rel[0][0]) for rel in simp.relators
              if any(e == rel[i - 1][1] for i, (_, e) in enumerate(rel))}
     ident = group.identity
     classes, class_of = group.classes, group.class_of
@@ -804,7 +794,7 @@ def hom_count(p, group):
 
     def count(part):
         try:
-            if find(part[0]) in rigid:
+            if _root(root, part[0]) in rigid:
                 return search(part, 0, True)
             assign[part[0]] = ident
             return group.order * search(part, 1, True)
@@ -814,7 +804,7 @@ def hom_count(p, group):
 
     parts = {}
     for g in order:
-        parts.setdefault(find(g), []).append(g)
+        parts.setdefault(_root(root, g), []).append(g)
     return math.prod(map(count, parts.values()))
 
 

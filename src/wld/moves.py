@@ -74,6 +74,12 @@ class MoveError(DiagramError):
     """A move site does not apply to the given diagram."""
 
 
+def _check_direction(direction):
+    """A move's direction is none (""), expand or reduce."""
+    if direction not in ("", EXPAND, REDUCE):
+        raise MoveError(f"bad direction {direction!r}")
+
+
 @dataclass(frozen=True, order=True)
 class MoveKind:
     """Family, parameter n (0 if it takes none), direction ("" if none)."""
@@ -92,8 +98,7 @@ class MoveKind:
                 raise MoveError("vbar(n) is defined for odd n only")
         elif self.n != 0:
             raise MoveError(f"{self.family} takes no parameter, got n={self.n}")
-        if self.direction not in ("", EXPAND, REDUCE):
-            raise MoveError(f"bad direction {self.direction!r}")
+        _check_direction(self.direction)
 
     def __str__(self):
         name = self.family.replace("n", str(self.n)) if self.family in _PARAMETRIC else self.family
@@ -176,9 +181,10 @@ def _run(d, ci, start, roles):
     n, k = len(comp), len(roles)
     if not 0 <= start < n or (start + k > n if d.kind == STRING_LINK else k > n):
         return None
-    positions = [(start + i) % n for i in range(k)]
-    ids, got, signs = zip(*[comp[p] for p in positions])
-    return (positions, ids) if got == roles and signs.count(signs[0]) == k else None
+    ids, got, signs = zip(*(comp[start:start + k] + comp[:max(start + k - n, 0)]))
+    if got != roles or signs.count(signs[0]) != k:
+        return None
+    return [(start + i) % n for i in range(k)], ids
 
 
 def _gap_count(d, ci):
@@ -275,24 +281,28 @@ def _splices(kind):
 
 
 def _block(kind, variants=(1, 1)):
-    """Strand-1 roles and signs of the block an expand site with these
-    variants inserts, and whether strand 2 meets it backwards.  The default
-    variants give the block a reduce site's strand 1 starts, over at its
-    first crossing; the matchers read its sign from the diagram."""
+    """Strand 1's roles, strand 2's roles and strand 1's signs of the block
+    an expand site with these variants inserts, and whether strand 2 meets
+    it backwards: its roles are strand 1's swapped, and reversed when it
+    does.  The default variants give the block a reduce site's strand 1
+    starts, over at its first crossing; the matchers read its sign from the
+    diagram."""
     fam = kind.family
     if fam == "r1":
-        first, sign = variants
-        return (first,), (sign,), False
-    if fam == "r2":
+        roles, signs, backwards = variants[:1], variants[1:], False
+    elif fam == "r2":
         sign, parallel = variants
-        return (OVER, OVER), (sign, -sign), not parallel
-    n = max(kind.n, 1)
-    if fam in ("v(n)", "vbar(n)"):
-        first = UNDER if variants[1] == 2 else OVER
-        roles = tuple(first if k % 2 == 0 else _OPPOSITE[first] for k in range(n))
+        roles, signs, backwards = (OVER, OVER), (sign, -sign), not parallel
     else:
-        roles = (OVER,) * n
-    return roles, (variants[0],) * n, fam in _BAR
+        n = max(kind.n, 1)
+        if fam in ("v(n)", "vbar(n)"):
+            first = UNDER if variants[1] == 2 else OVER
+            roles = tuple(first if k % 2 == 0 else _OPPOSITE[first] for k in range(n))
+        else:
+            roles = (OVER,) * n
+        signs, backwards = (variants[0],) * n, fam in _BAR
+    roles2 = tuple(map(_OPPOSITE.get, roles[::-1] if backwards else roles))
+    return roles, roles2, signs, backwards
 
 
 def _expand_sites(d, kind):
@@ -315,12 +325,12 @@ def _match_gaps(d, kind, site):
 
 def _expand(d, kind, found):
     ((c1, g1), (c2, g2)), variants = found
-    roles, signs, backwards = _block(kind, variants)
+    roles, roles2, signs, backwards = _block(kind, variants)
     fresh = d.fresh_crossing_id()
     block1 = [Passage(cid, role, sign)
               for cid, role, sign in zip(itertools.count(fresh), roles, signs)]
-    block2 = [Passage(p.crossing, _OPPOSITE[p.role], p.sign)
-              for p in (block1[::-1] if backwards else block1)]
+    block2 = [Passage(p.crossing, role, p.sign)
+              for p, role in zip(block1[::-1] if backwards else block1, roles2)]
     if _splices(kind):
         comps = _splice(d.components, (c1, g1), (c2, g2), block1, block2)
     else:
@@ -332,13 +342,16 @@ def _match_block(d, kind, site):
     """Positions of a block from (ci, p) on strand 1 and (cj, q) on strand 2,
     strand 1's first; None if the site holds none.  A block has n distinct
     crossings, so none fits a diagram with fewer."""
-    if kind.n > d.crossing_count:
-        return None
+    return None if kind.n > d.crossing_count else _block_at(d, site, _block(kind))
+
+
+def _block_at(d, site, block):
+    """``_match_block`` on a diagram that fits the block ``_block`` gives."""
     ci, p, cj, q = site
-    roles, _, backwards = _block(kind)
-    swapped = tuple(_OPPOSITE[r] for r in (roles[::-1] if backwards else roles))
-    first, second = _run(d, ci, p, roles), _run(d, cj, q, swapped)
-    if first is None or second is None:
+    roles, roles2, _, backwards = block
+    first = _run(d, ci, p, roles)
+    second = first and _run(d, cj, q, roles2)
+    if second is None:
         return None
     (pos1, ids1), (pos2, ids2) = first, second
     # equal crossings carry equal signs, so the two runs share one sign
@@ -361,37 +374,26 @@ def _block_sites(d, kind):
     1's first crossing at its first passage (its last when backwards), a run
     of its own.  So one string search per component and strand, on the
     component's roles read with n - 1 passages of wrap on a link, pairs the
-    run starts by that crossing; what ``_match_block`` checks besides (one
-    sign, equal crossing ids, no overlap) is checked on those pairs only."""
-    n = max(kind.n, 1)
+    run starts by that crossing, and the block matcher keeps the pairs that
+    hold a block: ``_block_at``, which is ``_match_block`` past its crossing
+    count test, made here once."""
+    n = kind.n
     if n > d.crossing_count:
         return []
-    roles, _, backwards = _block(kind)
-    swapped = [_OPPOSITE[r] for r in (roles[::-1] if backwards else roles)]
-    words = ["".join(roles), "".join(swapped)]
+    block = _block(kind)
+    roles, roles2, _, backwards = block
+    words = "".join(roles), "".join(roles2)
     back = n - 1 if backwards else 0
     wrap = n - 1 if d.kind == LINK else 0
-    rows, firsts, seconds = {}, [], {}
+    firsts, seconds = [], {}
     for ci, comp in enumerate(d.components):
         if len(comp) >= n:
-            ids, roles, _ = rows[ci] = tuple(col + col[:wrap] for col in zip(*comp))
-            text = "".join(roles)
-            firsts += [(ci, p) for p in _starts(text, words[0])]
+            ids, text, _ = (col + col[:wrap] for col in zip(*comp))
+            text = "".join(text)
+            firsts += [(ci, p, ids[p]) for p in _starts(text, words[0])]
             seconds.update((ids[q + back], (ci, q)) for q in _starts(text, words[1]))
-    out = []
-    for ci, p in firsts:
-        ids, _, signs = rows[ci]
-        found = seconds.get(ids[p])
-        if found is None or signs[p:p + n].count(signs[p]) != n:
-            continue
-        cj, q = found
-        run, size = ids[p:p + n], len(d.components[ci])
-        # two runs of n on one component overlap iff either starts fewer
-        # than n passages after the other, cyclically
-        if rows[cj][0][q:q + n] == (run[::-1] if backwards else run) and not (
-                ci == cj and ((q - p) % size < n or (p - q) % size < n)):
-            out.append((ci, p, cj, q))
-    return out
+    sites = [(ci, p, *seconds[cid]) for ci, p, cid in firsts if cid in seconds]
+    return [site for site in sites if _block_at(d, site, block) is not None]
 
 
 def _splice(components, gap_a, gap_b, block_a, block_b):
@@ -702,8 +704,8 @@ def scramble(d, kinds, steps, seed):
     kinds = sorted(set(kinds))
     if not kinds and steps > 0:
         raise MoveError("no move kinds to draw from")
-    # per kind drawn, its directed kinds with their rules and whether a
-    # draw samples an expand site rather than picking a listed one
+    # per kind drawn, its directed kinds with their rules; a draw samples a
+    # site of an expand rule rather than picking a listed one
     table = {}
     rng = random.Random(seed)
     cur = d
@@ -711,12 +713,10 @@ def scramble(d, kinds, steps, seed):
         for attempt in range(1000):
             drawn = kinds[rng.randrange(len(kinds))]
             if drawn not in table:
-                table[drawn] = [
-                    (dk, _rule(d, dk), dk.direction == EXPAND and dk.family in _EXPAND)
-                    for dk in directed_kinds(drawn)]
+                table[drawn] = [(dk, _rule(d, dk)) for dk in directed_kinds(drawn)]
             options = table[drawn]
-            kind, rule, sampled = options[0] if len(options) == 1 else rng.choice(options)
-            if sampled:
+            kind, rule = options[0] if len(options) == 1 else rng.choice(options)
+            if rule[4] is _expand:
                 site = _sample_expand_site(cur, kind, rule, rng)
                 if site is None:
                     continue

@@ -3,16 +3,17 @@ import re
 
 import pytest
 
-from wld.algebra import parse_poly
-from wld.classify import (decide_vn, decide_vn_uc, example_names,
-                          multiplex, named, obstruct_vn)
+from wld.algebra import AlgebraError, cyclic_ring, parse_poly
+from wld.arrows import build_H
+from wld.classify import (decide_vn, decide_vn_uc, example_names, multiplex, named,
+                          normalize_vn, normalize_vn_uc, obstruct_vn)
 from wld.diagram import (DiagramError, linking_matrix, parse,
                          random_diagram, same_diagram)
 from wld.invariants import (alexander, coloring_count, core_group,
                             hom_count, builtin_group)
 from wld.moves import make_kind, parse_kinds, replay, scramble, search_path
 
-from support import PANEL
+from support import PANEL, time_limit
 
 TREFOIL = named("trefoil")
 UNKNOT = named("unknot")
@@ -117,6 +118,33 @@ def test_obstruct_nothing_cases():
     assert obstruct_vn(TREFOIL, TREFOIL, 3, 3) is None
     assert obstruct_vn(TREFOIL, UNKNOT, 1, 3) is None
     assert obstruct_vn(UNKNOT, UNKNOT, 5, 2) is None
+
+
+def test_obstruct_reads_no_k_past_the_arc_count():
+    # E^k is the whole ring once k reaches the arc count, so kmax = 10^12
+    # gives kmax = 3's answer without computing the k in between
+    with time_limit(2):
+        assert obstruct_vn(TREFOIL, TREFOIL, 3, 10 ** 12) is None
+        far = obstruct_vn(TREFOIL, UNKNOT, 2, 10 ** 12)
+    assert far == obstruct_vn(TREFOIL, UNKNOT, 2, 3) and far.k == 1
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_every_decision_and_normal_form_checks_n_by_the_one_modulus_rule(n):
+    string = build_H(2, 1, 2, 1)
+    for call in (lambda: decide_vn(TREFOIL, UNKNOT, n), lambda: decide_vn_uc(HOPF, HOPF, n),
+                 lambda: normalize_vn(string, n), lambda: normalize_vn_uc(string, n),
+                 lambda: obstruct_vn(TREFOIL, UNKNOT, n)):
+        with pytest.raises(AlgebraError) as err:
+            call()
+        assert str(err.value) == f"modulus n must be >= 1, got {n}"
+
+
+def test_decisions_over_many_moduli_keep_a_bounded_number_of_rings():
+    # every decision checks n by cyclic_ring, which keeps its latest rings
+    for n in range(1, 601, 2):
+        decide_vn(TREFOIL, UNKNOT, n)
+    assert cyclic_ring.cache_info().currsize <= 256
 
 
 def test_obstruct_is_vn_sound():

@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 
 import pytest
 
@@ -208,6 +209,30 @@ def test_homs_core_and_table(capsys, trefoil_file, tmp_path):
     assert code == 0 and doc["count"] == 9
 
 
+@pytest.mark.parametrize("argv, digits", [
+    (["colorings", "{unlink_600}", "--n", "100000000"], 4800),
+    (["colorings", "{unlink_600}", "--n", "100000000", "--json"], 4800),
+    (["homs", "{unlink_4400}", "--group", "z10", "--json"], 4400),
+], ids=["colorings-10^4800", "colorings-10^4800-json", "homs-10^4400-json"])
+def test_counts_over_4300_digits_print_exactly(capsys, tmp_path, argv, digits):
+    # CPython turns at most 4300 digits into text by default; the CLI lifts
+    # that limit only while it formats its output, and then restores it
+    paths = {}
+    for k in (600, 4400):
+        paths[f"unlink_{k}"] = path = tmp_path / f"unlink-{k}.gc"
+        path.write_text(serialize(named(f"unlink-{k}")))
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        assert main([arg.format(**paths) for arg in argv]) == 0
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    count = json.loads(out, parse_int=str)["count"] if "--json" in argv else out.split()[-1]
+    assert count == "1" + "0" * digits
+
+
 def test_colorings(capsys, trefoil_file):
     code, doc = run_json(capsys, ["colorings", trefoil_file, "--n", "3", "--json"])
     assert code == 0
@@ -336,6 +361,11 @@ def test_python_m_wld_reads_the_files_it_writes(tmp_path):
      "error: {after_valid}: line 2: crossing 3 must appear exactly once over and once under"),
     (["colorings", "{trefoil}", "--n", "0"], "error: modulus n must be >= 1, got 0"),
     (["colorings", "{trefoil}", "--n", "-3"], "error: modulus n must be >= 1, got -3"),
+    (["equiv", "{trefoil}", "{trefoil}", "--relation", "vn", "--n", "0"],
+     "error: modulus n must be >= 1, got 0"),
+    (["obstruct", "{trefoil}", "{trefoil}", "--n", "-1"], "error: modulus n must be >= 1, got -1"),
+    (["normal-form", "{trefoil}", "--relation", "vn-uc", "--n", "0"],
+     "error: modulus n must be >= 1, got 0"),
 ], ids=["normal-form-read", "group-table-read", "scramble-write",
         "examples-write", "multiplex-write", "invariants-negative-kmax",
         "arrow-sign-plus-minus", "group-table-entry", "homs-too-deep",
@@ -343,7 +373,7 @@ def test_python_m_wld_reads_the_files_it_writes(tmp_path):
         "group-table-no-inverse", "equiv-right-file", "gauss-two-overs-line",
         "gauss-mixed-signs-line", "gauss-three-times-line", "gauss-glued-tokens",
         "gauss-id-00", "gauss-pairing-after-a-valid-line", "colorings-n-0",
-        "colorings-n-negative"])
+        "colorings-n-negative", "equiv-n-0", "obstruct-n-negative", "normal-form-n-0"])
 def test_file_errors_exit_1_with_one_error_line(capsys, tmp_path, trefoil_file, argv,
                                                 fragment):
     bad_arrow_sign = tmp_path / "bad-sign.arrows"

@@ -322,7 +322,15 @@ def _crossing(cid, role="O", sign=1):
     (_crossing(0), "crossing ids must be positive, got 0"),
     (_crossing(BOUND - 1), None),
     (_crossing(BOUND), "crossing ids must be below 10^640"),
-], ids=["not-a-passage", "bad-role", "bad-sign", "id-0", "id-10^640-1", "id-10^640"])
+    # ids and signs are integers, and a bool is not one here: ``parse``
+    # reads back no other
+    (_crossing(True), "crossing id True is not an integer"),
+    (_crossing(2.5), "crossing id 2.5 is not an integer"),
+    (_crossing("1"), "crossing id '1' is not an integer"),
+    (_crossing(1, sign=1.0), "bad sign 1.0"),
+    (_crossing(1, sign=True), "bad sign True"),
+], ids=["not-a-passage", "bad-role", "bad-sign", "id-0", "id-10^640-1", "id-10^640",
+        "id-bool", "id-float", "id-str", "sign-float", "sign-bool"])
 def test_one_rule_checks_passages_built_removed_and_added(passages, message):
     # the constructor, and moved over what a move removes and what it adds
     empty = parse("component:\n")
