@@ -162,15 +162,11 @@ def _cmd_scramble(args):
 
 def _cmd_moves(args):
     d = _read_diagram(args.file, close=False)
-    kinds = moves.parse_kinds(args.moves)
-    payload = {}
-    lines = []
-    for kind in kinds:
-        for dk in moves.directed_kinds(kind):
-            count = moves.count_sites(d, dk)
-            payload[str(dk)] = count
-            lines.append(f"{dk}: {count} site(s)")
-    _emit(args, payload, lambda: lines)
+    # each directed kind once, in the order first listed
+    kinds = dict.fromkeys(dk for kind in moves.parse_kinds(args.moves)
+                          for dk in moves.directed_kinds(kind))
+    payload = {str(dk): moves.count_sites(d, dk) for dk in kinds}
+    _emit(args, payload, lambda: [f"{name}: {count} site(s)" for name, count in payload.items()])
     return 0
 
 

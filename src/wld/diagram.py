@@ -133,7 +133,7 @@ class Diagram:
         return _unchecked(components, self.kind)
 
     def fresh_crossing_id(self):
-        return max([p.crossing for comp in self.components for p in comp], default=0) + 1
+        return max([max(comp)[0] for comp in self.components if comp], default=0) + 1
 
     def __str__(self):
         return serialize(self)

@@ -44,17 +44,19 @@ first crossing.  A kind built directly with n = 1, as the arrow calculus
 does, keeps the block formats.
 
 Every move is a rule (site length, variant axes, finder, matcher, action):
-``_find`` lists its sites, and ``_apply`` checks a site's entries, matches
-it and acts on what the matcher found.  Each is stated once: one count of a
-component's adjacent pairs and one of its gaps, one splice for both
-directions of an even twist, one dispatch on the direction (``_rule``), and
-R3 by the sign rule of the one triangle of the braid relation.
+``_find`` lists its sites, ``_act`` matches a site and acts on what the
+matcher found, and ``_apply`` checks a site's entries first.  Each is stated
+once: one count of a component's adjacent pairs and one of its gaps, one
+splice for both directions of an even twist, one dispatch on the direction
+(``_rule``), and R3 by the sign rule of the one triangle of the braid
+relation.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import re
 from dataclasses import dataclass
@@ -219,11 +221,19 @@ def _check_entries(data, length, axes=()):
             raise MoveError(f"bad variant {x!r} in site")
 
 
+def _opened(components, touched):
+    """The components as a list, those at the indices ``touched`` as lists."""
+    comps = list(components)
+    for ci in set(touched):
+        comps[ci] = list(components[ci])
+    return comps
+
+
 def _insert_two(components, first, second):
     """Insert two (component, gap, block)s; equal gaps mean two points of
     the same arc met in travel order, so the first block lands first."""
-    comps = [list(c) for c in components]
     (c1, g1, b1), (c2, g2, b2) = first, second
+    comps = _opened(components, (c1, c2))
     if (c1, g1) == (c2, g2):
         comps[c1][g1:g1] = b1 + b2
         return comps
@@ -235,7 +245,7 @@ def _insert_two(components, first, second):
 
 def _swap_pairs(d, kind, positions):
     """Swap the passages at positions 2k and 2k + 1, pair by pair."""
-    comps = [list(c) for c in d.components]
+    comps = _opened(d.components, [ci for ci, _ in positions])
     for (ci, p), (cj, q) in zip(positions[::2], positions[1::2]):
         comps[ci][p], comps[cj][q] = comps[cj][q], comps[ci][p]
     return d.moved(comps)
@@ -243,8 +253,8 @@ def _swap_pairs(d, kind, positions):
 
 def _delete(d, kind, positions):
     """Delete the passages at the positions."""
-    comps = [list(c) for c in d.components]
     positions = sorted(set(positions), reverse=True)
+    comps = _opened(d.components, [ci for ci, _ in positions])
     for ci, p in positions:
         del comps[ci][p]
     return d.moved(comps, removed=[d.components[ci][p] for ci, p in positions])
@@ -327,10 +337,9 @@ def _expand(d, kind, found):
     ((c1, g1), (c2, g2)), variants = found
     roles, roles2, signs, backwards = _block(kind, variants)
     fresh = d.fresh_crossing_id()
-    block1 = [Passage(cid, role, sign)
-              for cid, role, sign in zip(itertools.count(fresh), roles, signs)]
-    block2 = [Passage(p.crossing, role, p.sign)
-              for p, role in zip(block1[::-1] if backwards else block1, roles2)]
+    block1 = [tuple.__new__(Passage, p) for p in zip(itertools.count(fresh), roles, signs)]
+    block2 = [tuple.__new__(Passage, (cid, role, sign))
+              for (cid, _, sign), role in zip(block1[::-1] if backwards else block1, roles2)]
     if _splices(kind):
         comps = _splice(d.components, (c1, g1), (c2, g2), block1, block2)
     else:
@@ -527,8 +536,8 @@ def _r3_sites(d, kind):
 
 # ---------------------------------------------------------------------------
 # reduce and undirected moves: a finder lists sites, a matcher returns the
-# positions a site deletes (or swaps, pair by pair) or None.  The cheap
-# finders filter inline instead of calling the matcher on every candidate.
+# positions a site deletes (or swaps, pair by pair) or None.  The finders
+# filter inline instead of calling the matcher on every candidate.
 
 def _pair_move(test):
     """Finder and matcher of a move on one adjacent pair whose crossings and
@@ -545,6 +554,31 @@ def _pair_move(test):
         (x, rx, _), (y, ry, _) = d.components[ci][p], d.components[ci][q]
         return [(ci, p), (ci, q)] if test(x, rx, y, ry) else None
     return sites, match
+
+
+def _role_pairs(word):
+    """Finder of the adjacent pairs whose roles read ``word``: a search of
+    each component's role string, its first role again at the end on a link,
+    keeping the matches below the pair count, as ``_pairs`` cuts the pairs."""
+    def sites(d, kind):
+        wrap = 1 if d.kind == LINK else 0
+        out = []
+        for ci, comp in enumerate(d.components):
+            text = "".join(map(_ROLE, comp))
+            count = _pair_count(d, ci)
+            out += [(ci, p) for p in _starts(text + text[:wrap], word) if p < count]
+        return out
+    return sites
+
+
+def _kink_sites(d, kind):
+    """R1 reduce sites, where a component's id list equals its rotation."""
+    out = []
+    for ci, comp in enumerate(d.components):
+        ids = [psg[0] for psg in comp]
+        kinks = map(operator.eq, ids, ids[1:] + ids[:1])
+        out += [(ci, p) for p in itertools.compress(range(_pair_count(d, ci)), kinks)]
+    return out
 
 
 def _r2_sites(d, kind):
@@ -586,9 +620,10 @@ def _match_v(d, kind, site):
     return None if entry is None else list(entry[:2])
 
 
-_KINK = _pair_move(lambda x, rx, y, ry: x == y)
-_OC = _pair_move(lambda x, rx, y, ry: rx == ry == OVER)
-_UC = _pair_move(lambda x, rx, y, ry: rx == ry == UNDER)
+_ROLE = operator.itemgetter(1)
+_KINK = _kink_sites, _pair_move(lambda x, rx, y, ry: x == y)[1]
+_OC = _role_pairs(OVER * 2), _pair_move(lambda x, rx, y, ry: rx == ry == OVER)[1]
+_UC = _role_pairs(UNDER * 2), _pair_move(lambda x, rx, y, ry: rx == ry == UNDER)[1]
 
 # family -> (site length, variant axes ending the site, finder, matcher,
 # action); an r3 site is three pairs, and an action takes the diagram, the
@@ -629,16 +664,19 @@ def _find(d, kind, rule):
     return [MoveSite(site) for site in sorted(rule[2](d, kind))]
 
 
-def _apply(d, kind, rule, site):
-    """Check a site's entries, match it and act on what the matcher found;
-    raises MoveError if the site does not fit."""
-    length, axes, _, match, act = rule
-    data = tuple(site)
-    _check_entries(data, length, axes)
-    found = match(d, kind, data)
+def _act(d, kind, rule, site):
+    """Match a site and act on what the matcher found, or raise MoveError."""
+    found = rule[3](d, kind, site)
     if found is None:
-        raise MoveError(f"site {data} does not fit a {kind} move")
-    return act(d, kind, found)
+        raise MoveError(f"site {site} does not fit a {kind} move")
+    return rule[4](d, kind, found)
+
+
+def _apply(d, kind, rule, site):
+    """``_act`` on a site whose entries pass ``_check_entries``."""
+    data = tuple(site)
+    _check_entries(data, rule[0], rule[1])
+    return _act(d, kind, rule, data)
 
 
 def find_sites(d, kind):
@@ -697,35 +735,41 @@ def scramble(d, kinds, steps, seed):
     one is drawn per step; a drawn kind with no applicable site is redrawn.
     Each kind's directed kinds and their rules are made once, when it is
     first drawn: a diagram's kind, all a rule depends on, is the same after
-    every move.
+    every move.  A step finds a reduce kind's sites once, however often it
+    draws the kind, and skips ``apply``'s entry check on the site it draws.
     """
     if steps < 0:
         raise MoveError("steps must be >= 0")
-    kinds = sorted(set(kinds))
+    # MoveKind's own order, by a key compared without a Python call
+    kinds = sorted(set(kinds), key=operator.attrgetter("family", "n", "direction"))
     if not kinds and steps > 0:
         raise MoveError("no move kinds to draw from")
-    # per kind drawn, its directed kinds with their rules; a draw samples a
-    # site of an expand rule rather than picking a listed one
-    table = {}
+    # per kind index, once drawn: its directed kinds with a slot number and a
+    # rule each; a draw samples a site of an expand rule, not a listed one
+    table = [None] * len(kinds)
     rng = random.Random(seed)
     cur = d
     for _ in range(steps):
+        listed = {}  # slot -> the sorted sites of this step's diagram
         for attempt in range(1000):
-            drawn = kinds[rng.randrange(len(kinds))]
-            if drawn not in table:
-                table[drawn] = [(dk, _rule(d, dk)) for dk in directed_kinds(drawn)]
-            options = table[drawn]
-            kind, rule = options[0] if len(options) == 1 else rng.choice(options)
+            i = rng.randrange(len(kinds))
+            options = table[i]
+            if options is None:
+                options = table[i] = [(2 * i + j, dk, _rule(d, dk))
+                                      for j, dk in enumerate(directed_kinds(kinds[i]))]
+            slot, kind, rule = options[0] if len(options) == 1 else rng.choice(options)
             if rule[4] is _expand:
                 site = _sample_expand_site(cur, kind, rule, rng)
                 if site is None:
                     continue
             else:
-                sites = sorted(rule[2](cur, kind))
+                sites = listed.get(slot)
+                if sites is None:
+                    sites = listed[slot] = sorted(rule[2](cur, kind))
                 if not sites:
                     continue
                 site = sites[rng.randrange(len(sites))]
-            cur = _apply(cur, kind, rule, site)
+            cur = _act(cur, kind, rule, site)
             break
         else:
             raise MoveError("no applicable move found while scrambling")

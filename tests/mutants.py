@@ -42,6 +42,9 @@ class Mutant(NamedTuple):
 
 
 DIAGRAM, CLI = "tests/test_diagram.py", "tests/test_cli.py"
+MOVES, GOLDEN = "tests/test_moves.py", "tests/test_moves_golden.py"
+PAIR_WALK = f"{MOVES}::test_pair_finders_match_the_pair_walk"
+FINDERS = f"{MOVES}::test_finders_list_exactly_the_sites_apply_accepts"
 ONE_RULE = f"{DIAGRAM}::test_one_rule_checks_passages_built_removed_and_added"
 CLI_ERRORS = f"{CLI}::test_file_errors_exit_1_with_one_error_line"
 HOMS = ("tests/test_hom_symmetry.py", "tests/test_hom_routes.py")
@@ -94,13 +97,39 @@ MUTANTS = [
     Mutant("moves.py",
            "    return [site for site in sites if _block_at(d, site, block) is not None]\n",
            "    return sites\n",
-           ("tests/test_moves.py::test_finders_list_exactly_the_sites_apply_accepts",
-            "tests/test_moves_golden.py::test_find_sites_match_golden_lists")),
+           (FINDERS, f"{GOLDEN}::test_find_sites_match_golden_lists")),
     # obstruct_vn reads no k past the arc count
     Mutant("classify.py",
            "    top = min(kmax, max(d.crossing_count + d.mu for d in (left, right)))\n",
            "    top = kmax\n",
            ("tests/test_classify.py::test_obstruct_reads_no_k_past_the_arc_count",)),
+    # R1, OC and UC sites from id lists and role strings: the wrap pair of a
+    # link component, and no pair past the pair count
+    Mutant("moves.py", "_starts(text + text[:wrap], word)", "_starts(text, word)",
+           (PAIR_WALK, FINDERS)),
+    Mutant("moves.py", "word) if p < count]", "word) if p <= count]", (PAIR_WALK,)),
+    # a scramble step lists a kind's sites once, on the diagram it moves
+    Mutant("moves.py", "    for _ in range(steps):\n        listed = {}",
+           "    listed = {}\n    for _ in range(steps):\n        pass",
+           (f"{GOLDEN}::test_scramble_matches_golden_outputs",)),
+    # a site the matcher finds nothing at raises MoveError, not the action's error
+    Mutant("moves.py", "    if found is None:\n        raise MoveError(f\"site {site} does not fit",
+           "    if False:\n        raise MoveError(f\"site {site} does not fit",
+           (f"{MOVES}::test_apply_rejects_bad_site",
+            f"{MOVES}::test_reduce_rejects_positions_find_sites_does_not_list", FINDERS)),
+    # Tietze: an entry waiting on blocked generators goes back on the heap
+    Mutant("invariants.py", "            for entry in waiting:\n                push(heap, entry)\n",
+           "            for entry in waiting:\n                pass\n",
+           ("tests/test_tietze_differential.py::test_indexed_simplification_matches_the_rescan",)),
+    # Alexander runs: a rename needs t^sigma = 1 or y at x or z
+    Mutant("invariants.py", "            if not sigmas[i] or y == x or y == z:\n",
+           "            if not sigmas[i] or y == x or y == z or sigmas[i] == 1:\n",
+           ("tests/test_invariants.py::test_alexander_rows_are_fox_rows_times_a_unit",
+            "tests/test_invariants.py::test_crossing_arcs_and_alexander_rows_match_run_reference")),
+    # Diagram.moved checks that the removed passages pair up
+    Mutant("diagram.py", "        _check_whole(removed)\n", "",
+           (f"{DIAGRAM}::test_moved_checks_what_the_move_changed",
+            f"{MOVES}::test_apply_raises_when_an_action_drops_one_passage_too_many")),
     # the CLI puts Python's digit limit back after formatting
     Mutant("cli.py", "        sys.set_int_max_str_digits(limit)\n", "        pass\n",
            (f"{CLI}::test_counts_over_4300_digits_print_exactly[colorings-10^4800]",)),

@@ -8,7 +8,8 @@ arcs inside under-runs substituted away, colorings
 by exhaustive enumeration, elementary ideals by enumerating every minor of
 the raw Alexander matrix, the canonical key by trying every combination of
 basepoint rotations, divisibility by exact Laurent long division, move
-sites by offering ``apply`` every tuple of a site's shape, R3 triangles
+sites by offering ``apply`` every tuple of a site's shape and adjacent-pair
+sites by walking every pair, R3 triangles
 by a pattern table closed from the braid relation, Tietze simplification
 by rescanning every relator at every step, and Gauss codes by matching each
 token on its own and checking the diagram by the constructor's walk.
@@ -364,6 +365,30 @@ def canonical_key_bruteforce(d):
         if best is None or key < best:
             best = key
     return best
+
+
+# the pair walk that R1, OC and UC reduce sites were found by before their
+# id-list and role-string finders: every component zipped with its rotation
+# by one, cut to its pair count (every position of a link component longer
+# than two, all but the last elsewhere), and each pair's crossings and roles
+# offered to the move's test
+PAIR_TESTS = {
+    "r1": lambda x, rx, y, ry: x == y,
+    "oc": lambda x, rx, y, ry: rx == ry == OVER,
+    "uc": lambda x, rx, y, ry: rx == ry == UNDER,
+}
+
+
+def pair_walk_sites(d, family):
+    """The (c, p) sites of r1 reduce, oc or uc by the pair walk, sorted."""
+    test = PAIR_TESTS[family]
+    out = []
+    for ci, comp in enumerate(d.components):
+        n = len(comp)
+        count = n if d.kind == LINK and n > 2 else max(n - 1, 0)
+        pairs = zip(range(count), comp, comp[1:] + comp[:1])
+        out += [(ci, p) for p, (x, rx, _), (y, ry, _) in pairs if test(x, rx, y, ry)]
+    return out
 
 
 def sites_bruteforce(d, kind):

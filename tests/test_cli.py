@@ -156,6 +156,21 @@ def test_moves_counts(capsys, trefoil_file):
     assert doc["v reduce"] == 3
 
 
+@pytest.mark.parametrize("listed, names", [
+    ("oc,oc,r1", ["oc", "r1 expand", "r1 reduce"]),
+    ("v,v(n):1", ["v expand", "v reduce"]),
+    ("r1 ,v^n:2,r1", ["r1 expand", "r1 reduce", "v^2 expand", "v^2 reduce"]),
+])
+def test_moves_counts_each_directed_kind_once(capsys, trefoil_file, listed, names):
+    # v(n):1 parses to v; text and --json list the same kinds, once each,
+    # in the order first listed
+    code, doc = run_json(capsys, ["moves", trefoil_file, "--moves", listed, "--json"])
+    assert code == 0 and list(doc) == names
+    assert main(["moves", trefoil_file, "--moves", listed]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"{name}: {doc[name]} site(s)" for name in names]
+
+
 def test_moves_counts_equal_found_sites(capsys, tmp_path):
     d = scramble(named("hopf+"), GROW, 8, 3)
     path = tmp_path / "d.gc"

@@ -670,6 +670,56 @@ def test_finders_list_exactly_the_sites_apply_accepts():
     assert min(nonempty.values()) >= 3, {str(k): v for k, v in nonempty.items()}
 
 
+def _pair_walk_diagrams(count, seed):
+    """Seeded links and string links of zero to four crossings on up to four
+    components, so that empty, one-passage and two-passage components are
+    common; every third gets a kink from an R1 expand move."""
+    rng = random.Random(seed)
+    r1 = MoveKind("r1", 0, EXPAND)
+    out = []
+    for i in range(count):
+        d = random_diagram(rng, max_crossings=rng.randrange(5), max_mu=4,
+                           kind=("link", "stringlink")[i % 2])
+        if i % 3 == 0:
+            sites = find_sites(d, r1)
+            d = apply(d, r1, sites[rng.randrange(len(sites))])
+        out.append(d)
+    return out
+
+
+def test_pair_finders_match_the_pair_walk():
+    # R1 reduce, OC and UC find their sites from id lists and role strings;
+    # the pair walk they replaced is the reference, on the wrap pair of a
+    # link component and the single pair of a two-passage one above all
+    from wld.arrows import find_arrow_sites, make_arrow_kind, to_arrows
+    kinds = {"r1": MoveKind("r1", 0, REDUCE), "oc": make_kind("oc"), "uc": make_kind("uc")}
+    # arrow move -> (the family whose walk it runs, the kept first role)
+    arrow_moves = {("ar7", ""): ("oc", None), ("heads-exchange", ""): ("uc", None),
+                   ("ar8", REDUCE): ("r1", "O"), ("ar10", REDUCE): ("r1", "U")}
+    seen = dict.fromkeys(("wrap", "two-passage link", "one-passage", "empty"), 0)
+    nonempty = dict.fromkeys(list(kinds) + [name for name, _ in arrow_moves], 0)
+    for d in _pair_walk_diagrams(3000, 32):
+        walks = {fam: oracles.pair_walk_sites(d, fam) for fam in kinds}
+        for fam, kind in kinds.items():
+            assert [site.data for site in find_sites(d, kind)] == walks[fam], (str(d), fam)
+            assert count_sites(d, kind) == len(walks[fam]), (str(d), fam)
+            nonempty[fam] += bool(walks[fam])
+        p = to_arrows(d)
+        for (name, direction), (fam, role) in arrow_moves.items():
+            want = [site for site in walks[fam]
+                    if role is None or d.components[site[0]][site[1]].role == role]
+            got = find_arrow_sites(p, make_arrow_kind(name, direction=direction))
+            assert [site.data for site in got] == want, (str(d), name)
+            nonempty[name] += bool(want)
+        lengths = [len(comp) for comp in d.components]
+        link_sites = [] if d.kind == STRING_LINK else sum(walks.values(), [])
+        seen["wrap"] += any(p == lengths[ci] - 1 > 1 for ci, p in link_sites)
+        seen["two-passage link"] += any(lengths[ci] == 2 for ci, _ in link_sites)
+        seen["one-passage"] += 1 in lengths
+        seen["empty"] += 0 in lengths
+    assert min(seen.values()) >= 100 and min(nonempty.values()) >= 100, (seen, nonempty)
+
+
 def test_every_r3_pattern_has_one_top_and_one_bottom_pair():
     # what _match_r3 checks and _r3_sites prunes by: one over-over pair (the
     # top strand) and one under-under pair (the bottom) through one common
@@ -737,13 +787,15 @@ def test_move_results_pass_the_full_walk_at_every_site():
 
 
 def test_scramble_steps_pass_the_full_walk(monkeypatch):
+    # a scramble step acts on its drawn site through ``_act``, without the
+    # entry check of ``_apply``; each result is recorded there
     results = []
 
-    def recording_apply(*args):
-        results.append(real_apply(*args))
+    def recording_act(*args):
+        results.append(real_act(*args))
         return results[-1]
-    real_apply = moves._apply
-    monkeypatch.setattr(moves, "_apply", recording_apply)
+    real_act = moves._act
+    monkeypatch.setattr(moves, "_act", recording_act)
     for case in SCRAMBLE_CASES:
         scramble_digest(*case)
     assert len(results) == sum(steps for _, _, steps, _ in SCRAMBLE_CASES)
